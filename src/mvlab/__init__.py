@@ -10,9 +10,8 @@ Li-Yau surface and volume averages of the reduced-distance kernel, the
 reduced volume, and the Gaussian density of the shrinking track.
 """
 
-from .errors import (AccuracyError, CutLocusWarning, DomainError,
-                     NoRegionError, PreconditionError, ShootingError,
-                     UnsupportedError)
+from .errors import (CutLocusWarning, DomainError, NoRegionError,
+                     PreconditionError, ShootingError, UnsupportedError)
 from .fields import TestField, angular_quadrature_mean, classification_check, make_field
 from .geometry import (FlowGeometry, SpaceTimePoint, curvature, flow_residual,
                        spacetime_christoffels, spacetime_christoffels_fd,
@@ -21,9 +20,7 @@ from .geometry import (FlowGeometry, SpaceTimePoint, curvature, flow_residual,
 from .kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                       SubGreenKernel, SubHeatKernel, SupGreenKernel,
                       liyau_expression, mcf_sup_heat_kernel)
-from .reduced import (LGeodesic, ReducedDistanceField,
-                      gauss_identity_residuals, l_length, reduced_distance,
-                      shoot_l_geodesic)
+from .reduced import LGeodesic, ReducedDistanceField, l_length, shoot_l_geodesic
 from .regions import (GreenBallRegion, HeatBallRegion, ball_integrate,
                       cap_integral, green_ball, heatball_profile,
                       level_radius, sphere_integrate)

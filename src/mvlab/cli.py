@@ -6,17 +6,31 @@ report rendering.
     mvlab report --in report.json --format csv
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
-error.  All numeric output is formatted with 17 significant digits so
-identical invocations produce byte-identical files.
+error.  A usage error is reported before any quantity is computed, as one
+``error:`` line on stderr (argparse's own errors print the usage line first)
+and nothing on stdout.  Usage errors are
+
+* an unknown command, suite, quantity or sweep geometry, or a missing or
+  malformed config or report file;
+* a ``verify --geometry`` other than gaussian, gaussian-soliton or
+  shrinking-s3;
+* a ``--tol-scale`` that is not finite and positive;
+* a non-finite ``--rmin``, ``--rmax``, ``--taumin``, ``--taumax`` or ``--a``;
+* ``--steps`` below 1, or a sweep grid that is not strictly increasing;
+* a quantity the geometry does not carry (theta or ihat/jhat on an MCF
+  track, I/J on an evolving geometry).
+
+All numeric output is formatted with 17 significant digits so identical
+invocations produce byte-identical files.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,10 +38,11 @@ from . import mv_elliptic as mve
 from . import mv_parabolic as mvp
 from .fields import make_field
 from .geometry import FlowGeometry
-from .kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
-                      SubGreenKernel, SubHeatKernel, SupGreenKernel)
+from .kernels import (GreenKernel, McfShrinkingSphereTrack, SubGreenKernel,
+                      SubHeatKernel)
 from .reduced import ReducedDistanceField
 from .suites import SUITES, SuiteReport, run_suite
+from .sweeps import SweepReport, check_grid
 
 QUANTITIES = ("I", "J", "ihat", "jhat", "ibar", "jbar", "theta")
 
@@ -80,7 +95,6 @@ def _build_parser():
                        help="run a named verification suite")
     v.add_argument("--suite", choices=SUITES, default="all")
     v.add_argument("--geometry", default=None)
-    v.add_argument("--dimension", type=int, default=None)
     v.add_argument("--tol-scale", type=float, default=1.0)
 
     s = sub.add_parser("sweep", parents=[common],
@@ -122,6 +136,7 @@ def _report_csv(report):
 
 
 def _cmd_verify(args):
+    _check_tol_scale(args)
     report = run_suite(args.suite, tol_scale=args.tol_scale,
                        geometry=args.geometry, jobs=max(1, args.jobs))
     fmt = args.format or "json"
@@ -133,7 +148,29 @@ def _cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def _sweep_rows(args):
+def _check_tol_scale(args):
+    if not 0.0 < args.tol_scale < math.inf:
+        raise ValueError(
+            f"--tol-scale must be finite and positive, got {args.tol_scale}")
+
+
+def _sweep_grid(args):
+    """The validated parameter grid: tau for theta, r for the others."""
+    for flag in ("rmin", "rmax", "taumin", "taumax", "a"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag} must be finite, got {getattr(args, flag)}")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if args.quantity == "theta":
+        grid = np.linspace(args.taumin, args.taumax, args.steps)
+    else:
+        grid = np.linspace(args.rmin, args.rmax, args.steps)
+    check_grid(grid)
+    return grid
+
+
+def _sweep_rows(args, grid):
+    """Values, error estimates and declared direction over the grid."""
     geom_name = args.geometry
     if geom_name not in GEOMETRIES:
         raise ValueError(f"unknown geometry '{geom_name}'")
@@ -144,13 +181,10 @@ def _sweep_rows(args):
     if q == "theta":
         if is_track:
             raise ValueError("theta needs a Ricci-flow geometry")
-        grid = np.linspace(args.taumin, args.taumax, args.steps)
         fld = ReducedDistanceField(geom)
-        vals = [fld.reduced_volume(t) for t in grid]
-        return grid, [v for v, _ in vals], [e for _, e in vals], "non-increasing"
-
-    grid = np.linspace(args.rmin, args.rmax, args.steps)
-    if q in ("I", "J"):
+        pairs = [fld.reduced_volume(t) for t in grid]
+        direction = "non-increasing"
+    elif q in ("I", "J"):
         if is_track or not geom.is_static:
             raise ValueError(f"quantity {q} needs a static geometry")
         if geom_name == "hyperbolic3":
@@ -160,60 +194,36 @@ def _sweep_rows(args):
         field = make_field(args.field, geom)
         fn = mve.i_quantity if q == "I" else mve.j_quantity
         pairs = [fn(kern, field, r) for r in grid]
-        if "harmonic" in field.tags:
-            direction = "constant"
-        elif "superharmonic" in field.tags:
-            direction = "non-increasing"
-        elif "subharmonic" in field.tags:
-            direction = "non-decreasing"
-        else:
-            direction = "none"
-        return grid, [v for v, _ in pairs], [e for _, e in pairs], direction
-
-    if q in ("ihat", "jhat"):
+        direction = mve.classical_direction(field)
+    elif q in ("ihat", "jhat"):
         if is_track:
             raise ValueError(f"quantity {q} needs a Ricci-flow geometry")
-        fld = ReducedDistanceField(geom)
-        kern = SubHeatKernel(fld)
+        kern = SubHeatKernel(ReducedDistanceField(geom))
         if q == "jhat":
             pairs = [mvp.jhat_quantity(kern, r) for r in grid]
         else:
             cache = {}
             pairs = [mvp.ihat_quantity(kern, args.a, r, _cache=cache)
                      for r in grid]
-        return grid, [v for v, _ in pairs], [e for _, e in pairs], "non-increasing"
-
-    if q in ("ibar", "jbar"):
-        track = geom if isinstance(geom, McfShrinkingSphereTrack) \
-            else McfShrinkingSphereTrack(geom.n)
+        direction = "non-increasing"
+    else:  # ibar, jbar
+        track = geom if is_track else McfShrinkingSphereTrack(geom.n)
         if q == "jbar":
             pairs = [mvp.jbar_quantity(track, r) for r in grid]
         else:
             pairs = [mvp.ibar_quantity(track, args.a, r) for r in grid]
-        return grid, [v for v, _ in pairs], [e for _, e in pairs], "non-decreasing"
-
-    raise ValueError(f"unsupported quantity '{q}'")
+        direction = "non-decreasing"
+    return [v for v, _ in pairs], [e for _, e in pairs], direction
 
 
 def _cmd_sweep(args):
-    grid, vals, errs, direction = _sweep_rows(args)
-    tol = 1e-6 * args.tol_scale
-    rows = []
-    for i, (p, v, e) in enumerate(zip(grid, vals, errs)):
-        if i == 0:
-            ok = True
-        else:
-            step = v - vals[i - 1]
-            slack = e + errs[i - 1] + tol
-            if direction == "non-increasing":
-                ok = bool(step <= slack)
-            elif direction == "non-decreasing":
-                ok = bool(step >= -slack)
-            elif direction == "constant":
-                ok = bool(abs(step) <= slack)
-            else:
-                ok = True
-        rows.append((p, v, e, ok))
+    _check_tol_scale(args)
+    grid = _sweep_grid(args)
+    vals, errs, direction = _sweep_rows(args, grid)
+    report = SweepReport(name=args.quantity, grid=list(grid), values=vals,
+                         errors=errs, direction=direction,
+                         tol=1e-6 * args.tol_scale)
+    rows = list(zip(grid, vals, errs, [True] + report.verdicts))
 
     fmt = args.format or "csv"
     if fmt == "csv":

@@ -17,14 +17,6 @@ class PreconditionError(ValueError):
     """An operation precondition (e.g. nonnegativity of a test function) fails."""
 
 
-class AccuracyError(RuntimeError):
-    """Adaptive refinement stopped before reaching the requested tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class ShootingError(RuntimeError):
     """The geodesic shooting ODE exited the domain or failed to converge."""
 

@@ -52,34 +52,8 @@ def mv_identity(kernel, field, r, form="sphere"):
     if kernel.kind != EXACT_GREEN:
         raise UnsupportedError("mv_identity needs the exact Green's function")
     lhs = field.center_value()
-    rhs, _ = _mv_rhs(kernel, field, r, form)
+    rhs = _mv_rhs_for_region(kernel, green_ball(kernel, r), field, form)
     return lhs, rhs, abs(lhs - rhs)
-
-
-def _mv_rhs(kernel, field, r, form):
-    region = green_ball(kernel, r)
-    if form == "sphere":
-        surf, e1 = _surface_term(kernel, region, field)
-        corr, e2 = _ball_phi_lap_term(kernel, region, field)
-        return surf - corr, e1 + e2
-
-    if form != "ball":
-        raise ValueError("form must be 'sphere' or 'ball'")
-    n = kernel.n
-    main, e1 = ball_integrate(
-        region,
-        lambda rho: (kernel.grad_norm(rho) / kernel.value(rho)) ** 2
-        * field.mean_value(rho, 0.0))
-    main *= r ** (-n)
-
-    def eta_integrand(eta):
-        sub = green_ball(kernel, eta)
-        inner, _ = _ball_phi_lap_term(kernel, sub, field)
-        return eta ** (n - 1) * inner
-
-    iterated, e2 = integrate_1d(eta_integrand, 0.0, r,
-                                epsabs=1e-12, epsrel=1e-9)
-    return main - n * r ** (-n) * iterated, e1 * r ** (-n) + e2
 
 
 def mv_inequality_deficit(kernel, field, r, form="sphere"):
@@ -99,18 +73,21 @@ def mv_inequality_deficit(kernel, field, r, form="sphere"):
             raise PreconditionError(f"field negative at rho = {rho:.4g}")
 
     lhs = field.center_value()
-    rhs, _ = _mv_rhs_for_region(kernel, region, field, form)
+    rhs = _mv_rhs_for_region(kernel, region, field, form)
     return lhs - rhs if kernel.kind == SUB_GREEN else rhs - lhs
 
 
 def _mv_rhs_for_region(kernel, region, field, form):
+    """Right-hand side of the sphere or ball form over a Green ball."""
+    if form not in ("sphere", "ball"):
+        raise ValueError("form must be 'sphere' or 'ball'")
     if form == "sphere":
-        surf, e1 = _surface_term(kernel, region, field)
-        corr, e2 = _ball_phi_lap_term(kernel, region, field)
-        return surf - corr, e1 + e2
+        surf, _ = _surface_term(kernel, region, field)
+        corr, _ = _ball_phi_lap_term(kernel, region, field)
+        return surf - corr
     n = kernel.n
     r = region.r
-    main, e1 = ball_integrate(
+    main, _ = ball_integrate(
         region,
         lambda rho: (kernel.grad_norm(rho) / kernel.value(rho)) ** 2
         * field.mean_value(rho, 0.0))
@@ -120,9 +97,9 @@ def _mv_rhs_for_region(kernel, region, field, form):
         inner, _ = _ball_phi_lap_term(kernel, sub, field)
         return eta ** (n - 1) * inner
 
-    iterated, e2 = integrate_1d(eta_integrand, 0.0, r,
-                                epsabs=1e-12, epsrel=1e-9)
-    return (main - n * iterated) * r ** (-n), (e1 + e2) * r ** (-n)
+    iterated, _ = integrate_1d(eta_integrand, 0.0, r,
+                               epsabs=1e-12, epsrel=1e-9)
+    return main * r ** (-n) - n * r ** (-n) * iterated
 
 
 def i_quantity(kernel, field, r):
@@ -177,6 +154,19 @@ def sphere_ball_relation_residual(kernel, field, r):
     return abs(lhs - rhs) / scale
 
 
+def classical_direction(field):
+    """Direction of I_v and J_v under the exact Green's function, from the
+    field's tag: constant if harmonic, non-increasing if superharmonic,
+    non-decreasing if subharmonic, otherwise none."""
+    if "harmonic" in field.tags:
+        return "constant"
+    if "superharmonic" in field.tags:
+        return "non-increasing"
+    if "subharmonic" in field.tags:
+        return "non-decreasing"
+    return "none"
+
+
 def elliptic_sweep(kernel, field, r_grid, direction=None, tol=1e-6,
                    derivative_checks=True):
     """Sweep I_v and J_v over the radius grid.
@@ -185,19 +175,12 @@ def elliptic_sweep(kernel, field, r_grid, direction=None, tol=1e-6,
     pointwise derivative comparisons for J (stored under "dJ"): triples
     (fd, rhs, residual) at the interior grid points.
 
-    The declared direction defaults to the classical expectation from the
-    field's tag under the exact Green's function; for comparison kernels the
-    caller should pass the direction it intends to assert.
+    The declared direction defaults to ``classical_direction(field)``; for
+    comparison kernels the caller should pass the direction it intends to
+    assert.
     """
     if direction is None:
-        if "harmonic" in field.tags:
-            direction = "constant"
-        elif "superharmonic" in field.tags:
-            direction = "non-increasing"
-        elif "subharmonic" in field.tags:
-            direction = "non-decreasing"
-        else:
-            direction = "none"
+        direction = classical_direction(field)
 
     ivals, ierrs, jvals, jerrs = [], [], [], []
     for r in r_grid:

@@ -13,8 +13,6 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-from .errors import AccuracyError
-
 DEFAULT_EPSABS = 1e-11
 DEFAULT_EPSREL = 1e-9
 
@@ -38,17 +36,12 @@ def integrate_de(f, a, b, atol=DEFAULT_EPSABS, rtol=DEFAULT_EPSREL,
 
 
 def integrate_1d(f, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL,
-                 limit=200, strict=False):
+                 limit=200):
     """Adaptive quadrature of ``f`` on ``(a, b)`` with an error estimate."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
-                                  limit=limit)
-    if strict and err > max(epsabs, epsrel * abs(val)) * 50:
-        raise AccuracyError(
-            f"quadrature error {err:.3e} exceeds target on [{a}, {b}]",
-            achieved=err)
-    return val, err
+        return integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
+                              limit=limit)
 
 
 def fixed_gauss(f, a, b, order=24):

@@ -24,6 +24,8 @@ from .reduced import ReducedDistanceField
 from .regions import ball_integrate, green_ball, heatball_profile, sphere_integrate
 
 SUITES = ("elliptic", "parabolic", "reduced", "ricci", "mcf", "all")
+# geometries the ricci battery can be restricted to
+RICCI_GEOMETRIES = ("gaussian", "gaussian-soliton", "shrinking-s3")
 
 
 @dataclass
@@ -375,6 +377,9 @@ def _mcf_battery(ts):
 
 
 def build_battery(suite, tol_scale=1.0, geometry=None):
+    if geometry is not None and geometry not in RICCI_GEOMETRIES:
+        raise ValueError(f"unknown geometry '{geometry}'; the ricci suite "
+                         f"serves {', '.join(RICCI_GEOMETRIES)}")
     ts = tol_scale
     if suite == "elliptic":
         return _elliptic_battery(ts)

@@ -12,6 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def check_grid(grid):
+    """Raise ValueError unless the grid is strictly increasing."""
+    g = np.asarray(grid, dtype=float)
+    if len(g) > 1 and not np.all(np.diff(g) > 0):
+        raise ValueError("sweep grid must be strictly increasing")
+
+
 @dataclass
 class SweepReport:
     """A monotone quantity evaluated on an increasing parameter grid."""
@@ -24,12 +31,9 @@ class SweepReport:
     tol: float = 1e-6
     verdicts: list = field(default_factory=list)
     worst_violation: float = 0.0
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if len(g) > 1 and not np.all(np.diff(g) > 0):
-            raise ValueError("sweep grid must be strictly increasing")
+        check_grid(self.grid)
         self._judge()
 
     def _judge(self):

@@ -2,11 +2,15 @@
 precedence."""
 
 import json
+import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
+from scipy import integrate
 
+import mvlab
 from mvlab.cli import main
 
 
@@ -78,13 +82,85 @@ def test_sweep_jbar_json(tmp_path):
         assert row["value"] == pytest.approx(1.5203469010662809, rel=1e-12)
 
 
-def test_usage_errors(tmp_path):
+J_SWEEP = ["sweep", "--quantity", "J", "--geometry", "euclidean3"]
+
+
+def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert run_cli(["sweep", "--quantity", "nope"]) == 2
     assert run_cli(["sweep", "--quantity", "J", "--geometry", "mars"]) == 2
     assert run_cli(["sweep", "--quantity", "theta", "--geometry",
                     "mcf-circle"]) == 2
     assert run_cli(["verify", "--suite", "bogus"]) == 2
     assert run_cli(["report", "--in", str(tmp_path / "missing.json")]) == 2
+
+    # from here on any quadrature, root solve or shot fails the test: bad
+    # input must be refused before a quantity is computed
+    def computed(*args, **kwargs):
+        raise AssertionError("a quantity was computed")
+    monkeypatch.setattr("mvlab.quad.integrate", SimpleNamespace(
+        quad=computed, tanhsinh=computed,
+        IntegrationWarning=integrate.IntegrationWarning))
+    monkeypatch.setattr("mvlab.regions.brentq", computed)
+    monkeypatch.setattr("mvlab.reduced.solve_ivp", computed)
+    capsys.readouterr()
+
+    def usage_error(argv):
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        return (code == 2 and out == "" and err.startswith("error: ")
+                and err.count("\n") == 1)
+
+    j = J_SWEEP
+    theta = ["sweep", "--quantity", "theta", "--geometry", "shrinking-s3"]
+    assert usage_error(j + ["--steps", "0"])
+    assert usage_error(j + ["--steps", "-3"])
+    assert usage_error(j + ["--rmin", "nan"])
+    assert usage_error(j + ["--rmax", "inf"])
+    assert usage_error(theta + ["--taumin", "nan"])
+    assert usage_error(theta + ["--taumax=-inf"])
+    assert usage_error(j + ["--a", "nan"])
+    assert usage_error(j + ["--rmin", "2", "--rmax", "1"])
+    assert usage_error(j + ["--rmin", "1", "--rmax", "1", "--steps", "3"])
+    assert usage_error(theta + ["--taumin", "0.3", "--taumax", "0.1"])
+    assert usage_error(j + ["--tol-scale", "-1"])
+    assert usage_error(j + ["--tol-scale", "0"])
+    assert usage_error(j + ["--tol-scale", "nan"])
+    assert usage_error(["verify", "--suite", "mcf", "--tol-scale", "-1"])
+    assert usage_error(["verify", "--suite", "mcf", "--tol-scale", "inf"])
+    assert usage_error(["verify", "--suite", "ricci", "--geometry", "nonsense"])
+    assert usage_error(["verify", "--suite", "all", "--geometry", "euclidean3"])
+
+
+def test_sweep_golden_csv(capsys):
+    """Byte-exact output of an I/J sweep: verdicts and formatting."""
+    assert run_cli(J_SWEEP + ["--field", "harmonic-quadratic",
+                              "--steps", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "parameter,value,error_estimate,monotone_ok\n"
+        "0.5,0,0,true\n"
+        "0.83333333333333326,0,0,true\n"
+        "1.1666666666666665,0,0,true\n"
+        "1.5,0,0,true\n")
+
+
+def test_sweep_golden_json(capsys):
+    """Byte-exact JSON output of an MCF-track sweep."""
+    assert run_cli(["sweep", "--quantity", "jbar", "--geometry", "mcf-circle",
+                    "--steps", "3", "--format", "json"]) == 0
+    row = ('    {{\n'
+           '      "error_estimate": 0.0,\n'
+           '      "monotone_ok": true,\n'
+           '      "parameter": {},\n'
+           '      "value": 1.520346901066281\n'
+           '    }}')
+    assert capsys.readouterr().out == (
+        '{\n'
+        '  "geometry": "mcf-circle",\n'
+        '  "quantity": "jbar",\n'
+        '  "rows": [\n'
+        + ",\n".join(row.format(p) for p in ("0.5", "1.0", "1.5")) + "\n"
+        '  ]\n'
+        '}\n')
 
 
 def test_tol_scale_tightens_flat_checks(tmp_path):
@@ -108,10 +184,14 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_console_script_installed():
+    # the child imports the same mvlab as this process, installed or not
+    src = os.path.dirname(os.path.dirname(mvlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "mvlab.cli", "sweep",
                            "--quantity", "jbar", "--geometry", "mcf-circle",
                            "--steps", "3"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.startswith("parameter,value,error_estimate,monotone_ok")
 

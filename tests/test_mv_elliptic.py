@@ -94,6 +94,16 @@ def test_deficit_positivity_precondition(sub3, h3):
         mve.mv_inequality_deficit(sub3, bad, 1.0)
 
 
+def test_unknown_form_rejected(green3, e3, sub3, h3):
+    # both the identity and the deficit share one right-hand side, and it
+    # knows only the sphere and ball forms
+    with pytest.raises(ValueError, match="form"):
+        mve.mv_identity(green3, make_field("constant-1", e3), 1.0, "cube")
+    with pytest.raises(ValueError, match="form"):
+        mve.mv_inequality_deficit(sub3, make_field("constant-1", h3), 1.0,
+                                  "cube")
+
+
 def test_j_derivative_formula(green3, e3):
     f = make_field("superharmonic", e3, C=10.0)
     fd, rhs, resid = mve.j_derivative_residual(green3, f, 1.0)

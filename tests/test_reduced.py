@@ -9,8 +9,7 @@ import pytest
 
 from mvlab.errors import CutLocusWarning, DomainError, ShootingError
 from mvlab.quad import integrate_1d
-from mvlab.reduced import (LGeodesic, ReducedDistanceField,
-                           gauss_identity_residuals, l_length,
+from mvlab.reduced import (LGeodesic, ReducedDistanceField, l_length,
                            shoot_l_geodesic)
 
 
@@ -101,7 +100,7 @@ def test_endpoint_monotone_in_speed(s3):
 
 def test_gauss_identities_flat(rd_flat2):
     for rho, tau in ((1.0, 0.25), (2.0, 1.0), (0.5, 0.1)):
-        rs, rt = gauss_identity_residuals(rd_flat2, rho, tau)
+        rs, rt = rd_flat2.first_order_residuals(rho, tau)[:2]
         assert rs <= 1e-6 and rt <= 1e-6
         assert rd_flat2.ell(rho, tau) == pytest.approx(
             rho * rho / (4.0 * tau), abs=1e-9)
