@@ -13,9 +13,14 @@ ambient Gaussian restricted to a mean-curvature-flow track.
 
 All parabolic kernels expose derivatives at fixed *manifold* point: on an
 evolving geometry the time derivative is taken at fixed comoving coordinate.
+
+Kernels invert ``kernel = r^(-n)`` (``level_radius``, ``tau_max``, ``profile_x``)
+where it has a closed form and return None where `regions` must solve for it.
 """
 
 import math
+
+from scipy.special import lambertw
 
 from .errors import DomainError, UnsupportedError
 from .geometry import (EUCLIDEAN, GAUSSIAN_SOLITON, HYPERBOLIC,
@@ -73,7 +78,13 @@ def _spaceform_green_dvalue(n, k, d):
 
 
 class EllipticKernel:
-    """Common behavior of radial elliptic kernels."""
+    """Space-form Green's profile at the geodesic radius of a static model.
+
+    Subclasses choose the curvature -k^2 of the space form through ``_k``.
+    """
+
+    parabolic = False
+    _k = 0.0
 
     def __init__(self, geom):
         if geom.kind == SHRINKING_SPHERE:
@@ -81,13 +92,21 @@ class EllipticKernel:
         self.geom = geom
         self.n = geom.n
 
-    parabolic = False
-
     def value(self, rho):
-        raise NotImplementedError
+        return _spaceform_green_value(self.n, self._k, rho)
 
     def dvalue(self, rho):
-        raise NotImplementedError
+        return _spaceform_green_dvalue(self.n, self._k, rho)
+
+    def level_radius(self, r):
+        """Radius where value = r^(-n) if k = 0 or n = 3; None otherwise."""
+        n, k = self.n, self._k
+        if k == 0.0:
+            return (r ** n / ((n - 2) * unit_sphere_area(n))) ** (1.0 / (n - 2))
+        if n == 3:
+            # k / (2 pi (exp(2 k d) - 1)) = r^(-3)
+            return math.log1p(k * r ** 3 / (2.0 * math.pi)) / (2.0 * k)
+        return None
 
     def grad_norm(self, rho):
         return -self.dvalue(rho)
@@ -110,12 +129,6 @@ class GreenKernel(EllipticKernel):
         if geom.is_flat and geom.n < 3:
             raise UnsupportedError("flat space is not strongly non-parabolic for n < 3")
         self._k = geom.k if geom.kind == HYPERBOLIC else 0.0
-
-    def value(self, rho):
-        return _spaceform_green_value(self.n, self._k, rho)
-
-    def dvalue(self, rho):
-        return _spaceform_green_dvalue(self.n, self._k, rho)
 
     def grad_norm(self, rho):
         # exact flux normalization: |grad G| * area(rho) = 1
@@ -143,13 +156,7 @@ class SubGreenKernel(EllipticKernel):
                 f"comparison requires Ric >= -(n-1)k^2: need k >= {geom_k}")
         if k == 0.0 and geom.n < 3:
             raise UnsupportedError("k = 0 comparison needs n >= 3")
-        self.k = k
-
-    def value(self, rho):
-        return _spaceform_green_value(self.n, self.k, rho)
-
-    def dvalue(self, rho):
-        return _spaceform_green_dvalue(self.n, self.k, rho)
+        self._k = k
 
 
 class SupGreenKernel(EllipticKernel):
@@ -163,12 +170,6 @@ class SupGreenKernel(EllipticKernel):
             raise UnsupportedError("sup-Green comparison needs n >= 3")
         if not (geom.is_flat or geom.kind == HYPERBOLIC):
             raise UnsupportedError("sup-Green needs a nonpositively curved model")
-
-    def value(self, rho):
-        return _spaceform_green_value(self.n, 0.0, rho)
-
-    def dvalue(self, rho):
-        return _spaceform_green_dvalue(self.n, 0.0, rho)
 
 
 class ParabolicKernel:
@@ -189,6 +190,12 @@ class ParabolicKernel:
         if tau <= 0:
             raise DomainError("backward time tau must be positive")
         self.geom.check_time(-tau)
+
+    def tau_max(self, r):
+        return None  # top time of {kernel > r^(-n)}: no closed form
+
+    def profile_x(self, r, tau):
+        return None  # its comoving radius at tau: no closed form
 
     def x_of_rho(self, rho, tau):
         return self.geom.x_of_rho(rho, -tau)
@@ -268,6 +275,21 @@ class HeatKernel(ParabolicKernel):
         kx = self._k * x
         ratio = kx / math.sinh(kx) if kx > 1e-8 else 1.0 - kx * kx / 6.0
         return gauss * ratio * math.exp(-self._k ** 2 * tau)
+
+    def tau_max(self, r):
+        # on-center (4 pi tau)^(n/2) exp(k^2 tau) = r^n; with a = r^2 / (4 pi)
+        # and c = 2 k^2 / 3 (n = 3) this is c tau exp(c tau) = c a
+        a = r * r / (4.0 * math.pi)
+        if self._k == 0.0:
+            return a
+        c = 2.0 * self._k ** 2 / 3.0
+        return float(lambertw(c * a).real) / c
+
+    def profile_x(self, r, tau):
+        # flat: x^2 = 2 n tau log(r^2 / (4 pi tau)); H3 has no closed form
+        if self._k != 0.0:
+            return None
+        return math.sqrt(2.0 * self.n * tau * math.log(self.tau_max(r) / tau))
 
     def dx_cm(self, x, tau):
         v = self.value_cm(x, tau)
@@ -406,8 +428,8 @@ class McfShrinkingSphereTrack:
 
     def tau_max(self, r):
         # value(tau) = r^(-n)  <=>  4 pi tau = r^2 / e
-        if r <= 0:
-            raise DomainError("level parameter r must be positive")
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"level parameter r must be positive and finite, got {r}")
         return r * r / (4.0 * math.pi * math.e)
 
 

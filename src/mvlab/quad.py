@@ -43,9 +43,3 @@ def integrate_1d(f, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL,
         return integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
                               limit=limit)
 
-
-def fixed_gauss(f, a, b, order=24):
-    """Non-adaptive Gauss-Legendre rule; f may be scalar-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    xs = 0.5 * (b - a) * x + 0.5 * (b + a)
-    return 0.5 * (b - a) * sum(wi * f(xi) for xi, wi in zip(xs, w))

@@ -4,7 +4,10 @@ Every kernel in the catalog is radial and strictly decreasing away from the
 center, so level sets are radial graphs.  Elliptic regions are balls of
 radius ``rho_star(r)`` solving ``kernel = r^(-n)``.  Parabolic regions live in
 backward time: the top time ``tau_max`` solves the on-center equation and the
-profile ``x(tau)`` is the per-slice root, found by bracketed Brent iteration.
+profile ``x(tau)`` is the per-slice root.  Each of these is the kernel's
+closed-form inverse where it has one (`_level_set`); bracketed Brent iteration
+serves the rest: the H3 heat profile, the reduced-distance kernel and the
+Green's functions of hyperbolic space with n != 3.
 
 Surface integrals over a parabolic level set use the space-time area element
 of g(t) + dt^2.  Along the profile the metric-normal speed of the level
@@ -44,20 +47,41 @@ class SurfaceSample:
     dtau: float   # time derivative at fixed manifold point
 
 
+def _level(kernel, r):
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"level parameter r must be positive and finite, got {r}")
+    return r ** (-kernel.n)
+
+
+def _level_set(closed, f, bracket, xtol=ROOT_XTOL):
+    """``closed``, or when the kernel has none the Brent root of f on bracket()."""
+    if closed is not None:
+        return float(closed)
+    lo, hi = bracket()
+    return float(brentq(f, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps))
+
+
 def level_radius(kernel, r):
     """Radius of the elliptic level set kernel(rho) = r^(-n)."""
-    if r <= 0:
-        raise DomainError("level parameter r must be positive")
-    level = r ** (-kernel.n)
-    lo, hi = 1e-300, 1.0
-    rho_cap = kernel.geom.rho_max(0.0)
-    while kernel.value(hi) > level:
-        hi *= 2.0
-        if hi > min(rho_cap, 1e12):
-            raise NoRegionError(f"level {level} not attained inside the domain")
-    val = brentq(lambda rho: kernel.value(rho) - level, lo, hi,
-                 xtol=ROOT_XTOL, rtol=4.0 * np.finfo(float).eps)
-    return float(val)
+    level = _level(kernel, r)
+
+    def f(rho):
+        return kernel.value(rho) - level
+
+    def bracket():
+        # elliptic models are static, so every radius lies in the domain
+        lo, hi = 0.5, 1.0
+        while f(hi) > 0.0:
+            lo, hi = hi, 2.0 * hi
+            if hi > 1e12:
+                raise NoRegionError(f"level {level} not attained inside the domain")
+        while f(lo) < 0.0:
+            if lo < 1e-12:
+                raise NoRegionError(f"level {level} not resolved near the center")
+            lo, hi = 0.5 * lo, lo
+        return lo, hi
+
+    return _level_set(kernel.level_radius(r), f, bracket)
 
 
 @dataclass(frozen=True)
@@ -66,7 +90,6 @@ class GreenBallRegion:
     kernel: object
     r: float
     rho_star: float
-    compact: bool = True
 
     @property
     def parabolic(self):
@@ -91,9 +114,7 @@ class HeatBallRegion:
     kernel: object
     r: float
     tau_max: float
-    compact: bool = True
     _roots: dict = field(default_factory=dict, repr=False)
-    _last_root: float = field(default=0.0, repr=False)
 
     @property
     def parabolic(self):
@@ -114,54 +135,34 @@ class HeatBallRegion:
         def f(s):
             return kern.value_cm(s, tau) - level
 
-        geom = kern.geom
-        x_cap = geom.x_max(-tau)
-        if math.isinf(x_cap):
-            x_cap = 1e6
-
-        # warm start: bracket around the most recent root of a nearby slice
-        lo, hi = 0.0, None
-        if self._last_root > 0.0:
-            a, b = 0.7 * self._last_root, 1.4 * self._last_root
-            for _ in range(8):
-                if b >= x_cap:
-                    break
-                fa, fb = f(a), f(b)
-                if fa > 0.0 >= fb:
-                    lo, hi = a, b
-                    break
-                if fa <= 0.0:
-                    a, b = 0.5 * a, a       # root lies below the guess
-                else:
-                    a, b = b, 2.0 * b       # root lies above the guess
-        if hi is None:
-            lo = 0.0
-            hi = min(4.0 * math.sqrt(2.0 * kern.n * tau *
-                                     max(1.0, -math.log(level * tau ** (kern.n / 2.0)))) + 1.0,
-                     x_cap * (1.0 - 1e-9))
+        def bracket():
+            x_cap = kern.geom.x_max(-tau)
+            if math.isinf(x_cap):
+                x_cap = 1e6
+            # the flat Gaussian's profile at this level bounds the H3 and the
+            # reduced-kernel profiles; sqrt(tau) / 10 keeps the bracket open
+            gauss = -4.0 * tau * math.log(level * (4.0 * math.pi * tau) ** (kern.n / 2.0))
+            hi = min(math.sqrt(max(gauss, 0.0)) + 0.1 * math.sqrt(tau), x_cap * (1.0 - 1e-9))
             while f(hi) > 0.0:
                 hi = 0.5 * (hi + x_cap)
                 if x_cap - hi < 1e-9:
                     raise NoRegionError("profile does not close inside the domain")
-        x = brentq(f, lo, hi, xtol=ROOT_XTOL, rtol=4.0 * np.finfo(float).eps)
-        self._roots[tau] = x
-        self._last_root = x
+            return 0.0, hi
+
+        x = self._roots[tau] = _level_set(kern.profile_x(self.r, tau), f, bracket)
         return x
 
     def profile_rho(self, tau):
         return self.kernel.rho_of_x(self.profile_x(tau), tau)
 
     def profile_slope(self, tau):
-        """d rho / d tau of the profile from the implicit-function formula."""
+        """d rho / d tau of rho = sqrt(m2) x: the implicit-function dx/dtau
+        plus the exact d sqrt(m2) / d tau = -(d m2 / dt) / (2 sqrt(m2))."""
         x = self.profile_x(tau)
-        dx_dtau = -self.kernel.dtau_cm(x, tau) / self.kernel.dx_cm(x, tau)
-        geom = self.kernel.geom
-        if geom.is_static:
-            return dx_dtau
-        eps = 1e-6 * tau
-        dscale = (math.sqrt(geom.scale(-(tau + eps)))
-                  - math.sqrt(geom.scale(-(tau - eps)))) / (2.0 * eps)
-        return math.sqrt(geom.scale(-tau)) * dx_dtau + x * dscale
+        kern, t = self.kernel, -tau
+        dx_dtau = -kern.dtau_cm(x, tau) / kern.dx_cm(x, tau)
+        sm = math.sqrt(kern.geom.m2(x, t))
+        return sm * dx_dtau - x * kern.geom.dm2_dt(x, t) / (2.0 * sm)
 
     def surface_sample(self, tau):
         x = self.profile_x(tau)
@@ -177,25 +178,25 @@ def heatball_profile(kernel, r, compactness_grid=9):
     The top time solves the on-center equation; the region is rejected when
     the profile comes within 10 percent of the domain radius.
     """
-    if r <= 0:
-        raise DomainError("level parameter r must be positive")
-    level = r ** (-kernel.n)
+    level = _level(kernel, r)
 
     def center(tau):
         return kernel.value_cm(0.0, tau) - level
 
-    lo, hi = 1e-12, 1.0
-    while center(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise NoRegionError("on-center level equation has no root")
-    while center(lo) < 0.0:
-        lo *= 1e-2
-        if lo < 1e-280:
-            raise NoRegionError("kernel does not exceed the level near tau = 0")
-    tau_max = brentq(center, lo, hi, xtol=1e-300,
-                     rtol=4.0 * np.finfo(float).eps)
-    region = HeatBallRegion(kernel=kernel, r=r, tau_max=float(tau_max))
+    def bracket():
+        lo, hi = 1e-12, 1.0
+        while center(hi) > 0.0:
+            hi *= 2.0
+            if hi > 1e8:
+                raise NoRegionError("on-center level equation has no root")
+        while center(lo) < 0.0:
+            lo *= 1e-2
+            if lo < 1e-280:
+                raise NoRegionError("kernel does not exceed the level near tau = 0")
+        return lo, hi
+
+    tau_max = _level_set(kernel.tau_max(r), center, bracket, xtol=1e-300)
+    region = HeatBallRegion(kernel=kernel, r=r, tau_max=tau_max)
 
     geom = kernel.geom
     if math.isfinite(geom.x_max(0.0)):

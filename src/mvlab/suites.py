@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import mv_elliptic as mve
 from . import mv_parabolic as mvp
@@ -198,13 +199,14 @@ def _parabolic_battery(ts):
         return _check("heat_sphere[v=1]", resid, 0.0, 1e-5 * ts)
 
     def profile_closed_form():
+        # the closed-form profile against the Brent root of its level equation
         reg = heatball_profile(h2, 1.0)
         worst = 0.0
         for u in np.linspace(0.02, 0.98, 25):
             tau = u * reg.tau_max
-            exact = math.sqrt(max(0.0, 4.0 * tau * math.log(
-                1.0 / (4.0 * math.pi * tau))))
-            worst = max(worst, abs(reg.profile_rho(tau) - exact))
+            root = brentq(lambda x: h2.value_cm(x, tau) - reg.level, 0.0, 10.0,
+                          xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
+            worst = max(worst, abs(reg.profile_rho(tau) - root))
         return _check("heatball_profile_closed_form", worst, 0.0, 1e-10 * ts)
 
     def hyperbolic_sphere(field_name):

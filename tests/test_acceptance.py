@@ -19,7 +19,7 @@ from mvlab.geometry import (SpaceTimePoint, spacetime_christoffels,
 from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                            SubGreenKernel, SubHeatKernel, SupGreenKernel,
                            unit_sphere_area)
-from mvlab.quad import fixed_gauss, integrate_1d
+from mvlab.quad import integrate_1d
 from mvlab import mv_elliptic as mve
 from mvlab import mv_parabolic as mvp
 

@@ -3,13 +3,20 @@ quantities, surface-form rewrites and the soliton identities."""
 
 import math
 
+import numpy as np
 import pytest
 
 from mvlab.fields import make_field
 from mvlab.kernels import (HeatKernel, McfShrinkingSphereTrack, SubHeatKernel,
                            liyau_expression)
-from mvlab.quad import fixed_gauss
 from mvlab import mv_parabolic as mvp
+
+
+def fixed_gauss(f, a, b, order=24):
+    """Non-adaptive Gauss-Legendre rule; f may be scalar-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    xs = 0.5 * (b - a) * x + 0.5 * (b + a)
+    return 0.5 * (b - a) * sum(wi * f(xi) for xi, wi in zip(xs, w))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
-"""Level regions: root quality, closed-form profiles, quadrature engines,
-nesting, the co-area relation and the truncation-cap convergence."""
+"""Level regions: root quality, closed-form level sets against Brent roots,
+root-solve counts, quadrature engines, nesting, the co-area relation and the
+truncation-cap convergence."""
 
 import math
 
@@ -7,14 +8,46 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from mvlab import regions
 from mvlab.errors import DomainError, NoRegionError
 from mvlab.geometry import FlowGeometry
-from mvlab.kernels import GreenKernel, HeatKernel, SubGreenKernel, SubHeatKernel
+from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
+                           ParabolicKernel, SubGreenKernel, SubHeatKernel,
+                           SupGreenKernel)
 from mvlab.quad import integrate_1d
 from mvlab.reduced import ReducedDistanceField
 from mvlab.regions import (ball_integrate, cap_integral, green_ball,
                            heatball_profile, level_radius, sphere_integrate)
+
+RADII = np.linspace(0.3, 3.0, 10)
+
+
+def brent_root(f, lo, hi):
+    """Oracle: the level-set root to full precision, independent of mvlab."""
+    return brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+
+def green_kernels():
+    """Exact, sub- (k = 1) and sup-Green kernels on E3 and H3."""
+    return [cls(geom) for geom in (FlowGeometry.euclidean(3),
+                                   FlowGeometry.hyperbolic(3))
+            for cls in (GreenKernel, SubGreenKernel, SupGreenKernel)]
+
+
+@pytest.fixture()
+def brent_calls(monkeypatch):
+    """Arguments of every root solve the regions module makes."""
+    calls = []
+    solve = regions.brentq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "brentq", counted)
+    return calls
 
 
 # --------------------------------------------------------------------------- #
@@ -43,6 +76,27 @@ def test_level_radius_monotone(a, b):
     g = GreenKernel(FlowGeometry.euclidean(3))
     lo, hi = sorted((a, b))
     assert level_radius(g, lo) <= level_radius(g, hi) + 1e-15
+
+
+def test_green_radius_closed_form_matches_brent():
+    for kern in green_kernels():
+        for r in RADII:
+            level = r ** (-3)
+            root = brent_root(lambda rho: kern.value(rho) - level, 1e-6, 50.0)
+            assert level_radius(kern, r) == pytest.approx(root, rel=1e-13)
+
+
+def test_level_radius_brent_path():
+    # Green's functions of H2 and H4 have no inverse; the bracket search must
+    # enclose the root without evaluating the quadrature profile near 0,
+    # where it loses all accuracy
+    for n in (2, 4):
+        g = GreenKernel(FlowGeometry.hyperbolic(n))
+        for r in (1.0, 2.0, 3.0):
+            rho = level_radius(g, r)
+            assert abs(g.value(rho) * r ** n - 1.0) <= 1e-12
+    with pytest.raises(NoRegionError):
+        level_radius(GreenKernel(FlowGeometry.hyperbolic(2)), 0.3)  # rho ~ 2e-30
 
 
 def test_ball_integrals_euclid3(e3):
@@ -116,6 +170,76 @@ def test_heatball_profile_closed_form(e2):
     assert worst <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_flat_heat_level_set_matches_brent(n):
+    h = HeatKernel(FlowGeometry.euclidean(n))
+    for r in (0.3, 1.0, 3.0):
+        level = r ** (-n)
+        reg = heatball_profile(h, r)
+        top = brent_root(lambda tau: h.value_cm(0.0, tau) - level, 1e-6, 10.0)
+        assert reg.tau_max == pytest.approx(top, rel=1e-13)
+        for u in np.linspace(0.02, 0.98, 13):
+            tau = u * reg.tau_max
+            x = brent_root(lambda s: h.value_cm(s, tau) - level, 0.0, 10.0 * r)
+            assert reg.profile_x(tau) == pytest.approx(x, rel=1e-13)
+
+
+def test_h3_top_time_lambert_w(h3):
+    h = HeatKernel(h3)
+    for r in RADII:
+        level = r ** (-3)
+        top = brent_root(lambda tau: h.value_cm(0.0, tau) - level, 1e-6, 10.0)
+        assert heatball_profile(h, r).tau_max == pytest.approx(top, rel=1e-13)
+
+
+def test_closed_forms_solve_no_roots(brent_calls):
+    for kern in green_kernels():
+        for r in RADII:
+            green_ball(kern, r)
+    for n in (2, 3):
+        reg = heatball_profile(HeatKernel(FlowGeometry.euclidean(n)), 1.0)
+        for u in np.linspace(0.05, 0.95, 7):
+            reg.profile_x(u * reg.tau_max)
+    assert brent_calls == []
+    # Green's functions of H4 have no inverse: Brent still serves them
+    green_ball(GreenKernel(FlowGeometry.hyperbolic(4)), 1.0)
+    assert len(brent_calls) == 1
+
+
+def test_h3_one_root_solve_per_new_slice(h3, brent_calls):
+    reg = heatball_profile(HeatKernel(h3), 1.0)
+    assert brent_calls == []        # Lambert-W top time
+    taus = [u * reg.tau_max for u in (0.1, 0.5, 0.9)]
+    for i, tau in enumerate(taus):
+        reg.profile_x(tau)
+        assert len(brent_calls) == i + 1
+    for tau in taus:
+        reg.profile_x(tau)          # cached slices
+    assert len(brent_calls) == len(taus)
+
+
+def test_h3_profile_independent_of_query_order(h3):
+    kern = HeatKernel(h3)
+    fwd, rev = heatball_profile(kern, 1.0), heatball_profile(kern, 1.0)
+    us = (0.1, 0.3, 0.5, 0.7, 0.9)
+    forward = [fwd.profile_x(u * fwd.tau_max) for u in us]
+    backward = [rev.profile_x(u * rev.tau_max) for u in reversed(us)]
+    assert forward == backward[::-1]
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_level_parameter_must_be_finite_positive(r, e2, e3, h3, khat_s3):
+    # closed-form and Brent paths, elliptic and parabolic
+    for kern in (GreenKernel(e3), GreenKernel(FlowGeometry.hyperbolic(4))):
+        with pytest.raises(DomainError):
+            level_radius(kern, r)
+    for kern in (HeatKernel(e2), HeatKernel(h3), khat_s3):
+        with pytest.raises(DomainError):
+            heatball_profile(kern, r)
+    with pytest.raises(DomainError):
+        McfShrinkingSphereTrack(2).tau_max(r)
+
+
 def test_profile_level_and_slope(e2):
     h = HeatKernel(e2)
     reg = heatball_profile(h, 1.3)
@@ -135,6 +259,30 @@ def test_watson_weight(e2):
     reg = heatball_profile(h, 1.0)
     val, err = ball_integrate(reg, lambda rho, tau: rho * rho / (4.0 * tau * tau))
     assert val == pytest.approx(1.0, abs=1e-6)
+
+
+class ComovingGauss(ParabolicKernel):
+    """The flat Gaussian in the comoving angle of an evolving model: a kernel
+    whose profile moves with the metric scale, at the cost of one Brent root
+    per slice."""
+
+    def value_cm(self, x, tau):
+        return (4.0 * math.pi * tau) ** (-self.n / 2.0) * math.exp(-x * x / (4.0 * tau))
+
+    def dx_cm(self, x, tau):
+        return self.value_cm(x, tau) * (-x / (2.0 * tau))
+
+    def dtau_cm(self, x, tau):
+        return self.value_cm(x, tau) * (-self.n / (2.0 * tau) + x * x / (4.0 * tau * tau))
+
+
+def test_profile_slope_shrinking_sphere(s3):
+    reg = heatball_profile(ComovingGauss(s3), 0.5)
+    for u in (0.2, 0.5, 0.8):
+        tau = u * reg.tau_max
+        eps = 1e-6 * tau
+        fd = (reg.profile_rho(tau + eps) - reg.profile_rho(tau - eps)) / (2 * eps)
+        assert reg.profile_slope(tau) == pytest.approx(fd, rel=1e-6)
 
 
 def test_parabolic_surface_weight(e2):
