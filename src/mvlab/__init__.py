@@ -16,7 +16,7 @@ from .fields import TestField, angular_quadrature_mean, classification_check, ma
 from .geometry import (FlowGeometry, SpaceTimePoint, curvature, flow_residual,
                        spacetime_christoffels, spacetime_christoffels_fd,
                        spacetime_divergence, spacetime_divergence_fd,
-                       sphere_area, unit_ball_volume, unit_sphere_area)
+                       sphere_area, unit_sphere_area)
 from .kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                       SubGreenKernel, SubHeatKernel, SupGreenKernel,
                       liyau_expression, mcf_sup_heat_kernel)

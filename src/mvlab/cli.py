@@ -21,7 +21,8 @@ and nothing on stdout.  Usage errors are
   track, I/J on an evolving geometry).
 
 All numeric output is formatted with 17 significant digits so identical
-invocations produce byte-identical files.
+invocations produce byte-identical files.  The wall time of ``verify`` is
+therefore kept out of the report: it goes to the summary line on stderr.
 """
 
 import argparse
@@ -143,7 +144,8 @@ def _cmd_verify(args):
     text = report.to_json() + "\n" if fmt == "json" else _report_csv(report)
     _emit(text, args.out)
     summary = (f"suite={report.suite} checks={len(report.checks)} "
-               f"pass={str(report.passed).lower()}\n")
+               f"pass={str(report.passed).lower()} "
+               f"wall_ms={report.wall_ms:.1f}\n")
     sys.stderr.write(summary)
     return 0 if report.passed else 1
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .errors import UnsupportedError
-from .geometry import EUCLIDEAN, GAUSSIAN_SOLITON, HYPERBOLIC
+from .geometry import EUCLIDEAN, HYPERBOLIC
 
 HARMONIC = "harmonic"
 SUPERHARMONIC = "superharmonic"
@@ -96,7 +96,7 @@ def make_field(name, geom, **params):
     Raises UnsupportedError on combinations outside the catalog.
     """
     n = geom.n
-    flat = (EUCLIDEAN, GAUSSIAN_SOLITON)
+    flat = (EUCLIDEAN,)
 
     if name == "constant-1":
         return TestField(

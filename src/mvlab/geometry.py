@@ -14,6 +14,10 @@ comoving coordinate ``x`` labels a fixed manifold point across time; for
 static models the two coincide, for the shrinking sphere ``x`` is the polar
 angle and ``rho = sqrt(c(t)) * x``.  Time derivatives at a fixed manifold
 point must be taken at fixed ``x``.
+
+The Gaussian soliton (flat space viewed as the trivial shrinking soliton) is
+the Euclidean model itself: ``FlowGeometry.gaussian_soliton(n)`` returns
+``FlowGeometry.euclidean(n)``.
 """
 
 import math
@@ -26,18 +30,14 @@ from .errors import DomainError, UnsupportedError
 EUCLIDEAN = "euclidean-static"
 HYPERBOLIC = "hyperbolic-static"
 SHRINKING_SPHERE = "shrinking-round-sphere"
-GAUSSIAN_SOLITON = "gaussian-soliton"
 
 _BIG_TIME = 1e30
+_SING_GUARD = 1e-3  # margin kept away from the shrinking-sphere singular time
 
 
 def unit_sphere_area(n):
     """Area of the unit (n-1)-sphere in R^n; equals 2 for n = 1."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def unit_ball_volume(n):
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class FlowGeometry:
     kind: str
     n: int
     k: float = 0.0            # curvature scale of the hyperbolic model
-    sing_guard: float = 1e-3  # margin kept away from the shrinking-sphere singular time
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -86,25 +85,24 @@ class FlowGeometry:
 
     @classmethod
     def gaussian_soliton(cls, n):
-        # Flat space viewed as the trivial shrinking soliton; numerically
-        # identical to the static euclidean model.
-        return cls(GAUSSIAN_SOLITON, n)
+        # flat space viewed as the trivial shrinking soliton
+        return cls.euclidean(n)
 
     # ------------------------------------------------------------------ #
     # basic properties
     # ------------------------------------------------------------------ #
     @property
     def is_static(self):
-        return self.kind in (EUCLIDEAN, HYPERBOLIC, GAUSSIAN_SOLITON)
+        return self.kind != SHRINKING_SPHERE
 
     @property
     def is_flat(self):
-        return self.kind in (EUCLIDEAN, GAUSSIAN_SOLITON)
+        return self.kind == EUCLIDEAN
 
     @property
     def time_interval(self):
         if self.kind == SHRINKING_SPHERE:
-            return (-_BIG_TIME, self.singular_time - self.sing_guard)
+            return (-_BIG_TIME, self.singular_time - _SING_GUARD)
         return (-_BIG_TIME, _BIG_TIME)
 
     @property
@@ -332,7 +330,7 @@ def _christoffel_from_diag(h, dh):
     return gamma
 
 
-def spacetime_christoffels(geom, p, omega_index=0):
+def spacetime_christoffels(geom, p):
     """All Christoffel symbols of gtilde = g(t) + dt^2 in the comoving chart.
 
     Index 0 is time; index 1 the comoving radius; the rest are hyperspherical
@@ -345,7 +343,7 @@ def spacetime_christoffels(geom, p, omega_index=0):
     Christoffels of g(t).
     """
     geom.check_point(p.rho, p.t)
-    coords = chart_coords(geom, p, omega_index)
+    coords = chart_coords(geom, p)
     n = geom.n
     h = geom.metric_diag(coords)
     dh = geom.metric_diag_grad(coords)
@@ -361,9 +359,9 @@ def spacetime_christoffels(geom, p, omega_index=0):
     return gamma
 
 
-def spacetime_christoffels_fd(geom, p, omega_index=0, h=1e-4):
+def spacetime_christoffels_fd(geom, p, h=1e-4):
     """Finite-difference Christoffels of gtilde; oracle for the analytic ones."""
-    coords = np.asarray(chart_coords(geom, p, omega_index), dtype=float)
+    coords = np.asarray(chart_coords(geom, p), dtype=float)
     m = geom.n + 1
     hvals = geom.metric_diag(coords)
     dh = np.zeros((m, m))
@@ -375,15 +373,15 @@ def spacetime_christoffels_fd(geom, p, omega_index=0, h=1e-4):
     return _christoffel_from_diag(hvals, dh)
 
 
-def chart_coords(geom, p, omega_index=0):
+def chart_coords(geom, p):
     """Comoving chart coordinates of a point, angles placed in the interior."""
     coords = [p.t, geom.x_of_rho(p.rho, p.t)]
     for a in range(geom.n - 1):
-        coords.append(math.pi / 2.0 + 0.1 * (a + 1) + 0.05 * omega_index)
+        coords.append(math.pi / 2.0 + 0.1 * (a + 1))
     return np.array(coords)
 
 
-def spacetime_divergence(geom, field, p, omega_index=0, h=1e-4):
+def spacetime_divergence(geom, field, p, h=1e-4):
     """Divergence of a space-time vector field via the product-metric formula.
 
     ``field(coords) -> (n+1,) components`` in the comoving chart (index 0 is
@@ -392,7 +390,7 @@ def spacetime_divergence(geom, field, p, omega_index=0, h=1e-4):
     the direct g-tilde divergence for cross-checking.
     """
     geom.check_point(p.rho, p.t)
-    coords = chart_coords(geom, p, omega_index)
+    coords = chart_coords(geom, p)
     m = geom.n + 1
     comp = np.asarray(field(coords), dtype=float)
     if comp.shape != (m,):
@@ -415,9 +413,9 @@ def spacetime_divergence(geom, field, p, omega_index=0, h=1e-4):
     return div_spatial - comp[0] * R + dX0_dt
 
 
-def spacetime_divergence_fd(geom, field, p, omega_index=0, h=1e-4):
+def spacetime_divergence_fd(geom, field, p, h=1e-4):
     """Oracle: divergence w.r.t. gtilde from the volume-weight formula."""
-    coords = chart_coords(geom, p, omega_index)
+    coords = chart_coords(geom, p)
     m = geom.n + 1
     total = 0.0
     for a in range(m):

@@ -23,8 +23,7 @@ import math
 from scipy.special import lambertw
 
 from .errors import DomainError, UnsupportedError
-from .geometry import (EUCLIDEAN, GAUSSIAN_SOLITON, HYPERBOLIC,
-                       SHRINKING_SPHERE, unit_sphere_area)
+from .geometry import HYPERBOLIC, SHRINKING_SPHERE, unit_sphere_area
 from .quad import integrate_1d
 
 EXACT_GREEN = "exact-green"
@@ -33,8 +32,6 @@ SUP_GREEN = "sup-green"
 HEAT = "heat"
 SUB_HEAT = "sub-heat"
 MCF_SUP_HEAT = "sup-heat"
-
-_FLAT = (EUCLIDEAN, GAUSSIAN_SOLITON)
 
 
 def _spaceform_green_value(n, k, d):
@@ -61,7 +58,15 @@ def _spaceform_green_value(n, k, d):
             return math.exp((n - 1) * (math.log(2.0 * k) - ks))
         return (k / math.sinh(ks)) ** (n - 1)
 
-    val, _ = integrate_1d(tail, d, math.inf, epsabs=1e-14, epsrel=1e-12)
+    val, _ = integrate_1d(tail, max(d, 1.0 / k), math.inf, epsabs=1e-14,
+                          epsrel=1e-12)
+    if d < 1.0 / k:
+        # the profile blows up like s^(2-n) (log s for n = 2) at the center,
+        # so the inner part is integrated in u = log s
+        inner, _ = integrate_1d(lambda u: tail(math.exp(u)) * math.exp(u),
+                                math.log(d), -math.log(k), epsabs=1e-14,
+                                epsrel=1e-12)
+        val += inner
     return val / area
 
 
@@ -110,9 +115,6 @@ class EllipticKernel:
 
     def grad_norm(self, rho):
         return -self.dvalue(rho)
-
-    def evaluate(self, rho):
-        return self.value(rho), self.grad_norm(rho)
 
 
 class GreenKernel(EllipticKernel):
@@ -176,8 +178,8 @@ class ParabolicKernel:
     """Common behavior of parabolic kernels (backward time tau > 0).
 
     Subclasses implement the comoving-coordinate trio ``value_cm``,
-    ``dx_cm``, ``dtau_cm``; radius-based wrappers convert at the slice time
-    t = -tau.
+    ``dx_cm``, ``dtau_cm`` and the Li-Yau expression ``liyau_cm``;
+    radius-based wrappers convert at the slice time t = -tau.
     """
 
     parabolic = True
@@ -212,23 +214,15 @@ class ParabolicKernel:
     def grad_norm(self, rho, tau):
         return self.grad_norm_cm(self.x_of_rho(rho, tau), tau)
 
-    def dtau(self, rho, tau):
-        return self.dtau_cm(self.x_of_rho(rho, tau), tau)
-
     def evaluate(self, rho, tau):
         x = self.x_of_rho(rho, tau)
         return (self.value_cm(x, tau), self.grad_norm_cm(x, tau),
                 self.dtau_cm(x, tau))
 
-    def liyau_cm(self, x, tau):
-        """|grad log u|^2 - (log u)_tau; subclasses override for stability."""
-        v = self.value_cm(x, tau)
-        return (self.grad_norm_cm(x, tau) / v) ** 2 - self.dtau_cm(x, tau) / v
-
     def liyau(self, rho, tau):
         return self.liyau_cm(self.x_of_rho(rho, tau), tau)
 
-    def mass(self, tau, epsabs=1e-10):
+    def mass(self, tau):
         """Spatial integral of the kernel at backward time tau."""
         self._check_tau(tau)
         geom, t = self.geom, -tau
@@ -242,7 +236,7 @@ class ParabolicKernel:
         hi = geom.x_max(t)
         if math.isinf(hi):
             hi = 2.0 * math.sqrt(4.0 * tau * 745.0)  # exp underflow horizon
-        val, _ = integrate_1d(f, 0.0, hi, epsabs=epsabs, epsrel=1e-9)
+        val, _ = integrate_1d(f, 0.0, hi, epsabs=1e-10, epsrel=1e-9)
         return val
 
 
@@ -291,16 +285,19 @@ class HeatKernel(ParabolicKernel):
             return None
         return math.sqrt(2.0 * self.n * tau * math.log(self.tau_max(r) / tau))
 
-    def dx_cm(self, x, tau):
-        v = self.value_cm(x, tau)
+    def _dlog_dx(self, x, tau):
+        """d log H / dx; the series branch keeps 1/x - k coth(kx) accurate."""
         if self._k == 0.0:
-            return v * (-x / (2.0 * tau))
+            return -x / (2.0 * tau)
         kx = self._k * x
         if kx > 1e-4:
             dlog = 1.0 / x - self._k / math.tanh(kx)
         else:
             dlog = -self._k ** 2 * x / 3.0 + self._k ** 4 * x ** 3 / 45.0
-        return v * (dlog - x / (2.0 * tau))
+        return dlog - x / (2.0 * tau)
+
+    def dx_cm(self, x, tau):
+        return self.value_cm(x, tau) * self._dlog_dx(x, tau)
 
     def dtau_cm(self, x, tau):
         v = self.value_cm(x, tau)
@@ -311,12 +308,7 @@ class HeatKernel(ParabolicKernel):
         # log-domain evaluation, exact for the flat Gaussian: n / (2 tau)
         if self._k == 0.0:
             return self.n / (2.0 * tau)
-        kx = self._k * x
-        if kx > 1e-4:
-            dlog = 1.0 / x - self._k / math.tanh(kx)
-        else:
-            dlog = -self._k ** 2 * x / 3.0
-        dlog -= x / (2.0 * tau)
+        dlog = self._dlog_dx(x, tau)
         dtau_log = -self.n / (2.0 * tau) + x * x / (4.0 * tau * tau) - self._k ** 2
         return dlog * dlog - dtau_log
 

@@ -30,17 +30,27 @@ from .regions import ball_integrate, green_ball, sphere_integrate
 from .sweeps import SweepReport
 
 
-def _surface_term(kernel, region, field, t=0.0):
-    val, err = sphere_integrate(
-        region, lambda rho: kernel.grad_norm(rho) * field.mean_value(rho, t))
-    return val, err
+def _surface_term(kernel, region, field):
+    """J_v over the region: int_{Psi_r} |grad G| v dA."""
+    return sphere_integrate(
+        region, lambda rho: kernel.grad_norm(rho) * field.mean_value(rho, 0.0))
 
 
-def _ball_phi_lap_term(kernel, region, field, t=0.0):
+def _ball_weight_term(kernel, region, field):
+    """I_v over the region: r^(-n) int_{Omega_r} |grad log G|^2 v dmu."""
+    val, err = ball_integrate(
+        region,
+        lambda rho: (kernel.grad_norm(rho) / kernel.value(rho)) ** 2
+        * field.mean_value(rho, 0.0))
+    scale = region.r ** (-kernel.n)
+    return val * scale, err * scale
+
+
+def _ball_phi_lap_term(kernel, region, field):
     level = region.level
     return ball_integrate(
         region,
-        lambda rho: (kernel.value(rho) - level) * field.mean_laplacian(rho, t))
+        lambda rho: (kernel.value(rho) - level) * field.mean_laplacian(rho, 0.0))
 
 
 def mv_identity(kernel, field, r, form="sphere"):
@@ -87,10 +97,7 @@ def _mv_rhs_for_region(kernel, region, field, form):
         return surf - corr
     n = kernel.n
     r = region.r
-    main, _ = ball_integrate(
-        region,
-        lambda rho: (kernel.grad_norm(rho) / kernel.value(rho)) ** 2
-        * field.mean_value(rho, 0.0))
+    main, _ = _ball_weight_term(kernel, region, field)
 
     def eta_integrand(eta):
         sub = green_ball(kernel, eta)
@@ -99,24 +106,17 @@ def _mv_rhs_for_region(kernel, region, field, form):
 
     iterated, _ = integrate_1d(eta_integrand, 0.0, r,
                                epsabs=1e-12, epsrel=1e-9)
-    return main * r ** (-n) - n * r ** (-n) * iterated
+    return main - n * r ** (-n) * iterated
 
 
 def i_quantity(kernel, field, r):
     """I_v(r) with its quadrature error estimate."""
-    region = green_ball(kernel, r)
-    val, err = ball_integrate(
-        region,
-        lambda rho: (kernel.grad_norm(rho) / kernel.value(rho)) ** 2
-        * field.mean_value(rho, 0.0))
-    scale = r ** (-kernel.n)
-    return val * scale, err * scale
+    return _ball_weight_term(kernel, green_ball(kernel, r), field)
 
 
 def j_quantity(kernel, field, r):
     """J_v(r) with its quadrature error estimate."""
-    region = green_ball(kernel, r)
-    return _surface_term(kernel, region, field)
+    return _surface_term(kernel, green_ball(kernel, r), field)
 
 
 def lap_ball_integral(kernel, field, r):
@@ -125,14 +125,14 @@ def lap_ball_integral(kernel, field, r):
     return ball_integrate(region, lambda rho: field.mean_laplacian(rho, 0.0))
 
 
-def j_derivative_residual(kernel, field, r, delta=None):
+def j_derivative_residual(kernel, field, r):
     """Compare dJ_v/dr against (n / r^(n+1)) times the Laplacian ball integral.
 
     Returns (fd_derivative, rhs, residual); for comparison kernels the
     derivative formula becomes one-sided and the caller should interpret the
     sign (<= for sub-Green, >= for sup-Green).
     """
-    delta = delta or 1e-3 * max(r, 1.0)
+    delta = 1e-3 * max(r, 1.0)
     jp, ep = j_quantity(kernel, field, r + delta)
     jm, em = j_quantity(kernel, field, r - delta)
     fd = (jp - jm) / (2.0 * delta)

@@ -1,15 +1,23 @@
 """Parabolic mean value identities over heat-ball regions and the monotone
 quantities of the Ricci-flow and mean-curvature-flow comparison kernels.
 
+Each mean value identity is a monotone quantity plus a correction term.
 Sphere form (exact kernels on static models, R = 0 cases of the evolving
 statement): the center value of a smooth v(y, t) is
 
-    v(x0, 0) = int_{dE_r} v |grad H|^2 / sqrt(|grad H|^2 + H_t^2) dA~
-             + (1/r^n) int_{E_r} R v dmu dt
-             + int_{E_r} (H - r^(-n)) (d/dt - Delta) v dmu dt,
+    v(x0, 0) = J_v(r) + int_{E_r} (H - r^(-n)) (d/dt - Delta) v dmu dt,
+    J_v(r)   = int_{dE_r} v |grad H|^2 / sqrt(|grad H|^2 + H_t^2) dA~
+             + (1/r^n) int_{E_r} R v dmu dt,
 
 with dA~ the space-time area element.  Integrating in the level parameter
-gives the ball form with weight |grad log H|^2 + R log(H r^n).
+gives the ball form
+
+    v(x0, 0) = I_v(r) + (n/r^n) int_0^r eta^(n-1)
+                        [ int_{E_eta} (H - eta^(-n)) (d/dt - Delta) v ] deta,
+    I_v(r)   = (1/r^n) int_{E_r} (|grad log H|^2 + R log(H r^n)) v dmu dt.
+
+`_j_term` and `_i_term` evaluate J_v and I_v over a region built once by
+the caller; `_heat_op_ball_term` is the inner correction integral.
 
 The monotone surface quantity for a kernel K (Li-Yau numerator) is
 
@@ -30,8 +38,9 @@ density of the track.
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .errors import UnsupportedError
-from .geometry import unit_sphere_area
+import numpy as np
+
+from .fields import make_field
 from .kernels import McfShrinkingSphereTrack, SubHeatKernel
 from .quad import integrate_1d
 from .regions import ball_integrate, heatball_profile, sphere_integrate
@@ -81,14 +90,38 @@ def _scalar_R_ball_term(kernel, field, region):
     return ball_integrate(region, f, **_eps(kernel))
 
 
+def _j_term(kernel, field, region):
+    """J_v over the region: surface weight plus (1/r^n) int R v."""
+    scale = region.r ** kernel.n
+    surf, e1 = surface_weight_term(kernel, field, region)
+    rv, e2 = _scalar_R_ball_term(kernel, field, region)
+    return surf + rv / scale, e1 + e2 / scale
+
+
+def _i_term(kernel, field, region):
+    """I_v over the region: (1/r^n) int (|grad log K|^2 + R log(K r^n)) v."""
+    geom = kernel.geom
+    scale = region.r ** kernel.n
+    logr_n = kernel.n * math.log(region.r)
+
+    def weight(rho, tau):
+        val = kernel.value(rho, tau)
+        out = (kernel.grad_norm(rho, tau) / val) ** 2
+        if not geom.is_static:
+            out += geom.scalar_R(rho, -tau) * (math.log(val) + logr_n)
+        return out * field.mean_value(rho, -tau)
+
+    val, err = ball_integrate(region, weight, **_eps(kernel))
+    return val / scale, err / scale
+
+
 def mv_heat_sphere(kernel, field, r):
     """Heat-sphere mean value theorem; returns (lhs, rhs, residual)."""
     region = heatball_profile(kernel, r)
     lhs = field.center_value(0.0)
-    surf, _ = surface_weight_term(kernel, field, region)
-    rv, _ = _scalar_R_ball_term(kernel, field, region)
+    jv, _ = _j_term(kernel, field, region)
     corr, _ = _heat_op_ball_term(kernel, field, region)
-    rhs = surf + rv / r ** kernel.n + corr
+    rhs = jv + corr
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -97,19 +130,7 @@ def mv_heat_ball(kernel, field, r):
     n = kernel.n
     region = heatball_profile(kernel, r)
     lhs = field.center_value(0.0)
-    geom = kernel.geom
-    logr_n = n * math.log(r)
-
-    def weight(rho, tau):
-        val = kernel.value(rho, tau)
-        grad_log2 = (kernel.grad_norm(rho, tau) / val) ** 2
-        out = grad_log2
-        if not geom.is_static:
-            out += geom.scalar_R(rho, -tau) * (math.log(val) + logr_n)
-        return out * field.mean_value(rho, -tau)
-
-    main, _ = ball_integrate(region, weight, **_eps(kernel))
-    rhs = main / r ** n
+    rhs, _ = _i_term(kernel, field, region)
 
     if "caloric" not in field.tags:
         def eta_term(eta):
@@ -121,14 +142,6 @@ def mv_heat_ball(kernel, field, r):
                                    epsrel=1e-8, limit=60)
         rhs += n * r ** (-n) * iterated
     return lhs, rhs, abs(lhs - rhs)
-
-
-def heat_j_quantity(kernel, field, r):
-    """J_v(r): surface weight plus the volume curvature term."""
-    region = heatball_profile(kernel, r)
-    surf, e1 = surface_weight_term(kernel, field, region)
-    rv, e2 = _scalar_R_ball_term(kernel, field, region)
-    return surf + rv / r ** kernel.n, e1 + e2 / r ** kernel.n
 
 
 def jhat_quantity(kernel, r):
@@ -168,22 +181,18 @@ def ihat_quantity(kernel, a, r, _cache=None):
     return (vr - va) / scale, (er + ea) / scale
 
 
-def sphere_ball_chain_residual(kernel, r, jhat_values=None, order=10):
+def sphere_ball_chain_residual(kernel, r):
     """Relative residual of r^n Ihat(0, r) = n int_0^r eta^(n-1) Jhat deta.
 
-    The right side uses a fixed Gauss rule; precomputed Jhat values on the
-    Gauss nodes may be passed to avoid recomputation.
+    The right side uses a fixed 10-point Gauss rule.
     """
-    import numpy as np
     n = kernel.n
     lhs = r ** n * ihat_quantity(kernel, 0.0, r)[0]
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = np.polynomial.legendre.leggauss(10)
     nodes = 0.5 * r * (xs + 1.0)
     weights = 0.5 * r * ws
-    if jhat_values is None:
-        jhat_values = [jhat_quantity(kernel, eta)[0] for eta in nodes]
-    rhs = n * sum(w * eta ** (n - 1) * jv
-                  for eta, w, jv in zip(nodes, weights, jhat_values))
+    rhs = n * sum(w * eta ** (n - 1) * jhat_quantity(kernel, eta)[0]
+                  for eta, w in zip(nodes, weights))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
 
 
@@ -250,43 +259,13 @@ def surface_form_residual(kernel, r):
     comparison checks the Li-Yau integrand against
     |grad log K|^2 + R log(K r^n).
     """
-    n = kernel.n
-    geom = kernel.geom
+    one = make_field("constant-1", kernel.geom)
     region = heatball_profile(kernel, r)
-
-    def f_surf(s):
-        return s.grad ** 2 / math.hypot(s.grad, s.dtau)
-
-    surf, _ = sphere_integrate(region, f_surf, **_eps(kernel))
-    rv, _ = _scalar_R_ball_term(
-        kernel, _UnitField(), region) if not geom.is_static else (0.0, 0.0)
-    j_orig = surf + rv / r ** n
+    j_orig, _ = _j_term(kernel, one, region)
     j_new, _ = jhat_quantity(kernel, r)
-
-    logr_n = n * math.log(r)
-
-    def i_weight(rho, tau):
-        val = kernel.value(rho, tau)
-        out = (kernel.grad_norm(rho, tau) / val) ** 2
-        if not geom.is_static:
-            out += geom.scalar_R(rho, -tau) * (math.log(val) + logr_n)
-        return out
-
-    i_orig = ball_integrate(region, i_weight, **_eps(kernel))[0] / r ** n
-    i_new = liyau_ball_integral(kernel, r)[0] / r ** n
+    i_orig, _ = _i_term(kernel, one, region)
+    i_new = liyau_ball_integral(kernel, r)[0] / r ** kernel.n
     return abs(j_orig - j_new), abs(i_orig - i_new)
-
-
-class _UnitField:
-    tags = ("caloric", "harmonic")
-
-    @staticmethod
-    def mean_value(rho, t):
-        return 1.0
-
-    @staticmethod
-    def center_value(t=0.0):
-        return 1.0
 
 
 def truncation_convergence(kernel, field, r, s_values):
@@ -332,7 +311,7 @@ class SolitonCheck:
         return max(abs(v) for v in self.soliton_tensor)
 
 
-def soliton_residuals(rd_field, samples, h_space=1e-3, h_tau_rel=1e-4):
+def soliton_residuals(rd_field, samples):
     """Evaluate the soliton identity residuals at (rho, tau) samples.
 
     conjugate_heat is ell_tau - Lap(ell) + |grad ell|^2 - R + n/(2 tau): zero on
@@ -351,7 +330,7 @@ def soliton_residuals(rd_field, samples, h_space=1e-3, h_tau_rel=1e-4):
         t = -tau
         x = flow.x_of_rho(rho, t)
         m2 = flow.m2(x, t)
-        hx = h_space * max(1.0, x)
+        hx = 1e-3 * max(1.0, x)
         if x < 2.0 * hx:
             raise ValueError("samples must sit away from the center")
         lp = rd_field.ell_cm(x + hx, tau)
@@ -359,7 +338,7 @@ def soliton_residuals(rd_field, samples, h_space=1e-3, h_tau_rel=1e-4):
         l0 = rd_field.ell_cm(x, tau)
         ell_x = (lp - lm) / (2.0 * hx)
         ell_xx = (lp - 2.0 * l0 + lm) / (hx * hx)
-        ht = h_tau_rel * tau
+        ht = 1e-4 * tau
         ell_tau = (rd_field.ell_cm(x, tau + ht)
                    - rd_field.ell_cm(x, tau - ht)) / (2.0 * ht)
 
@@ -398,18 +377,6 @@ def ly_ricci_residual(rd_field, rho, tau):
     kval, _ = rd_field.k_curvature_integral(rho, tau)
     rhs = rd_field.n / (2.0 * tau) - kval / (2.0 * tau ** 1.5)
     return abs(lhs - rhs), lhs, rhs
-
-
-def ly_decomposition_residual(model, samples):
-    """Li-Yau decomposition residuals at sample points, model-dispatched.
-
-    ``model`` is a ReducedDistanceField (samples are (rho, tau) pairs) or an
-    McfShrinkingSphereTrack (samples are tau values).  Returns the list of
-    absolute residuals.
-    """
-    if isinstance(model, McfShrinkingSphereTrack):
-        return [ly_mcf_residual(model, tau)[0] for tau in samples]
-    return [ly_ricci_residual(model, rho, tau)[0] for rho, tau in samples]
 
 
 def ly_mcf_residual(track, tau):
@@ -469,7 +436,7 @@ def ibar_quantity(track, a, r):
     return val / scale, err / scale
 
 
-def mcf_sweep(n, r_grid, a_fracs=(0.0, 0.5), tol=1e-6):
+def mcf_sweep(n, r_grid, tol=1e-6):
     """Sweep Jbar and Ibar on the shrinking-sphere track (non-decreasing)."""
     track = McfShrinkingSphereTrack(n)
     jvals, jerrs, ivals, ierrs, pairs = [], [], [], [], []
@@ -477,7 +444,7 @@ def mcf_sweep(n, r_grid, a_fracs=(0.0, 0.5), tol=1e-6):
         jv, je = jbar_quantity(track, r)
         jvals.append(jv)
         jerrs.append(je)
-        for frac in a_fracs:
+        for frac in (0.0, 0.5):
             a = frac * r
             iv, ie = ibar_quantity(track, a, r)
             if frac == 0.0:

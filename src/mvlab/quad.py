@@ -17,8 +17,7 @@ DEFAULT_EPSABS = 1e-11
 DEFAULT_EPSREL = 1e-9
 
 
-def integrate_de(f, a, b, atol=DEFAULT_EPSABS, rtol=DEFAULT_EPSREL,
-                 maxlevel=None):
+def integrate_de(f, a, b, atol=DEFAULT_EPSABS, rtol=DEFAULT_EPSREL):
     """Double-exponential (tanh-sinh) quadrature of a scalar function.
 
     Robust against integrable endpoint singularities (inverse square roots,
@@ -30,8 +29,7 @@ def integrate_de(f, a, b, atol=DEFAULT_EPSABS, rtol=DEFAULT_EPSREL,
         out = np.array([f(float(x)) for x in xs.ravel()], dtype=float)
         return out.reshape(xs.shape)
 
-    kw = {} if maxlevel is None else {"maxlevel": maxlevel}
-    res = integrate.tanhsinh(vec, a, b, atol=atol, rtol=rtol, **kw)
+    res = integrate.tanhsinh(vec, a, b, atol=atol, rtol=rtol)
     return float(res.integral), float(res.error)
 
 

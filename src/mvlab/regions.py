@@ -81,7 +81,8 @@ def level_radius(kernel, r):
             lo, hi = 0.5 * lo, lo
         return lo, hi
 
-    return _level_set(kernel.level_radius(r), f, bracket)
+    # xtol = 1e-300 leaves rtol in charge: Brent radii can sit far below 1
+    return _level_set(kernel.level_radius(r), f, bracket, xtol=1e-300)
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class HeatBallRegion:
             grad=kern.grad_norm_cm(x, tau), dtau=kern.dtau_cm(x, tau))
 
 
-def heatball_profile(kernel, r, compactness_grid=9):
+def heatball_profile(kernel, r):
     """Build the parabolic level region for level parameter r.
 
     The top time solves the on-center equation; the region is rejected when
@@ -200,7 +201,7 @@ def heatball_profile(kernel, r, compactness_grid=9):
 
     geom = kernel.geom
     if math.isfinite(geom.x_max(0.0)):
-        for u in np.linspace(0.05, 0.95, compactness_grid):
+        for u in np.linspace(0.05, 0.95, 9):
             tau = u * tau_max
             if region.profile_x(tau) > 0.9 * geom.x_max(-tau):
                 raise NoRegionError(
@@ -211,8 +212,7 @@ def heatball_profile(kernel, r, compactness_grid=9):
 # --------------------------------------------------------------------------- #
 # quadrature engines
 # --------------------------------------------------------------------------- #
-def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8, limit=200,
-                   inner_limit=60):
+def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
     """Integral of ``integrand`` against the volume measure of the region.
 
     Elliptic: ``integrand(rho)`` over the ball (weight: sphere area).
@@ -227,7 +227,7 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8, limit=200,
             return integrand(rho) * area * geom.warp(rho) ** (region.kernel.n - 1)
 
         return integrate_1d(f, 0.0, region.rho_star, epsabs=epsabs,
-                            epsrel=epsrel, limit=limit)
+                            epsrel=epsrel)
 
     kern = region.kernel
     geom, n = kern.geom, kern.n
@@ -250,7 +250,7 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8, limit=200,
 
         val, _ = integrate_1d(f, 0.0, x_hi, epsabs=0.1 * epsabs,
                               epsrel=max(0.1 * epsrel, 1e-10),
-                              limit=inner_limit)
+                              limit=60)
         return val
 
     val, err = integrate_de(slice_integral, 0.0, tau_max,
@@ -259,7 +259,7 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8, limit=200,
     return val, err + 0.1 * (epsabs + epsrel * abs(val))
 
 
-def sphere_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8, limit=200):
+def sphere_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
     """Integral of ``integrand`` over the level surface of the region.
 
     Elliptic: ``integrand(rho)`` times the sphere area at rho_star.

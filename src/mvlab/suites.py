@@ -57,7 +57,6 @@ class SuiteReport:
     def to_dict(self):
         return {"suite": self.suite,
                 "checks": [c.to_dict() for c in self.checks],
-                "wall_ms": self.wall_ms,
                 "pass": self.passed}
 
     def to_json(self):
@@ -69,7 +68,7 @@ class SuiteReport:
                               expected=c["expected"], tol=c["tol"],
                               passed=c["pass"], err=c.get("err", 0.0))
                   for c in d["checks"]]
-        return cls(suite=d["suite"], checks=checks, wall_ms=d.get("wall_ms", 0.0))
+        return cls(suite=d["suite"], checks=checks)
 
 
 def _judge(value, expected, tol):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,8 @@ from scipy import integrate
 
 import mvlab
 from mvlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(args):
@@ -29,10 +32,20 @@ def test_verify_elliptic_report(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["suite"] == "elliptic"
     assert data["pass"] is True
-    assert data["wall_ms"] > 0
+    assert "wall_ms" not in data  # timing goes to stderr, not the report
     for check in data["checks"]:
         assert set(check) == {"name", "value", "expected", "tol", "pass", "err"}
         assert check["pass"] is True
+
+
+@pytest.mark.parametrize("suite", ["elliptic", "parabolic", "mcf"])
+def test_verify_golden_report(suite, tmp_path, capsys):
+    """Byte-exact verify reports: every number and the layout are pinned."""
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--suite", suite, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"verify_{suite}.json").read_bytes()
+    err = capsys.readouterr().err
+    assert err.startswith(f"suite={suite} ") and " wall_ms=" in err
 
 
 def test_verify_exit_and_roundtrip(tmp_path):
@@ -50,6 +63,13 @@ def test_verify_exit_and_roundtrip(tmp_path):
     assert run_cli(["report", "--in", str(out), "--format", "json",
                     "--out", str(json_out)]) == 0
     assert json.loads(json_out.read_text()) == json.loads(out.read_text())
+
+    # a report written with a wall_ms key re-renders without it
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**json.loads(out.read_text()), "wall_ms": 9.5}))
+    assert run_cli(["report", "--in", str(old), "--format", "json",
+                    "--out", str(json_out)]) == 0
+    assert json_out.read_bytes() == out.read_bytes()
 
 
 def test_sweep_deterministic(tmp_path):

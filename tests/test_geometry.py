@@ -14,9 +14,21 @@ from mvlab.geometry import (FlowGeometry, SpaceTimePoint, curvature,
 
 
 def all_geometries():
-    return [FlowGeometry.euclidean(2), FlowGeometry.euclidean(3),
-            FlowGeometry.hyperbolic(3), FlowGeometry.shrinking_sphere(2),
-            FlowGeometry.shrinking_sphere(3), FlowGeometry.gaussian_soliton(2)]
+    # the soliton keeps its own id: it is the constructor the CLI's
+    # "gaussian" geometry goes through
+    geoms = [FlowGeometry.euclidean(2), FlowGeometry.euclidean(3),
+             FlowGeometry.hyperbolic(3), FlowGeometry.shrinking_sphere(2),
+             FlowGeometry.shrinking_sphere(3)]
+    return ([pytest.param(g, id=f"{g.kind}-n{g.n}") for g in geoms]
+            + [pytest.param(FlowGeometry.gaussian_soliton(2),
+                            id="gaussian-soliton-n2")])
+
+
+def test_gaussian_soliton_is_the_euclidean_model():
+    for n in (1, 2, 3):
+        assert FlowGeometry.gaussian_soliton(n) == FlowGeometry.euclidean(n)
+        assert FlowGeometry.gaussian_soliton(n).is_flat
+        assert FlowGeometry.gaussian_soliton(n).is_static
 
 
 def test_curvature_shrinking_s2():
@@ -81,7 +93,7 @@ def test_sphere_areas():
         sphere_area(s2, 4.0, 0.0)
 
 
-@pytest.mark.parametrize("geom", all_geometries(), ids=lambda g: f"{g.kind}-n{g.n}")
+@pytest.mark.parametrize("geom", all_geometries())
 def test_pole_smoothness(geom):
     t = 0.02 if not geom.is_static else 0.0
     for rho in (1e-4, 1e-5, 1e-6):
@@ -89,7 +101,7 @@ def test_pole_smoothness(geom):
     assert geom.warp_dr(0.0, t) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("geom", all_geometries(), ids=lambda g: f"{g.kind}-n{g.n}")
+@pytest.mark.parametrize("geom", all_geometries())
 def test_christoffels_match_finite_differences(geom):
     t = 0.03 if not geom.is_static else 0.0
     for rho in (0.4, 0.9):
@@ -132,7 +144,7 @@ def test_divergence_examples():
         pytest.approx(3.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("geom", all_geometries(), ids=lambda g: f"{g.kind}-n{g.n}")
+@pytest.mark.parametrize("geom", all_geometries())
 def test_divergence_consistency_random_fields(geom, rng):
     m = geom.n + 1
     t = 0.0

@@ -85,6 +85,20 @@ def test_subgreen_general_dimension(rng):
         assert fd == pytest.approx(quad4.dvalue(rho), rel=1e-7)
 
 
+@pytest.mark.parametrize("d", [1e-30, 1e-20, 1e-10, 1e-5, 0.1, 0.5, 0.9,
+                               1.0, 2.0])
+def test_green_quadrature_profile_closed_forms(d):
+    # the radial quadrature of H2 and H4 against their closed forms, down to
+    # distances where the profile is singular
+    h2 = -math.log(math.tanh(d / 2.0)) / (2.0 * math.pi)
+    h4 = (0.5 / (math.sinh(d) * math.tanh(d))
+          + 0.5 * math.log(math.tanh(d / 2.0))) / (2.0 * math.pi ** 2)
+    g2 = GreenKernel(FlowGeometry.hyperbolic(2)).value(d)
+    g4 = GreenKernel(FlowGeometry.hyperbolic(4)).value(d)
+    assert g2 == pytest.approx(h2, rel=1e-13)
+    assert g4 == pytest.approx(h4, rel=1e-13)
+
+
 # --------------------------------------------------------------------------- #
 # parabolic kernels
 # --------------------------------------------------------------------------- #
@@ -175,7 +189,7 @@ def test_liyau_hyperbolic_evaluates_only(h3):
     # negative curvature: the n/(2 tau) bound is not claimed, only that the
     # expression evaluates consistently with the value-based route
     kern = HeatKernel(h3)
-    for d, tau in ((0.5, 0.2), (1.5, 0.4)):
+    for d, tau in ((0.5, 0.2), (1.5, 0.4), (1e-5, 0.2)):
         q = liyau_expression(kern, d, tau)
         assert math.isfinite(q)
         val, grad, dtau = kern.evaluate(d, tau)

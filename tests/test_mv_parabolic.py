@@ -203,15 +203,9 @@ def test_liyau_decomposition_s3(rd_s3):
 
 
 def test_liyau_decomposition_circle():
-    resid, lhs, rhs = mvp.ly_mcf_residual(McfShrinkingSphereTrack(1), 1.0)
-    assert resid <= 1e-8
-
-
-def test_liyau_decomposition_dispatcher(rd_s3):
-    out = mvp.ly_decomposition_residual(rd_s3, [(0.8, 0.2)])
-    assert len(out) == 1 and out[0] <= 1e-3
-    out = mvp.ly_decomposition_residual(McfShrinkingSphereTrack(1), [0.5, 1.0])
-    assert max(out) <= 1e-8
+    for tau in (0.5, 1.0):
+        resid, lhs, rhs = mvp.ly_mcf_residual(McfShrinkingSphereTrack(1), tau)
+        assert resid <= 1e-8
 
 
 # --------------------------------------------------------------------------- #

@@ -95,6 +95,9 @@ def test_level_radius_brent_path():
         for r in (1.0, 2.0, 3.0):
             rho = level_radius(g, r)
             assert abs(g.value(rho) * r ** n - 1.0) <= 1e-12
+    # a radius far below 1 (rho ~ 5e-8) is still solved to relative accuracy
+    g2 = GreenKernel(FlowGeometry.hyperbolic(2))
+    assert abs(g2.value(level_radius(g2, 0.6)) * 0.6 ** 2 - 1.0) <= 1e-14
     with pytest.raises(NoRegionError):
         level_radius(GreenKernel(FlowGeometry.hyperbolic(2)), 0.3)  # rho ~ 2e-30
 
