@@ -38,8 +38,8 @@ def _spaceform_green_value(n, k, d):
     """Green's function of the simply connected space form of curvature -k^2.
 
     Normalized so the gradient flux through every level sphere equals one.
-    Closed form for k = 0 (n >= 3) and for n = 3; radial quadrature of the
-    flux-normalized profile otherwise.
+    Closed form for k = 0 (n >= 3) and for n = 3; otherwise a series beyond
+    d = 1/k and radial quadrature of the flux-normalized profile inside it.
     """
     if d <= 0:
         raise DomainError("distance must be positive")
@@ -51,21 +51,21 @@ def _spaceform_green_value(n, k, d):
     if n == 3:
         return k * math.exp(-k * d) / (4.0 * math.pi * math.sinh(k * d))
 
-    # G(d) = (1/area) * int_d^inf (k / sinh(k s))^(n-1) ds
-    def tail(s):
-        ks = k * s
-        if ks > 20.0:  # sinh overflows long before the integrand matters
-            return math.exp((n - 1) * (math.log(2.0 * k) - ks))
-        return (k / math.sinh(ks)) ** (n - 1)
-
-    val, _ = integrate_1d(tail, max(d, 1.0 / k), math.inf, epsabs=1e-14,
-                          epsrel=1e-12)
+    # G(d) = (1/area) * int_d^inf (k / sinh(k s))^(n-1) ds; beyond k s = 1
+    # the positive series k^(m-1) 2^m sum_j C(m+j-1, j) q^(m+2j) / (m+2j) in
+    # q = e^(-k s), m = n - 1, keeps relative accuracy as the tail decays
+    m, q, val, j = n - 1, math.exp(-max(k * d, 1.0)), 0.0, 0
+    term = k ** (m - 1) * (2.0 * q) ** m
+    while term > 1e-17 * val:
+        val += term / (m + 2 * j)
+        term *= q * q * (m + j) / (j + 1)
+        j += 1
     if d < 1.0 / k:
         # the profile blows up like s^(2-n) (log s for n = 2) at the center,
-        # so the inner part is integrated in u = log s
-        inner, _ = integrate_1d(lambda u: tail(math.exp(u)) * math.exp(u),
-                                math.log(d), -math.log(k), epsabs=1e-14,
-                                epsrel=1e-12)
+        # so the part inside s = 1/k is integrated in u = log s
+        inner, _ = integrate_1d(lambda u: (k / math.sinh(k * math.exp(u))) ** (n - 1)
+                                * math.exp(u), math.log(d), -math.log(k),
+                                epsabs=1e-14, epsrel=1e-12)
         val += inner
     return val / area
 

@@ -16,8 +16,14 @@ gives the ball form
                         [ int_{E_eta} (H - eta^(-n)) (d/dt - Delta) v ] deta,
     I_v(r)   = (1/r^n) int_{E_r} (|grad log H|^2 + R log(H r^n)) v dmu dt.
 
+A point of E_r lies in E_eta exactly when eta > H^(-1/n), so by Fubini the
+iterated correction is the single integral
+
+    (1/r^n) int_{E_r} (e^psi - 1 - psi) (d/dt - Delta) v,   psi = log(H r^n).
+
 `_j_term` and `_i_term` evaluate J_v and I_v over a region built once by
-the caller; `_heat_op_ball_term` is the inner correction integral.
+the caller; `_heat_op_ball_term` integrates a weight of the kernel against
+(d/dt - Delta) v over it, for both corrections.
 
 The monotone surface quantity for a kernel K (Li-Yau numerator) is
 
@@ -65,15 +71,13 @@ def surface_weight_term(kernel, field, region):
     return sphere_integrate(region, f, **_eps(kernel))
 
 
-def _heat_op_ball_term(kernel, field, region):
-    """int over E_r of (K - level) * (d/dt - Delta)v dmu dt."""
+def _heat_op_ball_term(kernel, field, region, weight):
+    """int over E_r of weight(K) * (d/dt - Delta)v dmu dt."""
     if "caloric" in field.tags:
         return 0.0, 0.0
-    level = region.level
 
     def f(rho, tau):
-        return ((kernel.value(rho, tau) - level)
-                * field.mean_heat_op(rho, -tau))
+        return weight(kernel.value(rho, tau)) * field.mean_heat_op(rho, -tau)
 
     return ball_integrate(region, f, **_eps(kernel))
 
@@ -120,27 +124,22 @@ def mv_heat_sphere(kernel, field, r):
     region = heatball_profile(kernel, r)
     lhs = field.center_value(0.0)
     jv, _ = _j_term(kernel, field, region)
-    corr, _ = _heat_op_ball_term(kernel, field, region)
+    level = region.level
+    corr, _ = _heat_op_ball_term(kernel, field, region, lambda k: k - level)
     rhs = jv + corr
     return lhs, rhs, abs(lhs - rhs)
 
 
 def mv_heat_ball(kernel, field, r):
     """Heat-ball mean value theorem; returns (lhs, rhs, residual)."""
-    n = kernel.n
     region = heatball_profile(kernel, r)
     lhs = field.center_value(0.0)
     rhs, _ = _i_term(kernel, field, region)
-
-    if "caloric" not in field.tags:
-        def eta_term(eta):
-            sub = heatball_profile(kernel, eta)
-            inner, _ = _heat_op_ball_term(kernel, field, sub)
-            return eta ** (n - 1) * inner
-
-        iterated, _ = integrate_1d(eta_term, 0.0, r, epsabs=1e-11,
-                                   epsrel=1e-8, limit=60)
-        rhs += n * r ** (-n) * iterated
+    level = region.level
+    # (e^psi - 1 - psi) / r^n, where e^psi = K r^n = K / level
+    corr, _ = _heat_op_ball_term(kernel, field, region, lambda k: level * (
+        k / level - 1.0 - math.log(k / level)))
+    rhs += corr
     return lhs, rhs, abs(lhs - rhs)
 
 

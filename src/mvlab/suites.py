@@ -37,10 +37,13 @@ class CheckResult:
     tol: float
     passed: bool
     err: float = 0.0
+    error: str = None       # "<Type>: <message>" when the check raised
 
     def to_dict(self):
         d = asdict(self)
         d["pass"] = d.pop("passed")
+        if d["error"] is None:
+            del d["error"]
         return d
 
 
@@ -66,7 +69,8 @@ class SuiteReport:
     def from_dict(cls, d):
         checks = [CheckResult(name=c["name"], value=c["value"],
                               expected=c["expected"], tol=c["tol"],
-                              passed=c["pass"], err=c.get("err", 0.0))
+                              passed=c["pass"], err=c.get("err", 0.0),
+                              error=c.get("error"))
                   for c in d["checks"]]
         return cls(suite=d["suite"], checks=checks)
 
@@ -409,9 +413,10 @@ def run_suite(suite, tol_scale=1.0, geometry=None, jobs=1):
         name, thunk = item
         try:
             return thunk()
-        except Exception:  # recorded, not raised: the report must finish
+        except Exception as exc:  # recorded, not raised: the report must finish
             return CheckResult(name=name, value=math.nan, expected="error",
-                               tol=0.0, passed=False, err=math.inf)
+                               tol=0.0, passed=False, err=math.inf,
+                               error=f"{type(exc).__name__}: {exc}")
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -12,7 +12,9 @@ import pytest
 from scipy import integrate
 
 import mvlab
+from mvlab import suites
 from mvlab.cli import main
+from mvlab.errors import DomainError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -72,6 +74,27 @@ def test_verify_exit_and_roundtrip(tmp_path):
     assert json_out.read_bytes() == out.read_bytes()
 
 
+def test_failed_check_records_error(tmp_path, monkeypatch):
+    def out_of_domain():
+        raise DomainError("level parameter r must be positive and finite, got -1")
+
+    monkeypatch.setattr(suites, "build_battery", lambda *args: [
+        ("raises", out_of_domain),
+        ("passes", lambda: suites._check("passes", 1.0, 1.0, 1e-12))])
+    report = suites.run_suite("elliptic")
+    failed, passed = report.to_dict()["checks"]
+    assert failed["error"] == ("DomainError: level parameter r must be "
+                               "positive and finite, got -1")
+    assert not failed["pass"] and "error" not in passed
+    assert suites.SuiteReport.from_dict(report.to_dict()).checks == report.checks
+
+    rep, again = tmp_path / "rep.json", tmp_path / "again.json"
+    rep.write_text(report.to_json() + "\n")
+    assert run_cli(["report", "--in", str(rep), "--format", "json",
+                    "--out", str(again)]) == 1
+    assert again.read_bytes() == rep.read_bytes()
+
+
 def test_sweep_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--quantity", "J", "--geometry", "euclidean3",
@@ -118,8 +141,8 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     def computed(*args, **kwargs):
         raise AssertionError("a quantity was computed")
     monkeypatch.setattr("mvlab.quad.integrate", SimpleNamespace(
-        quad=computed, tanhsinh=computed,
-        IntegrationWarning=integrate.IntegrationWarning))
+        quad=computed, IntegrationWarning=integrate.IntegrationWarning))
+    monkeypatch.setattr("mvlab.regions.integrate_de", computed)
     monkeypatch.setattr("mvlab.regions.brentq", computed)
     monkeypatch.setattr("mvlab.reduced.solve_ivp", computed)
     capsys.readouterr()

@@ -1,7 +1,9 @@
 """Kernels: closed-form values, flux normalization, heat-equation residuals,
 Li-Yau expressions, masses and monotone level structure."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -97,6 +99,30 @@ def test_green_quadrature_profile_closed_forms(d):
     g4 = GreenKernel(FlowGeometry.hyperbolic(4)).value(d)
     assert g2 == pytest.approx(h2, rel=1e-13)
     assert g4 == pytest.approx(h4, rel=1e-13)
+
+
+def _hyperbolic_green_closed_form(n, k, d):
+    """H2 and H4 Green's functions, evaluated in 40-digit decimal arithmetic:
+    log tanh(u/2) and csch(u) coth(u) cancel to e^(-3u) far out on H4."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        u = Decimal(k) * Decimal(d)
+        q = (-u).exp()
+        log_tanh = ((1 - q) / (1 + q)).ln()
+        if n == 2:
+            return float(-log_tanh) / (2.0 * math.pi)
+        csch_coth = 2 * q * (1 + q * q) / (1 - q * q) ** 2
+        return float(Decimal(k) ** 2 * (csch_coth + log_tanh)) / (4.0 * math.pi ** 2)
+
+
+@pytest.mark.parametrize("d", [2.0, 3.0, 5.0, 8.0])
+@pytest.mark.parametrize("k", [1.0, 2.0])
+@pytest.mark.parametrize("n", [2, 4])
+def test_green_profile_far_tail(n, k, d):
+    # relative accuracy where the value decays like exp(-(n-1) k d)
+    g = GreenKernel(FlowGeometry.hyperbolic(n, k=k)).value(d)
+    # a plain ratio: pytest.approx would add its 1e-12 absolute tolerance
+    assert abs(g / _hyperbolic_green_closed_form(n, k, d) - 1.0) <= 1e-12
 
 
 # --------------------------------------------------------------------------- #

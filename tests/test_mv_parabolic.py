@@ -10,6 +10,8 @@ from mvlab.fields import make_field
 from mvlab.kernels import (HeatKernel, McfShrinkingSphereTrack, SubHeatKernel,
                            liyau_expression)
 from mvlab import mv_parabolic as mvp
+from mvlab.quad import integrate_1d
+from mvlab.regions import heatball_profile
 
 
 def fixed_gauss(f, a, b, order=24):
@@ -81,6 +83,36 @@ def test_ball_equals_layered_spheres(heat2, e2):
 
     chain = 2.0 * r ** (-2) * fixed_gauss(sphere_rhs, 0.0, r, order=20)
     assert abs(rhs_ball - chain) <= 1e-5
+
+
+def nested_eta_correction(kernel, field, r):
+    """The ball form's correction as the iterated integral of its definition:
+    (n/r^n) int_0^r eta^(n-1) int_{E_eta} (K - eta^(-n)) (d/dt - Delta) v."""
+    n = kernel.n
+
+    def eta_term(eta):
+        sub = heatball_profile(kernel, eta)
+        inner, _ = mvp._heat_op_ball_term(kernel, field, sub,
+                                          lambda k: k - sub.level)
+        return eta ** (n - 1) * inner
+
+    iterated, _ = integrate_1d(eta_term, 0.0, r, epsabs=1e-11, epsrel=1e-8,
+                               limit=60)
+    return n * r ** (-n) * iterated
+
+
+@pytest.mark.parametrize("r", [0.5, 0.8, 1.5])
+@pytest.mark.parametrize("model,name", [("e2", "superharmonic"),
+                                        ("e3", "superharmonic"),
+                                        ("h3", "exp-radial")])
+def test_heat_ball_fubini_matches_nested_eta(model, name, r, request):
+    geom = request.getfixturevalue(model)
+    kern = HeatKernel(geom)
+    f = make_field(name, geom, **({"C": 10.0} if name == "superharmonic" else {}))
+    assert "caloric" not in f.tags
+    _, rhs, _ = mvp.mv_heat_ball(kern, f, r)
+    i_v, _ = mvp._i_term(kern, f, heatball_profile(kern, r))
+    assert abs(rhs - (i_v + nested_eta_correction(kern, f, r))) <= 1e-9
 
 
 def test_truncation_cap_convergence(heat2, e2):
