@@ -20,6 +20,7 @@ the Euclidean model itself: ``FlowGeometry.gaussian_soliton(n)`` returns
 ``FlowGeometry.euclidean(n)``.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,7 @@ _BIG_TIME = 1e30
 _SING_GUARD = 1e-3  # margin kept away from the shrinking-sphere singular time
 
 
+@functools.cache
 def unit_sphere_area(n):
     """Area of the unit (n-1)-sphere in R^n; equals 2 for n = 1."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -137,7 +139,7 @@ class FlowGeometry:
     # ------------------------------------------------------------------ #
     def warp(self, rho, t=0.0):
         """phi(rho, t); the geodesic sphere of radius rho has area A * phi^(n-1)."""
-        if self.is_flat:
+        if self.kind == EUCLIDEAN:  # not is_flat: a property call per node
             return rho
         if self.kind == HYPERBOLIC:
             return math.sinh(self.k * rho) / self.k

@@ -13,6 +13,9 @@ ambient Gaussian restricted to a mean-curvature-flow track.
 
 All parabolic kernels expose derivatives at fixed *manifold* point: on an
 evolving geometry the time derivative is taken at fixed comoving coordinate.
+They also evaluate one backward time at a time: ``kernel.at(tau)`` is a
+`KernelSlice`, and the exact heat kernel's formulas are written once, in its
+`HeatSlice`.
 
 Kernels invert ``kernel = r^(-n)`` (``level_radius``, ``tau_max``, ``profile_x``)
 where it has a closed form and return None where `regions` must solve for it.
@@ -179,7 +182,12 @@ class ParabolicKernel:
 
     Subclasses implement the comoving-coordinate trio ``value_cm``,
     ``dx_cm``, ``dtau_cm`` and the Li-Yau expression ``liyau_cm``;
-    radius-based wrappers convert at the slice time t = -tau.
+    radius-based wrappers convert at the slice time t = -tau.  ``at(tau)``
+    returns the kernel on one time slice (`KernelSlice`).
+
+    ``_roots`` holds the level-set profile roots of every region built on
+    the kernel, by level parameter r and then by tau, so regions of the same
+    level share them.
     """
 
     parabolic = True
@@ -187,11 +195,16 @@ class ParabolicKernel:
     def __init__(self, geom):
         self.geom = geom
         self.n = geom.n
+        self._roots = {}
 
     def _check_tau(self, tau):
         if tau <= 0:
             raise DomainError("backward time tau must be positive")
         self.geom.check_time(-tau)
+
+    def at(self, tau):
+        """The kernel on the time slice tau; raises DomainError off the domain."""
+        return KernelSlice(self, tau)
 
     def tau_max(self, r):
         return None  # top time of {kernel > r^(-n)}: no closed form
@@ -224,20 +237,138 @@ class ParabolicKernel:
 
     def mass(self, tau):
         """Spatial integral of the kernel at backward time tau."""
-        self._check_tau(tau)
-        geom, t = self.geom, -tau
+        sl = self.at(tau)
         area = unit_sphere_area(self.n)
 
         def f(x):
-            w = geom.warp_cm(x, t)
-            return (self.value_cm(x, tau) * area * w ** (self.n - 1)
-                    * math.sqrt(geom.m2(x, t)))
+            return sl.value_cm(x) * area * sl.warp(x) ** (self.n - 1) * sl.sm
 
-        hi = geom.x_max(t)
+        hi = self.geom.x_max(-tau)
         if math.isinf(hi):
             hi = 2.0 * math.sqrt(4.0 * tau * 745.0)  # exp underflow horizon
         val, _ = integrate_1d(f, 0.0, hi, epsabs=1e-10, epsrel=1e-9)
         return val
+
+
+class KernelSlice:
+    """A parabolic kernel at one backward time tau, as functions of the
+    comoving radius x.
+
+    Every quadrature node, profile root and surface sample of a heat ball
+    lies on one time slice: the slice checks tau once and holds what depends
+    on tau alone.  This generic slice calls the kernel's per-point methods.
+
+    * ``value_cm(x)`` and ``sample(x)`` evaluate at x itself; they serve the
+      level set (profile roots, surface samples, caps, masses).
+    * ``value(x)``, ``grad(x, v)`` and ``liyau(x)`` evaluate at the geodesic
+      radius ``rho(x)``, as the radius-based kernel methods do; on an evolving
+      model that is the point ``x_of_rho(rho_of_x(x))``, at most an ulp from
+      x.  They serve integrands over the region.
+
+    ``grad`` accepts the value at x when the caller has it, for closed
+    forms to reuse.  ``warp(x)`` is the orbit warp and ``sm`` the radial
+    metric factor sqrt(g_xx) of the slice.
+    """
+
+    def __init__(self, kern, tau):
+        kern._check_tau(tau)
+        self.kern, self.tau, self.t = kern, tau, -tau
+        self.sm = math.sqrt(kern.geom.m2(0.0, -tau))
+
+    def rho(self, x):
+        return self.kern.rho_of_x(x, self.tau)
+
+    def warp(self, x):
+        return self.kern.geom.warp_cm(x, self.t)
+
+    def value_cm(self, x):
+        return self.kern.value_cm(x, self.tau)
+
+    def sample(self, x):
+        """(value, |grad|, d/dtau) at x."""
+        kern, tau = self.kern, self.tau
+        return kern.value_cm(x, tau), kern.grad_norm_cm(x, tau), kern.dtau_cm(x, tau)
+
+    def _node(self, x):
+        return self.kern.x_of_rho(self.rho(x), self.tau)
+
+    def value(self, x):
+        return self.kern.value_cm(self._node(x), self.tau)
+
+    def grad(self, x, v=None):
+        return self.kern.grad_norm_cm(self._node(x), self.tau)
+
+    def liyau(self, x):
+        return self.kern.liyau_cm(self._node(x), self.tau)
+
+
+class HeatSlice(KernelSlice):
+    """The exact heat kernel on one time slice; its formulas live here only.
+
+    The models are static, so x is the geodesic radius and both families of
+    `KernelSlice` coincide.
+    """
+
+    def __init__(self, kern, tau):
+        super().__init__(kern, tau)
+        n = kern.n
+        self.k = k = kern._k
+        self.pref = (4.0 * math.pi * tau) ** (-n / 2.0)
+        self.four_tau = 4.0 * tau
+        self.two_tau = 2.0 * tau
+        self.decay = math.exp(-k ** 2 * tau)
+        self.dtau0 = -n / (2.0 * tau)
+        self.four_tau2 = 4.0 * tau * tau
+        self.warp = kern.geom.warp  # static: the orbit warp at every time
+
+    def rho(self, x):
+        return x
+
+    def value(self, x):
+        gauss = self.pref * math.exp(-x * x / self.four_tau)
+        k = self.k
+        if k == 0.0:
+            return gauss
+        kx = k * x
+        ratio = kx / math.sinh(kx) if kx > 1e-8 else 1.0 - kx * kx / 6.0
+        return gauss * ratio * self.decay
+
+    value_cm = value
+
+    def dlog(self, x):
+        """d log H / dx; the series branch keeps 1/x - k coth(kx) accurate."""
+        k = self.k
+        if k == 0.0:
+            return -x / self.two_tau
+        kx = k * x
+        if kx > 1e-4:
+            dlog = 1.0 / x - k / math.tanh(kx)
+        else:
+            dlog = -k ** 2 * x / 3.0 + k ** 4 * x ** 3 / 45.0
+        return dlog - x / self.two_tau
+
+    def dtau_log(self, x):
+        return self.dtau0 + x * x / self.four_tau2 - self.k ** 2
+
+    def dx(self, x, v=None):
+        return (self.value(x) if v is None else v) * self.dlog(x)
+
+    def grad(self, x, v=None):
+        return abs(self.dx(x, v)) / self.sm
+
+    def dtau(self, x, v=None):
+        return (self.value(x) if v is None else v) * self.dtau_log(x)
+
+    def liyau(self, x):
+        # log-domain evaluation, exact for the flat Gaussian: n / (2 tau)
+        if self.k == 0.0:
+            return -self.dtau0
+        dlog = self.dlog(x)
+        return dlog * dlog - self.dtau_log(x)
+
+    def sample(self, x):
+        v = self.value(x)
+        return v, self.grad(x, v), self.dtau(x, v)
 
 
 class HeatKernel(ParabolicKernel):
@@ -245,6 +376,7 @@ class HeatKernel(ParabolicKernel):
 
     Conventions: tau is backward time, the kernel solves the backward heat
     equation d/dtau = Delta on the static model and integrates to unit mass.
+    The per-point methods evaluate through `HeatSlice`.
     """
 
     kind = HEAT
@@ -260,15 +392,20 @@ class HeatKernel(ParabolicKernel):
         else:
             raise UnsupportedError("exact heat kernels need a static model")
 
+    def at(self, tau):
+        return HeatSlice(self, tau)
+
     def value_cm(self, x, tau):
-        self._check_tau(tau)
-        n = self.n
-        gauss = (4.0 * math.pi * tau) ** (-n / 2.0) * math.exp(-x * x / (4.0 * tau))
-        if self._k == 0.0:
-            return gauss
-        kx = self._k * x
-        ratio = kx / math.sinh(kx) if kx > 1e-8 else 1.0 - kx * kx / 6.0
-        return gauss * ratio * math.exp(-self._k ** 2 * tau)
+        return self.at(tau).value(x)
+
+    def dx_cm(self, x, tau):
+        return self.at(tau).dx(x)
+
+    def dtau_cm(self, x, tau):
+        return self.at(tau).dtau(x)
+
+    def liyau_cm(self, x, tau):
+        return self.at(tau).liyau(x)
 
     def tau_max(self, r):
         # on-center (4 pi tau)^(n/2) exp(k^2 tau) = r^n; with a = r^2 / (4 pi)
@@ -284,33 +421,6 @@ class HeatKernel(ParabolicKernel):
         if self._k != 0.0:
             return None
         return math.sqrt(2.0 * self.n * tau * math.log(self.tau_max(r) / tau))
-
-    def _dlog_dx(self, x, tau):
-        """d log H / dx; the series branch keeps 1/x - k coth(kx) accurate."""
-        if self._k == 0.0:
-            return -x / (2.0 * tau)
-        kx = self._k * x
-        if kx > 1e-4:
-            dlog = 1.0 / x - self._k / math.tanh(kx)
-        else:
-            dlog = -self._k ** 2 * x / 3.0 + self._k ** 4 * x ** 3 / 45.0
-        return dlog - x / (2.0 * tau)
-
-    def dx_cm(self, x, tau):
-        return self.value_cm(x, tau) * self._dlog_dx(x, tau)
-
-    def dtau_cm(self, x, tau):
-        v = self.value_cm(x, tau)
-        base = -self.n / (2.0 * tau) + x * x / (4.0 * tau * tau)
-        return v * (base - self._k ** 2)
-
-    def liyau_cm(self, x, tau):
-        # log-domain evaluation, exact for the flat Gaussian: n / (2 tau)
-        if self._k == 0.0:
-            return self.n / (2.0 * tau)
-        dlog = self._dlog_dx(x, tau)
-        dtau_log = -self.n / (2.0 * tau) + x * x / (4.0 * tau * tau) - self._k ** 2
-        return dlog * dlog - dtau_log
 
 
 class SubHeatKernel(ParabolicKernel):

@@ -76,8 +76,9 @@ def _heat_op_ball_term(kernel, field, region, weight):
     if "caloric" in field.tags:
         return 0.0, 0.0
 
-    def f(rho, tau):
-        return weight(kernel.value(rho, tau)) * field.mean_heat_op(rho, -tau)
+    def f(sl):
+        value, rho, t = sl.value, sl.rho, sl.t
+        return lambda x: weight(value(x)) * field.mean_heat_op(rho(x), t)
 
     return ball_integrate(region, f, **_eps(kernel))
 
@@ -88,8 +89,13 @@ def _scalar_R_ball_term(kernel, field, region):
     if geom.is_static:
         return 0.0, 0.0
 
-    def f(rho, tau):
-        return geom.scalar_R(rho, -tau) * field.mean_value(rho, -tau)
+    def f(sl):
+        rho, t = sl.rho, sl.t
+
+        def g(x):
+            r = rho(x)
+            return geom.scalar_R(r, t) * field.mean_value(r, t)
+        return g
 
     return ball_integrate(region, f, **_eps(kernel))
 
@@ -108,14 +114,18 @@ def _i_term(kernel, field, region):
     scale = region.r ** kernel.n
     logr_n = kernel.n * math.log(region.r)
 
-    def weight(rho, tau):
-        val = kernel.value(rho, tau)
-        out = (kernel.grad_norm(rho, tau) / val) ** 2
-        if not geom.is_static:
-            out += geom.scalar_R(rho, -tau) * (math.log(val) + logr_n)
-        return out * field.mean_value(rho, -tau)
+    static = geom.is_static
 
-    val, err = ball_integrate(region, weight, **_eps(kernel))
+    def f(sl):
+        def g(x):
+            rho, val = sl.rho(x), sl.value(x)
+            out = (sl.grad(x, val) / val) ** 2
+            if not static:
+                out += geom.scalar_R(rho, sl.t) * (math.log(val) + logr_n)
+            return out * field.mean_value(rho, sl.t)
+        return g
+
+    val, err = ball_integrate(region, f, **_eps(kernel))
     return val / scale, err / scale
 
 
@@ -156,8 +166,7 @@ def jhat_quantity(kernel, r):
 def liyau_ball_integral(kernel, r):
     """int over E_r of the Li-Yau expression of the kernel."""
     region = heatball_profile(kernel, r)
-    return ball_integrate(region, lambda rho, tau: kernel.liyau(rho, tau),
-                          **_eps(kernel))
+    return ball_integrate(region, lambda sl: sl.liyau, **_eps(kernel))
 
 
 def ihat_quantity(kernel, a, r, _cache=None):

@@ -9,6 +9,15 @@ closed-form inverse where it has one (`_level_set`); bracketed Brent iteration
 serves the rest: the H3 heat profile, the reduced-distance kernel and the
 Green's functions of hyperbolic space with n != 3.
 
+A parabolic region is foliated by time slices: every quadrature node,
+profile root and surface sample lives at one backward time tau.  The engines
+therefore evaluate the kernel through its slice ``kernel.at(tau)``
+(`kernels.KernelSlice`), which checks tau once and holds what depends on tau
+alone, and `ball_integrate` takes a parabolic integrand as a factory
+``integrand(slice) -> g(x)`` over the comoving radius of that slice.
+Profile roots live on the kernel, by level parameter, so regions rebuilt at
+the same level share them.
+
 Surface integrals over a parabolic level set use the space-time area element
 of g(t) + dt^2.  Along the profile the metric-normal speed of the level
 curve equals ``|K_tau| / |grad K|`` (the implicit-function derivative in
@@ -109,13 +118,18 @@ def green_ball(kernel, r):
 class HeatBallRegion:
     """Super-level set of a parabolic kernel in backward time.
 
-    The profile is the comoving-coordinate root per time slice; roots are
-    cached per slice since several integrals revisit the same region.
+    The profile is the comoving-coordinate root per time slice.  Roots are
+    kept on the kernel by level parameter (``kernel._roots[r]``), so every
+    integral over this region, and every region rebuilt at the same level on
+    the same kernel, solves each slice once.
     """
     kernel: object
     r: float
     tau_max: float
-    _roots: dict = field(default_factory=dict, repr=False)
+    _roots: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._roots = self.kernel._roots.setdefault(self.r, {})
 
     @property
     def parabolic(self):
@@ -132,9 +146,11 @@ class HeatBallRegion:
         if hit is not None:
             return hit
         kern, level = self.kernel, self.level
+        closed = kern.profile_x(self.r, tau)
+        value_cm = None if closed is not None else kern.at(tau).value_cm
 
         def f(s):
-            return kern.value_cm(s, tau) - level
+            return value_cm(s) - level
 
         def bracket():
             x_cap = kern.geom.x_max(-tau)
@@ -150,7 +166,7 @@ class HeatBallRegion:
                     raise NoRegionError("profile does not close inside the domain")
             return 0.0, hi
 
-        x = self._roots[tau] = _level_set(kern.profile_x(self.r, tau), f, bracket)
+        x = self._roots[tau] = _level_set(closed, f, bracket)
         return x
 
     def profile_rho(self, tau):
@@ -164,13 +180,6 @@ class HeatBallRegion:
         dx_dtau = -kern.dtau_cm(x, tau) / kern.dx_cm(x, tau)
         sm = math.sqrt(kern.geom.m2(x, t))
         return sm * dx_dtau - x * kern.geom.dm2_dt(x, t) / (2.0 * sm)
-
-    def surface_sample(self, tau):
-        x = self.profile_x(tau)
-        kern = self.kernel
-        return SurfaceSample(
-            rho=kern.rho_of_x(x, tau), tau=tau, value=kern.value_cm(x, tau),
-            grad=kern.grad_norm_cm(x, tau), dtau=kern.dtau_cm(x, tau))
 
 
 def heatball_profile(kernel, r):
@@ -216,8 +225,12 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
     """Integral of ``integrand`` against the volume measure of the region.
 
     Elliptic: ``integrand(rho)`` over the ball (weight: sphere area).
-    Parabolic: ``integrand(rho, tau)`` over the space-time region (weight:
-    sphere area times d mu d tau).  Returns (value, error_estimate).
+    Parabolic: ``integrand`` is a factory called once per time slice with
+    the kernel's `KernelSlice` at that tau; it returns ``g(x)``, the
+    integrand along the slice as a function of the comoving radius x (the
+    slice gives the geodesic radius ``rho(x)``, the time ``t`` and the kernel
+    data).  The weight is sphere area times d mu d tau.  Returns
+    (value, error_estimate).
     """
     if not region.parabolic:
         geom = region.kernel.geom
@@ -230,23 +243,21 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
                             epsrel=epsrel)
 
     kern = region.kernel
-    geom, n = kern.geom, kern.n
+    n = kern.n
     area = unit_sphere_area(n)
     tau_max = region.tau_max
 
     def slice_integral(tau):
         if tau <= tau_max * TIME_CLIP_LO or tau >= tau_max * (1.0 - TIME_CLIP_HI):
             return 0.0
-        t = -tau
         x_hi = region.profile_x(tau)
         if x_hi <= 0.0:
             return 0.0
-        sm = math.sqrt(geom.m2(0.0, t))
+        sl = kern.at(tau)
+        g, warp, sm = integrand(sl), sl.warp, sl.sm
 
         def f(x):
-            rho = geom.rho_of_x(x, t)
-            return (integrand(rho, tau) * area
-                    * geom.warp_cm(x, t) ** (n - 1) * sm)
+            return g(x) * area * warp(x) ** (n - 1) * sm
 
         val, _ = integrate_1d(f, 0.0, x_hi, epsabs=0.1 * epsabs,
                               epsrel=max(0.1 * epsrel, 1e-10),
@@ -274,19 +285,20 @@ def sphere_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
         return integrand(rho) * area * geom.warp(rho) ** (region.kernel.n - 1), 0.0
 
     kern = region.kernel
-    geom, n = kern.geom, kern.n
+    n = kern.n
     area = unit_sphere_area(n)
     tau_max = region.tau_max
 
     def f(tau):
         if tau <= tau_max * TIME_CLIP_LO or tau >= tau_max * (1.0 - TIME_CLIP_HI):
             return 0.0
-        s = region.surface_sample(tau)
-        if s.grad <= 0.0:
-            return 0.0  # sub-resolution sliver where the profile closes
         x = region.profile_x(tau)
-        w = geom.warp_cm(x, -tau)
-        measure = (math.hypot(s.grad, s.dtau) / s.grad) * area * w ** (n - 1)
+        sl = kern.at(tau)
+        value, grad, dtau = sl.sample(x)
+        if grad <= 0.0:
+            return 0.0  # sub-resolution sliver where the profile closes
+        s = SurfaceSample(rho=sl.rho(x), tau=tau, value=value, grad=grad, dtau=dtau)
+        measure = (math.hypot(grad, dtau) / grad) * area * sl.warp(x) ** (n - 1)
         return integrand(s) * measure
 
     return integrate_de(f, 0.0, tau_max, atol=epsabs, rtol=epsrel)
@@ -300,18 +312,15 @@ def cap_integral(region, v_mean, s):
     """
     if not (0.0 < s < region.tau_max):
         raise DomainError("slice must lie strictly inside the region")
-    kern = region.kernel
-    geom, n = kern.geom, kern.n
+    n = region.kernel.n
     area = unit_sphere_area(n)
-    t = -s
+    sl = region.kernel.at(s)
     x_hi = region.profile_x(s)
     level = region.level
-    sm = math.sqrt(geom.m2(0.0, t))
 
     def f(x):
-        rho = geom.rho_of_x(x, t)
-        return (v_mean(rho, t) * (kern.value_cm(x, s) - level)
-                * area * geom.warp_cm(x, t) ** (n - 1) * sm)
+        return (v_mean(sl.rho(x), sl.t) * (sl.value_cm(x) - level)
+                * area * sl.warp(x) ** (n - 1) * sl.sm)
 
     val, _ = integrate_1d(f, 0.0, x_hi, epsabs=1e-11, epsrel=1e-9)
     return val

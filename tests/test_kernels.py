@@ -97,8 +97,8 @@ def test_green_quadrature_profile_closed_forms(d):
           + 0.5 * math.log(math.tanh(d / 2.0))) / (2.0 * math.pi ** 2)
     g2 = GreenKernel(FlowGeometry.hyperbolic(2)).value(d)
     g4 = GreenKernel(FlowGeometry.hyperbolic(4)).value(d)
-    assert g2 == pytest.approx(h2, rel=1e-13)
-    assert g4 == pytest.approx(h4, rel=1e-13)
+    assert g2 == pytest.approx(h2, rel=1e-13, abs=0)
+    assert g4 == pytest.approx(h4, rel=1e-13, abs=0)
 
 
 def _hyperbolic_green_closed_form(n, k, d):
@@ -166,6 +166,73 @@ def test_heat_kernel_analytic_derivatives(h3, rng):
             kern.dx_cm(d, tau), rel=1e-9)
         assert _d1(lambda s: kern.value_cm(d, s), tau, 1e-3 * tau) == pytest.approx(
             kern.dtau_cm(d, tau), rel=1e-9)
+
+
+def _per_point_heat(kern, x, tau):
+    """The per-point HeatKernel arithmetic the slices replaced, as the
+    reference for their bits: (value, |grad|, d/dtau, Li-Yau)."""
+    n, k = kern.n, kern._k
+    value = (4.0 * math.pi * tau) ** (-n / 2.0) * math.exp(-x * x / (4.0 * tau))
+    if k == 0.0:
+        dlog = -x / (2.0 * tau)
+        liyau = n / (2.0 * tau)
+    else:
+        kx = k * x
+        ratio = kx / math.sinh(kx) if kx > 1e-8 else 1.0 - kx * kx / 6.0
+        value = value * ratio * math.exp(-k ** 2 * tau)
+        if kx > 1e-4:
+            dlog = 1.0 / x - k / math.tanh(kx)
+        else:
+            dlog = -k ** 2 * x / 3.0 + k ** 4 * x ** 3 / 45.0
+        dlog = dlog - x / (2.0 * tau)
+    grad = abs(value * dlog) / math.sqrt(kern.geom.m2(x, -tau))
+    dtau_log = -n / (2.0 * tau) + x * x / (4.0 * tau * tau) - k ** 2
+    dtau = value * (-n / (2.0 * tau) + x * x / (4.0 * tau * tau) - k ** 2)
+    if k != 0.0:
+        liyau = dlog * dlog - dtau_log
+    return value, grad, dtau, liyau
+
+
+@pytest.mark.parametrize("geom", [FlowGeometry.euclidean(2), FlowGeometry.euclidean(3),
+                                  FlowGeometry.hyperbolic(3)],
+                         ids=["e2", "e3", "h3"])
+def test_heat_slice_bits(geom):
+    # x = 0 and one x on each branch of the H3 formulas: kx <= 1e-8,
+    # kx <= 1e-4 and kx > 1e-4
+    kern = HeatKernel(geom)
+    for tau in (0.03, 0.17, 0.4, 0.93, 2.5):
+        sl = kern.at(tau)
+        for x in (0.0, 5e-9, 5e-5, 0.3, 0.71, 1.3, 2.0):
+            value, grad, dtau, liyau = _per_point_heat(kern, x, tau)
+            assert (sl.value(x), sl.grad(x), sl.dtau(x), sl.liyau(x)) == \
+                (value, grad, dtau, liyau)
+            assert sl.sample(x) == (value, grad, dtau)
+            assert (kern.value_cm(x, tau), kern.grad_norm_cm(x, tau),
+                    kern.dtau_cm(x, tau), kern.liyau_cm(x, tau)) == \
+                (value, grad, dtau, liyau)
+
+
+def test_generic_slice_keeps_radius_round_trip(khat_s3):
+    # ball integrands evaluate at the geodesic radius like the radius-based
+    # methods; the level set evaluates at x itself
+    tau = 0.2
+    sl = khat_s3.at(tau)
+    for x in (0.3, 0.7):
+        rho = khat_s3.rho_of_x(x, tau)
+        assert sl.rho(x) == rho
+        assert sl.value(x) == khat_s3.value(rho, tau)
+        assert sl.grad(x) == khat_s3.grad_norm(rho, tau)
+        assert sl.liyau(x) == khat_s3.liyau(rho, tau)
+        assert sl.value_cm(x) == khat_s3.value_cm(x, tau)
+        assert sl.sample(x) == (khat_s3.value_cm(x, tau), khat_s3.grad_norm_cm(x, tau),
+                                khat_s3.dtau_cm(x, tau))
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1, -math.inf])
+def test_slice_needs_positive_tau(tau, e2, h3, khat_s3):
+    for kern in (HeatKernel(e2), HeatKernel(h3), khat_s3):
+        with pytest.raises(DomainError):
+            kern.at(tau)
 
 
 def test_heat_kernel_unsupported():

@@ -1,17 +1,20 @@
-"""integrate_de against scipy.integrate.tanhsinh, bit for bit."""
+"""integrate_de against scipy.integrate.tanhsinh, bit for bit; integrate_1d
+against scipy.integrate.quad."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy
+from scipy import integrate
 from scipy.integrate import tanhsinh
 
 from mvlab import mv_parabolic as mvp
 from mvlab import regions
 from mvlab.geometry import FlowGeometry
 from mvlab.kernels import HeatKernel
-from mvlab.quad import integrate_de
+from mvlab.quad import integrate_1d, integrate_de
 from mvlab.regions import TIME_CLIP_HI, TIME_CLIP_LO, heatball_profile
 
 # integrate_de reproduces this release's tanhsinh (minlevel 2, maxlevel 10)
@@ -110,3 +113,20 @@ def test_heat_sphere_integrand(eps, monkeypatch):
     (f, a, b, atol, rtol), = seen
     assert (atol, rtol) == (eps["epsabs"], eps["epsrel"])
     assert got == scipy_de(f, a, b, atol, rtol)[:2]
+
+
+def test_integrate_1d_unconverged_is_silent():
+    # sin(1/x) exhausts five subdivisions: the result is quad's, and its
+    # IntegrationWarning is neither emitted nor filtered away
+    def f(x):
+        return math.sin(1.0 / x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        expect = integrate.quad(f, 0.0, 1.0, epsabs=1e-11, epsrel=1e-9, limit=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = integrate_1d(f, 0.0, 1.0, limit=5)
+    assert got == expect
+    assert not any(issubclass(w.category, integrate.IntegrationWarning)
+                   for w in caught)

@@ -222,12 +222,27 @@ def test_h3_one_root_solve_per_new_slice(h3, brent_calls):
 
 
 def test_h3_profile_independent_of_query_order(h3):
-    kern = HeatKernel(h3)
-    fwd, rev = heatball_profile(kern, 1.0), heatball_profile(kern, 1.0)
+    # two kernels: regions on one kernel share their roots
+    fwd, rev = heatball_profile(HeatKernel(h3), 1.0), heatball_profile(HeatKernel(h3), 1.0)
     us = (0.1, 0.3, 0.5, 0.7, 0.9)
     forward = [fwd.profile_x(u * fwd.tau_max) for u in us]
     backward = [rev.profile_x(u * rev.tau_max) for u in reversed(us)]
     assert forward == backward[::-1]
+
+
+def test_profile_roots_shared_per_kernel_and_level(h3, brent_calls):
+    kern = HeatKernel(h3)
+    first = heatball_profile(kern, 1.0)
+    taus = [u * first.tau_max for u in (0.1, 0.5, 0.9)]
+    roots = [first.profile_x(tau) for tau in taus]
+    assert len(brent_calls) == len(taus)
+    again = heatball_profile(kern, 1.0)
+    assert [again.profile_x(tau) for tau in taus] == roots
+    assert len(brent_calls) == len(taus)          # no slice solved twice
+    heatball_profile(kern, 1.2).profile_x(taus[1])
+    assert len(brent_calls) == len(taus) + 1      # another level
+    assert heatball_profile(HeatKernel(h3), 1.0).profile_x(taus[1]) == roots[1]
+    assert len(brent_calls) == len(taus) + 2      # another kernel
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -260,7 +275,14 @@ def test_profile_level_and_slope(e2):
 def test_watson_weight(e2):
     h = HeatKernel(e2)
     reg = heatball_profile(h, 1.0)
-    val, err = ball_integrate(reg, lambda rho, tau: rho * rho / (4.0 * tau * tau))
+    # parabolic integrands are factories: the slice at tau gives g(x)
+    def integrand(sl):
+        def g(x):
+            rho = sl.rho(x)
+            return rho * rho / (4.0 * sl.tau * sl.tau)
+        return g
+
+    val, err = ball_integrate(reg, integrand)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
