@@ -12,11 +12,10 @@ reduced volume, and the Gaussian density of the shrinking track.
 
 from .errors import (CutLocusWarning, DomainError, NoRegionError,
                      PreconditionError, ShootingError, UnsupportedError)
-from .fields import TestField, angular_quadrature_mean, classification_check, make_field
-from .geometry import (FlowGeometry, SpaceTimePoint, curvature, flow_residual,
-                       spacetime_christoffels, spacetime_christoffels_fd,
-                       spacetime_divergence, spacetime_divergence_fd,
-                       sphere_area, unit_sphere_area)
+from .fields import TestField, make_field
+from .geometry import (FlowGeometry, SpaceTimePoint, curvature,
+                       spacetime_christoffels, spacetime_divergence,
+                       unit_sphere_area)
 from .kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                       SubGreenKernel, SubHeatKernel, SupGreenKernel,
                       liyau_expression, mcf_sup_heat_kernel)

@@ -129,10 +129,10 @@ def _emit(text, out):
 def _report_csv(report):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["name", "value", "expected", "tol", "pass", "err"])
+    w.writerow(["name", "value", "expected", "tol", "pass", "err", "error"])
     for c in report.checks:
         w.writerow([c.name, _fmt(c.value), _fmt(c.expected), _fmt(c.tol),
-                    str(c.passed).lower(), _fmt(c.err)])
+                    str(c.passed).lower(), _fmt(c.err), c.error or ""])
     return buf.getvalue()
 
 

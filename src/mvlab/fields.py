@@ -36,7 +36,8 @@ class TestField:
     ``omega`` is a unit direction (``None`` means the first axis).  The
     ``mean_*`` callbacks take ``(rho, t)`` and return exact averages over the
     geodesic sphere of radius ``rho`` of v, of Delta v and of the heat
-    operator ``(d/dt - Delta) v``.
+    operator ``(d/dt - Delta) v``; ``mean_value`` and ``mean_heat_op`` also
+    take numpy arrays (a matrix of radii and a column of times).
     """
 
     name: str
@@ -54,6 +55,11 @@ class TestField:
         return self.value(0.0, t, None)
 
 
+def _np(x):
+    """numpy for an array of quadrature nodes; math, bit for bit, for a scalar."""
+    return np if isinstance(x, np.ndarray) else math
+
+
 def _e1(omega, idx):
     if omega is None:
         return 1.0 if idx == 0 else 0.0
@@ -65,6 +71,8 @@ def _sphere_mean_exp_cos(n, b):
 
     Equals Gamma(n/2) (2/b)^(n/2-1) I_{n/2-1}(b); series branch for small b.
     """
+    if isinstance(b, np.ndarray):  # a matrix of quadrature nodes
+        return np.vectorize(lambda c: _sphere_mean_exp_cos(n, c))(b)
     if n == 1:
         return math.cosh(b)
     nu = n / 2.0 - 1.0
@@ -157,10 +165,10 @@ def make_field(name, geom, **params):
 
         def lap(rho, t=0.0, omega=None):
             if geom.kind == HYPERBOLIC:
-                if rho == 0.0:
+                if _np(rho) is math and rho == 0.0:
                     return 2.0 * n
                 kr = geom.k * rho
-                return 2.0 + 2.0 * (n - 1) * kr / math.tanh(kr)
+                return 2.0 + 2.0 * (n - 1) * kr / _np(kr).tanh(kr)
             return 2.0 * n
 
         return TestField(
@@ -215,7 +223,7 @@ def make_field(name, geom, **params):
         def mean(rho, t=0.0):
             s = t + s0
             b = rho * a / (2.0 * s)
-            pref = (4.0 * math.pi * s) ** (-n / 2.0) * math.exp(
+            pref = (4.0 * math.pi * s) ** (-n / 2.0) * _np(b).exp(
                 -(rho * rho + a * a) / (4.0 * s))
             return pref * _sphere_mean_exp_cos(n, b)
 
@@ -248,77 +256,19 @@ def make_field(name, geom, **params):
             raise UnsupportedError("exp-radial needs (n-1)k >= 1 to be superharmonic")
 
         def lap(rho, t=0.0, omega=None):
-            if rho == 0.0:
+            m = _np(rho)
+            if m is math and rho == 0.0:
                 return -math.inf  # cone point; never sampled in quadrature
-            kr = geom.k * rho
-            return math.exp(-rho) * (1.0 - (n - 1) * geom.k / math.tanh(kr))
+            return m.exp(-rho) * (1.0 - (n - 1) * geom.k / m.tanh(geom.k * rho))
 
         return TestField(
             name, geom,
             value=lambda rho, t=0.0, omega=None: math.exp(-rho),
             laplacian=lap,
             dt=lambda rho, t=0.0, omega=None: 0.0,
-            mean_value=lambda rho, t=0.0: math.exp(-rho),
+            mean_value=lambda rho, t=0.0: _np(rho).exp(-rho),
             mean_laplacian=lap,
             mean_heat_op=lambda rho, t=0.0: -lap(rho, t),
             tags=(SUPERHARMONIC,))
 
     raise UnsupportedError(f"unknown field '{name}'")
-
-
-_SIGN_CHECKS = {
-    HARMONIC: lambda lap, heat: abs(lap),
-    SUPERHARMONIC: lambda lap, heat: max(lap, 0.0),
-    SUBHARMONIC: lambda lap, heat: max(-lap, 0.0),
-    CALORIC: lambda lap, heat: abs(heat),
-    SUPERCALORIC: lambda lap, heat: max(-heat, 0.0),
-    SUBCALORIC: lambda lap, heat: max(heat, 0.0),
-    NONE: lambda lap, heat: 0.0,
-}
-
-
-def classification_check(field, samples):
-    """Max violation of the field's sign tags over the given sample points.
-
-    Samples are (rho, t, omega) triples or SpaceTimePoint-like objects.
-    Returns 0.0 when every tag's sign condition holds everywhere.
-    """
-    if not samples:
-        raise ValueError("need at least one sample")
-    worst = 0.0
-    for s in samples:
-        if hasattr(s, "rho"):
-            rho, t, omega = s.rho, s.t, getattr(s, "omega", None)
-        else:
-            rho, t, omega = (tuple(s) + (None,))[:3]
-        lap = field.laplacian(rho, t, omega)
-        heat = field.dt(rho, t, omega) - lap
-        for tag in field.tags:
-            worst = max(worst, _SIGN_CHECKS[tag](lap, heat))
-    return worst
-
-
-def angular_quadrature_mean(field, rho, t=0.0, order=48):
-    """Fixed-order quadrature oracle for the sphere-mean callbacks.
-
-    Product Gauss rule over the unit sphere in dimensions 1..3 (catalog
-    fields on curved models are radial, so higher n never needs it).
-    """
-    n = field.geom.n
-    if n == 1:
-        return 0.5 * (field.value(rho, t, (1.0,)) + field.value(rho, t, (-1.0,)))
-    if n == 2:
-        thetas = (np.arange(order) + 0.5) * (2.0 * math.pi / order)
-        vals = [field.value(rho, t, (math.cos(a), math.sin(a))) for a in thetas]
-        return float(np.mean(vals))
-    if n == 3:
-        xs, ws = np.polynomial.legendre.leggauss(order)
-        phis = (np.arange(order) + 0.5) * (2.0 * math.pi / order)
-        total = 0.0
-        for c, w in zip(xs, ws):
-            s = math.sqrt(1.0 - c * c)
-            ring = np.mean([field.value(rho, t, (c, s * math.cos(p), s * math.sin(p)))
-                            for p in phis])
-            total += w * ring
-        return total / 2.0
-    raise UnsupportedError("angular quadrature oracle only for n <= 3")

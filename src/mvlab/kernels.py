@@ -15,14 +15,18 @@ All parabolic kernels expose derivatives at fixed *manifold* point: on an
 evolving geometry the time derivative is taken at fixed comoving coordinate.
 They also evaluate one backward time at a time: ``kernel.at(tau)`` is a
 `KernelSlice`, and the exact heat kernel's formulas are written once, in its
-`HeatSlice`.
+`HeatSlice`.  Given a column array of times, ``kernel.at`` returns the
+slices as one object whose methods take a matrix of radii, one row per
+slice, for the batched slice quadrature of `regions.ball_integrate`.
 
 Kernels invert ``kernel = r^(-n)`` (``level_radius``, ``tau_max``, ``profile_x``)
 where it has a closed form and return None where `regions` must solve for it.
 """
 
+import functools
 import math
 
+import numpy as np
 from scipy.special import lambertw
 
 from .errors import DomainError, UnsupportedError
@@ -198,13 +202,16 @@ class ParabolicKernel:
         self._roots = {}
 
     def _check_tau(self, tau):
-        if tau <= 0:
-            raise DomainError("backward time tau must be positive")
-        self.geom.check_time(-tau)
+        # a column of slices is checked at its ends
+        for end in (tau.min(), tau.max()) if isinstance(tau, np.ndarray) else (tau,):
+            if end <= 0:
+                raise DomainError("backward time tau must be positive")
+            self.geom.check_time(-end)
 
     def at(self, tau):
-        """The kernel on the time slice tau; raises DomainError off the domain."""
-        return KernelSlice(self, tau)
+        """The kernel on the time slice tau, or on each slice of a column
+        array of times; raises DomainError off the domain."""
+        return (KernelSlices if isinstance(tau, np.ndarray) else KernelSlice)(self, tau)
 
     def tau_max(self, r):
         return None  # top time of {kernel > r^(-n)}: no closed form
@@ -235,20 +242,6 @@ class ParabolicKernel:
     def liyau(self, rho, tau):
         return self.liyau_cm(self.x_of_rho(rho, tau), tau)
 
-    def mass(self, tau):
-        """Spatial integral of the kernel at backward time tau."""
-        sl = self.at(tau)
-        area = unit_sphere_area(self.n)
-
-        def f(x):
-            return sl.value_cm(x) * area * sl.warp(x) ** (self.n - 1) * sl.sm
-
-        hi = self.geom.x_max(-tau)
-        if math.isinf(hi):
-            hi = 2.0 * math.sqrt(4.0 * tau * 745.0)  # exp underflow horizon
-        val, _ = integrate_1d(f, 0.0, hi, epsabs=1e-10, epsrel=1e-9)
-        return val
-
 
 class KernelSlice:
     """A parabolic kernel at one backward time tau, as functions of the
@@ -259,7 +252,7 @@ class KernelSlice:
     on tau alone.  This generic slice calls the kernel's per-point methods.
 
     * ``value_cm(x)`` and ``sample(x)`` evaluate at x itself; they serve the
-      level set (profile roots, surface samples, caps, masses).
+      level set (profile roots and surface samples).
     * ``value(x)``, ``grad(x, v)`` and ``liyau(x)`` evaluate at the geodesic
       radius ``rho(x)``, as the radius-based kernel methods do; on an evolving
       model that is the point ``x_of_rho(rho_of_x(x))``, at most an ulp from
@@ -302,12 +295,31 @@ class KernelSlice:
         return self.kern.liyau_cm(self._node(x), self.tau)
 
 
+class KernelSlices:
+    """`KernelSlice`s on a column of times tau: row i of a matrix of radii
+    lies on the slice tau[i].  ``rho``, ``warp``, ``value``, ``grad`` and
+    ``liyau`` call the `KernelSlice` method of the same name node by node."""
+
+    def __init__(self, kern, tau):
+        self.rows = [KernelSlice(kern, t) for t in tau.ravel().tolist()]
+        self.tau, self.t = tau, -tau
+        self.sm = np.array([[sl.sm] for sl in self.rows])
+        for name in ("rho", "warp", "value", "grad", "liyau"):
+            setattr(self, name, functools.partial(self._map, getattr(KernelSlice, name)))
+
+    def _map(self, method, x, v=None):
+        return np.array([[method(sl, xi) for xi in row]
+                         for sl, row in zip(self.rows, x.tolist())])
+
+
 class HeatSlice(KernelSlice):
     """The exact heat kernel on one time slice; its formulas live here only.
 
     The models are static, so x is the geodesic radius and both families of
-    `KernelSlice` coincide.
+    `KernelSlice` coincide.  `HeatSlices` holds the numpy forms.
     """
+
+    _exp = staticmethod(math.exp)
 
     def __init__(self, kern, tau):
         super().__init__(kern, tau)
@@ -316,7 +328,7 @@ class HeatSlice(KernelSlice):
         self.pref = (4.0 * math.pi * tau) ** (-n / 2.0)
         self.four_tau = 4.0 * tau
         self.two_tau = 2.0 * tau
-        self.decay = math.exp(-k ** 2 * tau)
+        self.decay = self._exp(-k ** 2 * tau)
         self.dtau0 = -n / (2.0 * tau)
         self.four_tau2 = 4.0 * tau * tau
         self.warp = kern.geom.warp  # static: the orbit warp at every time
@@ -371,6 +383,37 @@ class HeatSlice(KernelSlice):
         return v, self.grad(x, v), self.dtau(x, v)
 
 
+class HeatSlices(HeatSlice):
+    """`HeatSlice` on a column of times tau, in numpy forms: row i of a
+    matrix of radii lies on the slice tau[i].  The branches of the H3
+    formulas are taken node by node with np.where."""
+
+    _exp = staticmethod(np.exp)
+
+    def __init__(self, kern, tau):
+        super().__init__(kern, tau)
+        self.warp = (lambda x: x) if self.k == 0.0 else lambda x: np.sinh(self.k * x) / self.k
+
+    def value(self, x):
+        gauss = self.pref * np.exp(-x * x / self.four_tau)
+        if self.k == 0.0:
+            return gauss
+        kx = self.k * x
+        ratio = np.where(kx > 1e-8, kx / np.sinh(kx), 1.0 - kx * kx / 6.0)
+        return gauss * ratio * self.decay
+
+    value_cm = value
+
+    def dlog(self, x):
+        k = self.k
+        if k == 0.0:
+            return -x / self.two_tau
+        kx = k * x
+        dlog = np.where(kx > 1e-4, 1.0 / x - k / np.tanh(kx),
+                        -k ** 2 * x / 3.0 + k ** 4 * x ** 3 / 45.0)
+        return dlog - x / self.two_tau
+
+
 class HeatKernel(ParabolicKernel):
     """Exact heat kernel: flat models for every n, hyperbolic models for n = 3.
 
@@ -393,7 +436,7 @@ class HeatKernel(ParabolicKernel):
             raise UnsupportedError("exact heat kernels need a static model")
 
     def at(self, tau):
-        return HeatSlice(self, tau)
+        return (HeatSlices if isinstance(tau, np.ndarray) else HeatSlice)(self, tau)
 
     def value_cm(self, x, tau):
         return self.at(tau).value(x)

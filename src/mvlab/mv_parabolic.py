@@ -23,7 +23,9 @@ iterated correction is the single integral
 
 `_j_term` and `_i_term` evaluate J_v and I_v over a region built once by
 the caller; `_heat_op_ball_term` integrates a weight of the kernel against
-(d/dt - Delta) v over it, for both corrections.
+(d/dt - Delta) v over it, for the sphere form's correction.  The ball form
+sums its correction into the I_v integrand (`_i_density`): one pass.  Volume
+integrands map a matrix of radii, one row per time slice, to numpy arrays.
 
 The monotone surface quantity for a kernel K (Li-Yau numerator) is
 
@@ -108,12 +110,13 @@ def _j_term(kernel, field, region):
     return surf + rv / scale, e1 + e2 / scale
 
 
-def _i_term(kernel, field, region):
-    """I_v over the region: (1/r^n) int (|grad log K|^2 + R log(K r^n)) v."""
+def _i_density(kernel, field, region, correction=False):
+    """Integrand of r^n I_v, (|grad log K|^2 + R log(K r^n)) v; with
+    ``correction`` plus the Fubini-collapsed heat-ball correction
+    (e^psi - 1 - psi) (d/dt - Delta) v, where e^psi = K r^n."""
     geom = kernel.geom
     scale = region.r ** kernel.n
     logr_n = kernel.n * math.log(region.r)
-
     static = geom.is_static
 
     def f(sl):
@@ -121,11 +124,21 @@ def _i_term(kernel, field, region):
             rho, val = sl.rho(x), sl.value(x)
             out = (sl.grad(x, val) / val) ** 2
             if not static:
-                out += geom.scalar_R(rho, sl.t) * (math.log(val) + logr_n)
-            return out * field.mean_value(rho, sl.t)
+                out = out + geom.scalar_R(rho, sl.t) * (np.log(val) + logr_n)
+            out = out * field.mean_value(rho, sl.t)
+            if correction:  # e^psi - 1 - psi with e^psi = q = K r^n
+                q = val * scale
+                out = out + (q - 1.0 - np.log(q)) * field.mean_heat_op(rho, sl.t)
+            return out
         return g
 
-    val, err = ball_integrate(region, f, **_eps(kernel))
+    return f
+
+
+def _i_term(kernel, field, region):
+    """I_v over the region: (1/r^n) int (|grad log K|^2 + R log(K r^n)) v."""
+    scale = region.r ** kernel.n
+    val, err = ball_integrate(region, _i_density(kernel, field, region), **_eps(kernel))
     return val / scale, err / scale
 
 
@@ -144,12 +157,9 @@ def mv_heat_ball(kernel, field, r):
     """Heat-ball mean value theorem; returns (lhs, rhs, residual)."""
     region = heatball_profile(kernel, r)
     lhs = field.center_value(0.0)
-    rhs, _ = _i_term(kernel, field, region)
-    level = region.level
-    # (e^psi - 1 - psi) / r^n, where e^psi = K r^n = K / level
-    corr, _ = _heat_op_ball_term(kernel, field, region, lambda k: level * (
-        k / level - 1.0 - math.log(k / level)))
-    rhs += corr
+    # I_v and its correction in one pass over the region
+    density = _i_density(kernel, field, region, "caloric" not in field.tags)
+    rhs = ball_integrate(region, density, **_eps(kernel))[0] / r ** kernel.n
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -1,13 +1,15 @@
-"""Tanh-sinh quadrature for the level-set time integrals, scipy's adaptive
-Gauss-Kronrod for the rest; both return ``(value, error_estimate)``.
+"""Tanh-sinh quadrature for the level-set time integrals, the fixed 21-point
+Gauss-Kronrod rule for batches of time slices and scipy's adaptive
+Gauss-Kronrod for the rest; all return values with error estimates.
 
 The parabolic level-set integrals have integrable endpoint singularities at
 both ends of the time interval (a square root at the top, a ``sqrt(log)``
 factor at the bottom); the double-exponential rule `integrate_de` absorbs
 both.  It rewrites ``scipy.integrate.tanhsinh`` (scipy 1.17.1, minlevel 2,
-maxlevel 10, finite a < b) for scalar integrands, bit for bit in integral
-and error (scipy is its test oracle), without scipy's array bookkeeping, its
-extra midpoint evaluation and the evaluations at zero weight.
+maxlevel 10, finite a < b), bit for bit in integral and error (scipy is its
+test oracle), without scipy's array bookkeeping, its extra midpoint
+evaluation and the evaluations at zero weight.  `qk21` is QUADPACK's QK21
+(Piessens et al. 1983) on the rows of a matrix of integrand values.
 """
 
 import math
@@ -47,8 +49,9 @@ _LEVELS = [(np.stack((-xjc, xjc)), np.stack((wj, wj))) for xjc, wj in _LEVELS]
 
 
 def integrate_de(f, a, b, atol=DEFAULT_EPSABS, rtol=DEFAULT_EPSREL):
-    """Double-exponential (tanh-sinh) quadrature of a scalar function on a < b.
+    """Double-exponential (tanh-sinh) quadrature of a function on a < b.
 
+    ``f`` maps the 1-d array of one level's nodes to the array of its values.
     Robust against integrable endpoint singularities (inverse square roots,
     logarithms); the caller is responsible for guarding evaluations in the
     sub-double-precision slivers next to the endpoints.  A non-finite value
@@ -61,7 +64,7 @@ def integrate_de(f, a, b, atol=DEFAULT_EPSABS, rtol=DEFAULT_EPSREL):
             x, w = alpha * _LEVELS[n][0] + ab, alpha * _LEVELS[n][1]
             w[(x <= a) | (x >= b)] = 0.0
             fx = np.full(x.shape, math.nan)
-            fx[w != 0] = [f(t) for t in x[w != 0].tolist()]
+            fx[w != 0] = f(x[w != 0])
             bad = ~np.isfinite(fx)
             # outermost finite node of each side, the left one in -x
             y = np.where(bad, -math.inf, x * [[1.0], [-1.0]])
@@ -85,6 +88,36 @@ def integrate_de(f, a, b, atol=DEFAULT_EPSABS, rtol=DEFAULT_EPSREL):
                 break
             sums.append(s)
     return float(s), float(err)
+
+
+# QK21 on [-1, 1] (QUADPACK's dqk21 data): abscissae x >= 0 in decreasing
+# order, their Kronrod weights, and the 10-point Gauss weights (0 off x[1::2])
+_XK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+       0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+       0.2943928627014602, 0.14887433898163122, 0.0)
+_WK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+       0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+       0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_WG = (0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204,
+       0.0, 0.26926671930999635, 0.0, 0.29552422471475287, 0.0)
+QK21_NODES = np.concatenate((np.negative(_XK), _XK[-2::-1]))  # increasing
+_QK21_W = np.array([_WK + _WK[-2::-1], _WG + _WG[-2::-1]]).T
+
+
+def qk21(fx, half):
+    """QK21 on each row of ``fx``, the integrand at ``center + half * QK21_NODES``.
+
+    Returns (integrals, error estimates) per row with QUADPACK's estimate:
+    the Kronrod-Gauss difference scaled against the spread of the integrand
+    and floored at 50 ulps of the integral of its magnitude.
+    """
+    rk, rg = (fx @ _QK21_W).T
+    resasc = abs(fx - rk[:, None] / 2) @ _QK21_W[:, 0] * half
+    err = abs(rk - rg) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((resasc != 0) & (err != 0),
+                       resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+    return rk * half, np.maximum(err, 50.0 * _EPS * (abs(fx) @ _QK21_W[:, 0]) * half)
 
 
 def integrate_1d(f, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL,

@@ -65,9 +65,6 @@ class LGeodesic:
     def u_end(self):
         return float(self.us[-1])
 
-    def rho_end(self, flow):
-        return flow.rho_of_x(self.x_end, -self.tau_bar)
-
 
 def _rhs(flow, sigma, state):
     x, u = state[0], state[1]

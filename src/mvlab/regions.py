@@ -13,10 +13,16 @@ A parabolic region is foliated by time slices: every quadrature node,
 profile root and surface sample lives at one backward time tau.  The engines
 therefore evaluate the kernel through its slice ``kernel.at(tau)``
 (`kernels.KernelSlice`), which checks tau once and holds what depends on tau
-alone, and `ball_integrate` takes a parabolic integrand as a factory
-``integrand(slice) -> g(x)`` over the comoving radius of that slice.
-Profile roots live on the kernel, by level parameter, so regions rebuilt at
-the same level share them.
+alone.  Profile roots live on the kernel, by level parameter, so regions
+rebuilt at the same level share them.
+
+`ball_integrate` integrates over a heat ball one tanh-sinh level at a time:
+the level's times become one column slice ``kernel.at(tau[:, None])``, a
+parabolic integrand is a factory ``integrand(slice) -> g(x)`` called on it
+once, and g maps a (slices x 21) matrix of comoving radii to its values.
+Each slice takes QK21 with QUADPACK's error estimate (`quad.qk21`); pieces
+over their share of the tolerance are bisected and evaluated again, all in
+one batch.
 
 Surface integrals over a parabolic level set use the space-time area element
 of g(t) + dt^2.  Along the profile the metric-normal speed of the level
@@ -37,13 +43,14 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, NoRegionError
 from .geometry import unit_sphere_area
-from .quad import integrate_1d, integrate_de
+from .quad import QK21_NODES, integrate_1d, integrate_de, qk21
 
 ROOT_XTOL = 1e-14
 # relative slivers next to tau = 0 and tau = tau_max excluded from
 # double-exponential nodes; their contribution is below double precision
 TIME_CLIP_LO = 1e-18
 TIME_CLIP_HI = 1e-13
+_DEPTH = 8  # bisections of a slice piece before its QK21 estimate is taken as is
 
 
 @dataclass(frozen=True)
@@ -225,12 +232,13 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
     """Integral of ``integrand`` against the volume measure of the region.
 
     Elliptic: ``integrand(rho)`` over the ball (weight: sphere area).
-    Parabolic: ``integrand`` is a factory called once per time slice with
-    the kernel's `KernelSlice` at that tau; it returns ``g(x)``, the
-    integrand along the slice as a function of the comoving radius x (the
-    slice gives the geodesic radius ``rho(x)``, the time ``t`` and the kernel
-    data).  The weight is sphere area times d mu d tau.  Returns
-    (value, error_estimate).
+    Parabolic: ``integrand`` is a factory called once per batch of time
+    slices with the kernel's column slice at those times; it returns
+    ``g(x)``, the integrand on a matrix of comoving radii x, one row per
+    slice (the slice gives the geodesic radius ``rho(x)``, the times ``t``
+    and the kernel data).  The weight is sphere area times d mu d tau, and
+    the error is the tanh-sinh estimate plus tau_max times the largest slice
+    estimate.  Returns (value, error_estimate).
     """
     if not region.parabolic:
         geom = region.kernel.geom
@@ -242,32 +250,57 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
         return integrate_1d(f, 0.0, region.rho_star, epsabs=epsabs,
                             epsrel=epsrel)
 
-    kern = region.kernel
-    n = kern.n
-    area = unit_sphere_area(n)
     tau_max = region.tau_max
+    worst = 0.0  # largest slice error estimate
 
-    def slice_integral(tau):
-        if tau <= tau_max * TIME_CLIP_LO or tau >= tau_max * (1.0 - TIME_CLIP_HI):
-            return 0.0
-        x_hi = region.profile_x(tau)
-        if x_hi <= 0.0:
-            return 0.0
-        sl = kern.at(tau)
-        g, warp, sm = integrand(sl), sl.warp, sl.sm
+    def slices(taus):
+        nonlocal worst
+        out = np.zeros(taus.shape)
+        inner = np.flatnonzero((taus > tau_max * TIME_CLIP_LO)
+                               & (taus < tau_max * (1.0 - TIME_CLIP_HI)))
+        x_hi = np.array([region.profile_x(t) for t in taus[inner].tolist()])
+        inner, x_hi = inner[x_hi > 0.0], x_hi[x_hi > 0.0]
+        if inner.size:
+            out[inner], err = _slice_integrals(
+                region.kernel, integrand, taus[inner], x_hi,
+                0.1 * epsabs, max(0.1 * epsrel, 1e-10))
+            worst = max(worst, float(err.max()))
+        return out
 
-        def f(x):
-            return g(x) * area * warp(x) ** (n - 1) * sm
+    val, err = integrate_de(slices, 0.0, tau_max, atol=epsabs, rtol=epsrel)
+    # the tanh-sinh weights are positive and sum to tau_max
+    return val, err + tau_max * worst
 
-        val, _ = integrate_1d(f, 0.0, x_hi, epsabs=0.1 * epsabs,
-                              epsrel=max(0.1 * epsrel, 1e-10),
-                              limit=60)
-        return val
 
-    val, err = integrate_de(slice_integral, 0.0, tau_max,
-                            atol=epsabs, rtol=epsrel)
-    # inner quadratures run at a tenth of the outer tolerance
-    return val, err + 0.1 * (epsabs + epsrel * abs(val))
+def _slice_integrals(kern, integrand, tau, x_hi, epsabs, epsrel):
+    """Integrals of ``integrand`` over the slices {0 <= x <= x_hi} at times tau.
+
+    Every piece of every slice goes through QK21 in one batch: one column
+    slice ``kern.at(tau)`` and one (pieces x 21) matrix of radii.  A piece
+    whose error estimate exceeds its length's share of the slice tolerance
+    max(epsabs, epsrel |integral|) is bisected, and the halves form the next
+    batch, down to _DEPTH bisections.  Returns (integrals, error estimates).
+    """
+    area, n = unit_sphere_area(kern.n), kern.n
+    val, err = np.zeros(tau.size), np.zeros(tau.size)
+    owner, lo, hi, share = np.arange(tau.size), np.zeros(tau.size), x_hi, None
+    for depth in range(_DEPTH + 1):
+        sl = kern.at(tau[owner, None])
+        half = (hi - lo) / 2
+        x = (lo + half)[:, None] + half[:, None] * QK21_NODES
+        part, e = qk21(integrand(sl)(x) * area * sl.warp(x) ** (n - 1) * sl.sm, half)
+        if share is None:  # tolerance per unit radius, from the whole slice
+            share = np.maximum(epsabs, epsrel * abs(part)) / x_hi
+        done = (e <= share[owner] * 2 * half) | (depth == _DEPTH)
+        val += np.bincount(owner[done], part[done], tau.size)
+        err += np.bincount(owner[done], e[done], tau.size)
+        owner, lo, hi = owner[~done], lo[~done], hi[~done]
+        if not owner.size:
+            break
+        mid = (lo + hi) / 2
+        owner = np.repeat(owner, 2)
+        lo, hi = np.stack((lo, mid), 1).ravel(), np.stack((mid, hi), 1).ravel()
+    return val, err
 
 
 def sphere_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
@@ -301,7 +334,8 @@ def sphere_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
         measure = (math.hypot(grad, dtau) / grad) * area * sl.warp(x) ** (n - 1)
         return integrand(s) * measure
 
-    return integrate_de(f, 0.0, tau_max, atol=epsabs, rtol=epsrel)
+    return integrate_de(lambda taus: np.array([f(t) for t in taus.tolist()]),
+                        0.0, tau_max, atol=epsabs, rtol=epsrel)
 
 
 def cap_integral(region, v_mean, s):
@@ -309,18 +343,13 @@ def cap_integral(region, v_mean, s):
 
     Computes the integral of v * (kernel - level) over the part of the slice
     inside the region; as s -> 0 it converges to the center value of v.
+    ``v_mean(rho, t)`` takes arrays, as the slice quadrature evaluates it on
+    a row of radii.
     """
     if not (0.0 < s < region.tau_max):
         raise DomainError("slice must lie strictly inside the region")
-    n = region.kernel.n
-    area = unit_sphere_area(n)
-    sl = region.kernel.at(s)
-    x_hi = region.profile_x(s)
     level = region.level
-
-    def f(x):
-        return (v_mean(sl.rho(x), sl.t) * (sl.value_cm(x) - level)
-                * area * sl.warp(x) ** (n - 1) * sl.sm)
-
-    val, _ = integrate_1d(f, 0.0, x_hi, epsabs=1e-11, epsrel=1e-9)
-    return val
+    val, _ = _slice_integrals(
+        region.kernel, lambda sl: lambda x: v_mean(sl.rho(x), sl.t) * (sl.value(x) - level),
+        np.array([s]), np.array([region.profile_x(s)]), 1e-11, 1e-9)
+    return float(val[0])

@@ -14,14 +14,15 @@ import pytest
 
 from mvlab.fields import make_field
 from mvlab.geometry import (SpaceTimePoint, spacetime_christoffels,
-                            spacetime_christoffels_fd, spacetime_divergence,
-                            spacetime_divergence_fd)
+                            spacetime_divergence)
 from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                            SubGreenKernel, SubHeatKernel, SupGreenKernel,
                            unit_sphere_area)
 from mvlab.quad import integrate_1d
 from mvlab import mv_elliptic as mve
 from mvlab import mv_parabolic as mvp
+
+from geometry_oracles import spacetime_christoffels_fd, spacetime_divergence_fd
 
 
 def report(num, title, ok, detail):

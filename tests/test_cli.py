@@ -1,6 +1,7 @@
 """Command line interface: exit codes, report schema, determinism, config
 precedence."""
 
+import csv
 import json
 import os
 import subprocess
@@ -58,7 +59,7 @@ def test_verify_exit_and_roundtrip(tmp_path):
     assert run_cli(["report", "--in", str(out), "--format", "csv",
                     "--out", str(csv_out)]) == 0
     lines = csv_out.read_text().splitlines()
-    assert lines[0] == "name,value,expected,tol,pass,err"
+    assert lines[0] == "name,value,expected,tol,pass,err,error"
     assert len(lines) == len(json.loads(out.read_text())["checks"]) + 1
 
     json_out = tmp_path / "rep2.json"
@@ -93,6 +94,14 @@ def test_failed_check_records_error(tmp_path, monkeypatch):
     assert run_cli(["report", "--in", str(rep), "--format", "json",
                     "--out", str(again)]) == 1
     assert again.read_bytes() == rep.read_bytes()
+
+    # the CSV form keeps the reason too, and leaves it empty on a pass
+    table = tmp_path / "rep.csv"
+    assert run_cli(["report", "--in", str(rep), "--format", "csv",
+                    "--out", str(table)]) == 1
+    rows = list(csv.DictReader(table.read_text().splitlines()))
+    assert [row["error"] for row in rows] == [failed["error"], ""]
+    assert rows[0]["pass"] == "false" and rows[1]["pass"] == "true"
 
 
 def test_sweep_deterministic(tmp_path):

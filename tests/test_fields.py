@@ -7,11 +7,70 @@ import numpy as np
 import pytest
 
 from mvlab.errors import UnsupportedError
-from mvlab.fields import angular_quadrature_mean, classification_check, make_field
+from mvlab.fields import (CALORIC, HARMONIC, NONE, SUBCALORIC, SUBHARMONIC,
+                          SUPERCALORIC, SUPERHARMONIC, make_field)
 
 EUCLIDEAN_FIELDS = ["constant-1", "linear", "harmonic-quadratic",
                     "subharmonic", "superharmonic", "caloric-quadratic",
                     "gaussian-translate"]
+
+
+_SIGN_CHECKS = {
+    HARMONIC: lambda lap, heat: abs(lap),
+    SUPERHARMONIC: lambda lap, heat: max(lap, 0.0),
+    SUBHARMONIC: lambda lap, heat: max(-lap, 0.0),
+    CALORIC: lambda lap, heat: abs(heat),
+    SUPERCALORIC: lambda lap, heat: max(-heat, 0.0),
+    SUBCALORIC: lambda lap, heat: max(heat, 0.0),
+    NONE: lambda lap, heat: 0.0,
+}
+
+
+def classification_check(field, samples):
+    """Max violation of the field's sign tags over the given sample points.
+
+    Samples are (rho, t, omega) triples or SpaceTimePoint-like objects.
+    Returns 0.0 when every tag's sign condition holds everywhere.
+    """
+    if not samples:
+        raise ValueError("need at least one sample")
+    worst = 0.0
+    for s in samples:
+        if hasattr(s, "rho"):
+            rho, t, omega = s.rho, s.t, getattr(s, "omega", None)
+        else:
+            rho, t, omega = (tuple(s) + (None,))[:3]
+        lap = field.laplacian(rho, t, omega)
+        heat = field.dt(rho, t, omega) - lap
+        for tag in field.tags:
+            worst = max(worst, _SIGN_CHECKS[tag](lap, heat))
+    return worst
+
+
+def angular_quadrature_mean(field, rho, t=0.0, order=48):
+    """Fixed-order quadrature oracle for the sphere-mean callbacks.
+
+    Product Gauss rule over the unit sphere in dimensions 1..3 (catalog
+    fields on curved models are radial, so higher n never needs it).
+    """
+    n = field.geom.n
+    if n == 1:
+        return 0.5 * (field.value(rho, t, (1.0,)) + field.value(rho, t, (-1.0,)))
+    if n == 2:
+        thetas = (np.arange(order) + 0.5) * (2.0 * math.pi / order)
+        vals = [field.value(rho, t, (math.cos(a), math.sin(a))) for a in thetas]
+        return float(np.mean(vals))
+    if n == 3:
+        xs, ws = np.polynomial.legendre.leggauss(order)
+        phis = (np.arange(order) + 0.5) * (2.0 * math.pi / order)
+        total = 0.0
+        for c, w in zip(xs, ws):
+            s = math.sqrt(1.0 - c * c)
+            ring = np.mean([field.value(rho, t, (c, s * math.cos(p), s * math.sin(p)))
+                            for p in phis])
+            total += w * ring
+        return total / 2.0
+    raise UnsupportedError("angular quadrature oracle only for n <= 3")
 
 
 def _fd_laplacian_euclidean(field, y, t, h=1e-4):
@@ -95,6 +154,23 @@ def test_sphere_means_match_angular_quadrature(name, n, rng):
         oracle = angular_quadrature_mean(field, rho, t, order=48)
         worst = max(worst, abs(oracle - field.mean_value(rho, t)))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("name,model", [
+    ("constant-1", "e2"), ("superharmonic", "e2"), ("caloric-quadratic", "e3"),
+    ("gaussian-translate", "e2"), ("gaussian-translate", "e3"),
+    ("subharmonic", "h3"), ("exp-radial", "h3")])
+def test_sphere_means_take_node_matrices(name, model, request):
+    # heat-ball integrands call mean_value and mean_heat_op on a matrix of
+    # radii and a column of times; the scalar (math) forms are the reference
+    field = make_field(name, request.getfixturevalue(model))
+    rho = np.array([[1e-7, 0.2, 0.9, 1.7], [0.05, 0.5, 1.1, 2.0]])
+    t = np.array([[-0.01], [-0.3]])
+    for mean in (field.mean_value, field.mean_heat_op):
+        got = np.broadcast_to(mean(rho, t), rho.shape)
+        for (i, j), r in np.ndenumerate(rho):
+            assert got[i, j] == pytest.approx(mean(float(r), float(t[i, 0])),
+                                              rel=1e-14, abs=0.0)
 
 
 def test_gaussian_translate_mean_dt_consistency(e2):

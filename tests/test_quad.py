@@ -1,5 +1,8 @@
 """integrate_de against scipy.integrate.tanhsinh, bit for bit; integrate_1d
-against scipy.integrate.quad."""
+against scipy.integrate.quad.
+
+Both tanh-sinh routines take vectorised integrands.  The scalar integrands
+below go through `vectorised`, which evaluates them node by node."""
 
 import math
 import warnings
@@ -21,13 +24,18 @@ from mvlab.regions import TIME_CLIP_HI, TIME_CLIP_LO, heatball_profile
 SCIPY_ORACLE = "1.17.1"
 
 
-def scipy_de(f, a, b, atol, rtol):
-    """The oracle: scipy's tanhsinh over the scalar integrand, node by node."""
-    def vec(xs):
-        xs = np.asarray(xs)
-        return np.array([f(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+def vectorised(f):
+    """A scalar integrand under the array convention: one call per level."""
+    return lambda xs: np.array([f(x) for x in xs.tolist()])
 
-    res = tanhsinh(vec, a, b, atol=atol, rtol=rtol)
+
+def scipy_de(f, a, b, atol, rtol):
+    """The oracle: scipy's tanhsinh over the array integrand f, its node
+    arrays flattened to the 1-d arrays integrate_de passes."""
+    def flat(xs):
+        return f(np.ravel(xs)).reshape(np.shape(xs))
+
+    res = tanhsinh(flat, a, b, atol=atol, rtol=rtol)
     return float(res.integral), float(res.error), int(res.maxlevel)
 
 
@@ -65,17 +73,27 @@ def test_oracle_version():
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 def test_matches_scipy_bit_for_bit(name, atol, rtol):
     f, a, b = INTEGRANDS[name]
-    val, err, _ = scipy_de(f, a, b, atol, rtol)
-    assert integrate_de(f, a, b, atol=atol, rtol=rtol) == (val, err)
+    val, err, _ = scipy_de(vectorised(f), a, b, atol, rtol)
+    assert integrate_de(vectorised(f), a, b, atol=atol, rtol=rtol) == (val, err)
+
+
+@pytest.mark.parametrize("atol,rtol", TOLERANCES)
+def test_numpy_integrands_match_scipy(atol, rtol):
+    # integrands written in numpy, evaluated one level at a time by both
+    for f, a, b in [(lambda x: np.exp(-x) * np.sin(3.0 * x), 0.0, 2.0),
+                    (lambda x: np.log(x) / np.sqrt(x * (1.0 - x)), 0.0, 1.0),
+                    (lambda x: np.sinh(x) / x, 1e-3, 4.0)]:
+        assert integrate_de(f, a, b, atol=atol, rtol=rtol) == \
+            scipy_de(f, a, b, atol, rtol)[:2]
 
 
 def test_unconverged_at_maxlevel():
     def f(x):
         return math.sin(1.0 / x)
 
-    val, err, level = scipy_de(f, 0.0, 1.0, 1e-10, 1e-9)
+    val, err, level = scipy_de(vectorised(f), 0.0, 1.0, 1e-10, 1e-9)
     assert level == 10 and err > 1e-6
-    assert integrate_de(f, 0.0, 1.0, atol=1e-10, rtol=1e-9) == (val, err)
+    assert integrate_de(vectorised(f), 0.0, 1.0, atol=1e-10, rtol=1e-9) == (val, err)
 
 
 def test_random_integrands():
@@ -91,8 +109,8 @@ def test_random_integrands():
                     + abs(x - a) ** p)
 
         atol, rtol = 10.0 ** rng.uniform(-14, -6), 10.0 ** rng.uniform(-14, -6)
-        assert integrate_de(f, a, b, atol=atol, rtol=rtol) == \
-            scipy_de(f, a, b, atol, rtol)[:2]
+        assert integrate_de(vectorised(f), a, b, atol=atol, rtol=rtol) == \
+            scipy_de(vectorised(f), a, b, atol, rtol)[:2]
 
 
 @pytest.mark.parametrize("eps", [mvp._EPS_EXACT, mvp._EPS_SHOT],

@@ -1,6 +1,7 @@
 """Level regions: root quality, closed-form level sets against Brent roots,
-root-solve counts, quadrature engines, nesting, the co-area relation and the
-truncation-cap convergence."""
+root-solve counts, quadrature engines (the batched slice quadrature against
+scipy's quad, and its error estimates against oracles), nesting, the co-area
+relation and the truncation-cap convergence."""
 
 import math
 
@@ -8,11 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.optimize import brentq
 
+from mvlab import mv_parabolic as mvp
 from mvlab import regions
 from mvlab.errors import DomainError, NoRegionError
-from mvlab.geometry import FlowGeometry
+from mvlab.fields import make_field
+from mvlab.geometry import FlowGeometry, unit_sphere_area
 from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                            ParabolicKernel, SubGreenKernel, SubHeatKernel,
                            SupGreenKernel)
@@ -275,7 +279,8 @@ def test_profile_level_and_slope(e2):
 def test_watson_weight(e2):
     h = HeatKernel(e2)
     reg = heatball_profile(h, 1.0)
-    # parabolic integrands are factories: the slice at tau gives g(x)
+    # parabolic integrands are factories: a column slice of times gives g(x)
+    # on a matrix of radii, one row per slice
     def integrand(sl):
         def g(x):
             rho = sl.rho(x)
@@ -284,6 +289,109 @@ def test_watson_weight(e2):
 
     val, err = ball_integrate(reg, integrand)
     assert val == pytest.approx(1.0, abs=1e-6)
+
+
+# --------------------------------------------------------------------------- #
+# batched slice quadrature
+# --------------------------------------------------------------------------- #
+# slices from next to tau = 0, where the region is a few kernel widths across
+# and QK21 on the whole slice misses the tolerance, to next to the top
+SLICE_FRACS = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 0.9, 0.999,
+               1.0 - 1e-6, 1.0 - 1e-9]
+SLICE_TOL = (1e-11, 1e-10)   # what ball_integrate asks of a slice at _EPS_EXACT
+
+
+def slice_densities(geom, region):
+    """Slice integrands: K (d/dt - Delta) v on every model and, on flat ones,
+    the ball form's I_v plus its correction.
+
+    Both are well conditioned.  (K - level) loses the digits of K near the
+    profile, and H3's I_v density jumps by about 1e-10 relative where
+    ``HeatSlice.dlog`` changes formula at k x = 1e-4: neither QK21 nor the
+    oracle resolves those to 1e-12 of a slice.
+    """
+    name = "superharmonic" if geom.is_flat else "exp-radial"
+    field = make_field(name, geom)
+    out = [lambda sl: lambda x: sl.value(x) * field.mean_heat_op(sl.rho(x), sl.t)]
+    if geom.is_flat:
+        out.append(mvp._i_density(region.kernel, field, region, correction=True))
+    return out
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("model", ["e2", "e3", "h3"])
+def test_slice_integrals_match_quad(model, r, request):
+    geom = request.getfixturevalue(model)
+    kern = HeatKernel(geom)
+    region = heatball_profile(kern, r)
+    taus = region.tau_max * np.array(SLICE_FRACS)
+    x_hi = np.array([region.profile_x(t) for t in taus])
+    area = unit_sphere_area(kern.n)
+    for density in slice_densities(geom, region):
+        vals, errs = regions._slice_integrals(kern, density, taus, x_hi, *SLICE_TOL)
+        for tau, x_top, val, err in zip(taus, x_hi, vals, errs):
+            # the oracle integrates the same array integrand, one node at a time
+            sl = kern.at(np.array([[tau]]))
+            g = density(sl)
+
+            def f(x):
+                x = np.array([[x]])
+                return (g(x) * area * sl.warp(x) ** (kern.n - 1) * sl.sm).item()
+
+            oracle = integrate.quad(f, 0.0, x_top, epsabs=0.0, epsrel=2e-14,
+                                    limit=200)[0]
+            assert abs(val - oracle) <= 1e-12 * abs(oracle)
+            assert abs(val - oracle) <= err
+
+
+@pytest.mark.parametrize("model", ["e2", "e3", "h3"])
+def test_narrow_slices_bisect(model, request, monkeypatch):
+    # one QK21 over the narrowest slice misses the tolerance its bisected
+    # pieces meet
+    geom = request.getfixturevalue(model)
+    kern = HeatKernel(geom)
+    region = heatball_profile(kern, 1.0)
+    tau = np.array([1e-12 * region.tau_max])
+    x_top = np.array([region.profile_x(tau[0])])
+    density = slice_densities(geom, region)[0]
+    whole = regions._slice_integrals(kern, density, tau, x_top, *SLICE_TOL)
+    monkeypatch.setattr(regions, "_DEPTH", 0)
+    one_rule = regions._slice_integrals(kern, density, tau, x_top, *SLICE_TOL)
+    assert one_rule[1][0] > max(SLICE_TOL[0], SLICE_TOL[1] * abs(one_rule[0][0]))
+    assert whole[1][0] <= max(SLICE_TOL[0], SLICE_TOL[1] * abs(whole[0][0]))
+
+
+def test_parabolic_ball_integrate_is_not_adaptive(h3, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate_1d(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "integrate_1d", counted)
+    kern = HeatKernel(h3)
+    val, _ = ball_integrate(heatball_profile(kern, 1.0), lambda sl: sl.liyau)
+    assert calls == [] and val > 0.0
+    ball_integrate(green_ball(GreenKernel(FlowGeometry.euclidean(3)), 1.0),
+                   lambda rho: 1.0)
+    assert len(calls) == 1     # the elliptic radial integral stays adaptive
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(r=st.floats(0.4, 1.6), model=st.sampled_from(["e2", "e3", "h3"]))
+def test_heat_ball_error_is_true_and_informative(r, model):
+    # Ihat(0, r) = 1 on flat models; I_1 = 1 on the H3 heat ball
+    geom = {"e2": FlowGeometry.euclidean(2), "e3": FlowGeometry.euclidean(3),
+            "h3": FlowGeometry.hyperbolic(3)}[model]
+    kern = HeatKernel(geom)
+    if geom.is_flat:
+        value, err = mvp.ihat_quantity(kern, 0.0, r)
+    else:
+        value, err = mvp._i_term(kern, make_field("constant-1", geom),
+                                 heatball_profile(kern, r))
+    eps, scale = mvp._EPS_EXACT, r ** kern.n
+    tol = (eps["epsabs"] + eps["epsrel"] * scale) / scale
+    assert abs(value - 1.0) <= err <= tol
 
 
 class ComovingGauss(ParabolicKernel):
