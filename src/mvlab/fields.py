@@ -36,8 +36,8 @@ class TestField:
     ``omega`` is a unit direction (``None`` means the first axis).  The
     ``mean_*`` callbacks take ``(rho, t)`` and return exact averages over the
     geodesic sphere of radius ``rho`` of v, of Delta v and of the heat
-    operator ``(d/dt - Delta) v``; ``mean_value`` and ``mean_heat_op`` also
-    take numpy arrays (a matrix of radii and a column of times).
+    operator ``(d/dt - Delta) v``; the ``*_np`` forms take numpy arrays (radii
+    and times) and default to the scalar forms, where those are arithmetic.
     """
 
     name: str
@@ -50,14 +50,15 @@ class TestField:
     mean_heat_op: callable
     tags: tuple
     params: dict = dc_field(default_factory=dict)
+    mean_value_np: callable = None
+    mean_heat_op_np: callable = None
+
+    def __post_init__(self):  # a missing *_np form is the scalar form
+        for name in ("mean_value_np", "mean_heat_op_np"):
+            object.__setattr__(self, name, getattr(self, name) or getattr(self, name[:-3]))
 
     def center_value(self, t=0.0):
         return self.value(0.0, t, None)
-
-
-def _np(x):
-    """numpy for an array of quadrature nodes; math, bit for bit, for a scalar."""
-    return np if isinstance(x, np.ndarray) else math
 
 
 def _e1(omega, idx):
@@ -71,8 +72,6 @@ def _sphere_mean_exp_cos(n, b):
 
     Equals Gamma(n/2) (2/b)^(n/2-1) I_{n/2-1}(b); series branch for small b.
     """
-    if isinstance(b, np.ndarray):  # a matrix of quadrature nodes
-        return np.vectorize(lambda c: _sphere_mean_exp_cos(n, c))(b)
     if n == 1:
         return math.cosh(b)
     nu = n / 2.0 - 1.0
@@ -163,12 +162,12 @@ def make_field(name, geom, **params):
         # negatively curved models alike.
         _require(geom, flat + (HYPERBOLIC,), name)
 
-        def lap(rho, t=0.0, omega=None):
+        def lap(rho, t=0.0, omega=None, m=math):
             if geom.kind == HYPERBOLIC:
-                if _np(rho) is math and rho == 0.0:
+                if m is math and rho == 0.0:
                     return 2.0 * n
                 kr = geom.k * rho
-                return 2.0 + 2.0 * (n - 1) * kr / _np(kr).tanh(kr)
+                return 2.0 + 2.0 * (n - 1) * kr / m.tanh(kr)
             return 2.0 * n
 
         return TestField(
@@ -179,6 +178,7 @@ def make_field(name, geom, **params):
             mean_value=lambda rho, t=0.0: rho * rho,
             mean_laplacian=lap,
             mean_heat_op=lambda rho, t=0.0: -lap(rho, t),
+            mean_heat_op_np=lambda rho, t=0.0: -lap(rho, t, m=np),
             tags=(SUBHARMONIC,))
 
     if name == "superharmonic":
@@ -220,12 +220,13 @@ def make_field(name, geom, **params):
             d2 = rho * rho - 2.0 * rho * a * _e1(omega, 0) + a * a
             return (4.0 * math.pi * s) ** (-n / 2.0) * math.exp(-d2 / (4.0 * s))
 
-        def mean(rho, t=0.0):
+        def mean(rho, t=0.0, m=math):
             s = t + s0
             b = rho * a / (2.0 * s)
-            pref = (4.0 * math.pi * s) ** (-n / 2.0) * _np(b).exp(
+            pref = (4.0 * math.pi * s) ** (-n / 2.0) * m.exp(
                 -(rho * rho + a * a) / (4.0 * s))
-            return pref * _sphere_mean_exp_cos(n, b)
+            return pref * (_sphere_mean_exp_cos(n, b) if m is math
+                           else np.vectorize(_sphere_mean_exp_cos)(n, b))
 
         def mean_dt(rho, t=0.0):
             s = t + s0
@@ -247,6 +248,7 @@ def make_field(name, geom, **params):
             value=val, laplacian=lap, dt=lap,
             mean_value=mean, mean_laplacian=mean_dt,
             mean_heat_op=lambda rho, t=0.0: 0.0,
+            mean_value_np=lambda rho, t=0.0: mean(rho, t, m=np),
             tags=(CALORIC,), params={"a": a, "s0": s0})
 
     if name == "exp-radial":
@@ -255,8 +257,7 @@ def make_field(name, geom, **params):
         if (n - 1) * geom.k < 1.0:
             raise UnsupportedError("exp-radial needs (n-1)k >= 1 to be superharmonic")
 
-        def lap(rho, t=0.0, omega=None):
-            m = _np(rho)
+        def lap(rho, t=0.0, omega=None, m=math):
             if m is math and rho == 0.0:
                 return -math.inf  # cone point; never sampled in quadrature
             return m.exp(-rho) * (1.0 - (n - 1) * geom.k / m.tanh(geom.k * rho))
@@ -266,9 +267,11 @@ def make_field(name, geom, **params):
             value=lambda rho, t=0.0, omega=None: math.exp(-rho),
             laplacian=lap,
             dt=lambda rho, t=0.0, omega=None: 0.0,
-            mean_value=lambda rho, t=0.0: _np(rho).exp(-rho),
+            mean_value=lambda rho, t=0.0: math.exp(-rho),
             mean_laplacian=lap,
             mean_heat_op=lambda rho, t=0.0: -lap(rho, t),
+            mean_value_np=lambda rho, t=0.0: np.exp(-rho),
+            mean_heat_op_np=lambda rho, t=0.0: -lap(rho, t, m=np),
             tags=(SUPERHARMONIC,))
 
     raise UnsupportedError(f"unknown field '{name}'")

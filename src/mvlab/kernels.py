@@ -402,8 +402,6 @@ class HeatSlices(HeatSlice):
         ratio = np.where(kx > 1e-8, kx / np.sinh(kx), 1.0 - kx * kx / 6.0)
         return gauss * ratio * self.decay
 
-    value_cm = value
-
     def dlog(self, x):
         k = self.k
         if k == 0.0:

@@ -80,7 +80,7 @@ def _heat_op_ball_term(kernel, field, region, weight):
 
     def f(sl):
         value, rho, t = sl.value, sl.rho, sl.t
-        return lambda x: weight(value(x)) * field.mean_heat_op(rho(x), t)
+        return lambda x: weight(value(x)) * field.mean_heat_op_np(rho(x), t)
 
     return ball_integrate(region, f, **_eps(kernel))
 
@@ -96,7 +96,7 @@ def _scalar_R_ball_term(kernel, field, region):
 
         def g(x):
             r = rho(x)
-            return geom.scalar_R(r, t) * field.mean_value(r, t)
+            return geom.scalar_R(r, t) * field.mean_value_np(r, t)
         return g
 
     return ball_integrate(region, f, **_eps(kernel))
@@ -125,10 +125,10 @@ def _i_density(kernel, field, region, correction=False):
             out = (sl.grad(x, val) / val) ** 2
             if not static:
                 out = out + geom.scalar_R(rho, sl.t) * (np.log(val) + logr_n)
-            out = out * field.mean_value(rho, sl.t)
+            out = out * field.mean_value_np(rho, sl.t)
             if correction:  # e^psi - 1 - psi with e^psi = q = K r^n
                 q = val * scale
-                out = out + (q - 1.0 - np.log(q)) * field.mean_heat_op(rho, sl.t)
+                out = out + (q - 1.0 - np.log(q)) * field.mean_heat_op_np(rho, sl.t)
             return out
         return g
 
@@ -290,8 +290,7 @@ def truncation_convergence(kernel, field, r, s_values):
     """Cap integrals of v (K - level) at slices tau = s; tends to v(x0, 0)."""
     from .regions import cap_integral
     region = heatball_profile(kernel, r)
-    return [cap_integral(region, lambda rho, t: field.mean_value(rho, t), s)
-            for s in s_values]
+    return [cap_integral(region, field.mean_value_np, s) for s in s_values]
 
 
 # --------------------------------------------------------------------------- #

@@ -161,13 +161,14 @@ def test_sphere_means_match_angular_quadrature(name, n, rng):
     ("gaussian-translate", "e2"), ("gaussian-translate", "e3"),
     ("subharmonic", "h3"), ("exp-radial", "h3")])
 def test_sphere_means_take_node_matrices(name, model, request):
-    # heat-ball integrands call mean_value and mean_heat_op on a matrix of
-    # radii and a column of times; the scalar (math) forms are the reference
+    # heat-ball integrands call mean_value_np and mean_heat_op_np on a matrix
+    # of radii and a column of times; the scalar (math) forms are the reference
     field = make_field(name, request.getfixturevalue(model))
     rho = np.array([[1e-7, 0.2, 0.9, 1.7], [0.05, 0.5, 1.1, 2.0]])
     t = np.array([[-0.01], [-0.3]])
-    for mean in (field.mean_value, field.mean_heat_op):
-        got = np.broadcast_to(mean(rho, t), rho.shape)
+    for mean, mean_np in ((field.mean_value, field.mean_value_np),
+                          (field.mean_heat_op, field.mean_heat_op_np)):
+        got = np.broadcast_to(mean_np(rho, t), rho.shape)
         for (i, j), r in np.ndenumerate(rho):
             assert got[i, j] == pytest.approx(mean(float(r), float(t[i, 0])),
                                               rel=1e-14, abs=0.0)

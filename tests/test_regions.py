@@ -312,7 +312,7 @@ def slice_densities(geom, region):
     """
     name = "superharmonic" if geom.is_flat else "exp-radial"
     field = make_field(name, geom)
-    out = [lambda sl: lambda x: sl.value(x) * field.mean_heat_op(sl.rho(x), sl.t)]
+    out = [lambda sl: lambda x: sl.value(x) * field.mean_heat_op_np(sl.rho(x), sl.t)]
     if geom.is_flat:
         out.append(mvp._i_density(region.kernel, field, region, correction=True))
     return out
