@@ -11,6 +11,8 @@ area element.
 
 import math
 
+import numpy as np
+
 from mvlab import FlowGeometry, HeatKernel, heatball_profile, sphere_integrate
 from mvlab.fields import make_field
 from mvlab import mv_parabolic as mvp
@@ -35,7 +37,7 @@ for r in (0.5, 1.0):
 
 print("\nheat-sphere weight integrates to one:")
 val, err = sphere_integrate(region,
-                            lambda s: s.grad ** 2 / math.hypot(s.grad, s.dtau))
+                            lambda s: s.grad ** 2 / np.hypot(s.grad, s.dtau))
 print(f"  surface weight = {val:.12f} (err est {err:.1e})")
 
 print("\nsame theorem on a curved static model (hyperbolic 3-space):")

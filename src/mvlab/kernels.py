@@ -15,12 +15,13 @@ All parabolic kernels expose derivatives at fixed *manifold* point: on an
 evolving geometry the time derivative is taken at fixed comoving coordinate.
 They also evaluate one backward time at a time: ``kernel.at(tau)`` is a
 `KernelSlice`, and the exact heat kernel's formulas are written once, in its
-`HeatSlice`.  Given a column array of times, ``kernel.at`` returns the
-slices as one object whose methods take a matrix of radii, one row per
-slice, for the batched slice quadrature of `regions.ball_integrate`.
+`HeatSlice`.  Given an array of times, ``kernel.at`` returns the slices as
+one object: a column takes a matrix of radii, one row per slice (the
+batched quadrature of `regions`), a 1-d array one radius per slice.
 
 Kernels invert ``kernel = r^(-n)`` (``level_radius``, ``tau_max``, ``profile_x``)
-where it has a closed form and return None where `regions` must solve for it.
+where they can (closed forms; Newton for the H3 heat profile) and return
+None where `regions` must solve for it.
 """
 
 import functools
@@ -32,6 +33,8 @@ from scipy.special import lambertw
 from .errors import DomainError, UnsupportedError
 from .geometry import HYPERBOLIC, SHRINKING_SPHERE, unit_sphere_area
 from .quad import integrate_1d
+
+_NEWTON_STEPS = 8  # Newton steps of the H3 profile before a time goes to Brent
 
 EXACT_GREEN = "exact-green"
 SUB_GREEN = "sub-green"
@@ -209,8 +212,8 @@ class ParabolicKernel:
             self.geom.check_time(-end)
 
     def at(self, tau):
-        """The kernel on the time slice tau, or on each slice of a column
-        array of times; raises DomainError off the domain."""
+        """The kernel on the time slice tau, or on each slice of an array of
+        times; raises DomainError off the domain."""
         return (KernelSlices if isinstance(tau, np.ndarray) else KernelSlice)(self, tau)
 
     def tau_max(self, r):
@@ -296,20 +299,34 @@ class KernelSlice:
 
 
 class KernelSlices:
-    """`KernelSlice`s on a column of times tau: row i of a matrix of radii
-    lies on the slice tau[i].  ``rho``, ``warp``, ``value``, ``grad`` and
-    ``liyau`` call the `KernelSlice` method of the same name node by node."""
+    """`KernelSlice`s on an array of times tau (row i of a matrix of radii,
+    or entry i of an array, lies on the slice tau[i]): the methods call the
+    `KernelSlice` method of the same name node by node."""
 
     def __init__(self, kern, tau):
         self.rows = [KernelSlice(kern, t) for t in tau.ravel().tolist()]
         self.tau, self.t = tau, -tau
-        self.sm = np.array([[sl.sm] for sl in self.rows])
+        self.sm = np.reshape([sl.sm for sl in self.rows], tau.shape)
         for name in ("rho", "warp", "value", "grad", "liyau"):
             setattr(self, name, functools.partial(self._map, getattr(KernelSlice, name)))
 
     def _map(self, method, x, v=None):
-        return np.array([[method(sl, xi) for xi in row]
-                         for sl, row in zip(self.rows, x.tolist())])
+        rows = np.reshape(x, (len(self.rows), -1)).tolist()
+        return np.reshape([[method(sl, xi) for xi in row]
+                           for sl, row in zip(self.rows, rows)], np.shape(x))
+
+    def sample(self, x):  # one radius per slice
+        nodes = [sl.sample(xi) for sl, xi in zip(self.rows, np.ravel(x).tolist())]
+        return tuple(np.reshape(col, np.shape(x)) for col in zip(*nodes))
+
+
+def _coth_cf(u2):
+    """(u coth u - 1) / u^2 by Lambert's fraction u coth u = 1 + u^2 / (3 +
+    u^2 / (5 + ...)): seven levels are within 1.1e-16 relative for u <= 1."""
+    d = 17.0
+    for j in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0):
+        d = j + u2 / d
+    return 1.0 / d
 
 
 class HeatSlice(KernelSlice):
@@ -320,6 +337,14 @@ class HeatSlice(KernelSlice):
     """
 
     _exp = staticmethod(math.exp)
+
+    @staticmethod
+    def _sinhc(u):  # u / sinh u
+        return u / math.sinh(u) if u > 1e-8 else 1.0 - u * u / 6.0
+
+    @staticmethod
+    def _cothc(u):  # (u coth u - 1) / u^2; the direct form cancels below u = 1
+        return _coth_cf(u * u) if u < 1.0 else (u / math.tanh(u) - 1.0) / (u * u)
 
     def __init__(self, kern, tau):
         super().__init__(kern, tau)
@@ -337,27 +362,19 @@ class HeatSlice(KernelSlice):
         return x
 
     def value(self, x):
-        gauss = self.pref * math.exp(-x * x / self.four_tau)
-        k = self.k
-        if k == 0.0:
+        gauss = self.pref * self._exp(-x * x / self.four_tau)
+        if self.k == 0.0:
             return gauss
-        kx = k * x
-        ratio = kx / math.sinh(kx) if kx > 1e-8 else 1.0 - kx * kx / 6.0
-        return gauss * ratio * self.decay
+        return gauss * self._sinhc(self.k * x) * self.decay
 
     value_cm = value
 
     def dlog(self, x):
-        """d log H / dx; the series branch keeps 1/x - k coth(kx) accurate."""
-        k = self.k
-        if k == 0.0:
+        """d log H / dx = -x (k^2 (u coth u - 1) / u^2 + 1 / (2 tau)), u = k x:
+        two terms of one sign."""
+        if self.k == 0.0:
             return -x / self.two_tau
-        kx = k * x
-        if kx > 1e-4:
-            dlog = 1.0 / x - k / math.tanh(kx)
-        else:
-            dlog = -k ** 2 * x / 3.0 + k ** 4 * x ** 3 / 45.0
-        return dlog - x / self.two_tau
+        return -x * (self.k ** 2 * self._cothc(self.k * x) + 1.0 / self.two_tau)
 
     def dtau_log(self, x):
         return self.dtau0 + x * x / self.four_tau2 - self.k ** 2
@@ -384,32 +401,24 @@ class HeatSlice(KernelSlice):
 
 
 class HeatSlices(HeatSlice):
-    """`HeatSlice` on a column of times tau, in numpy forms: row i of a
-    matrix of radii lies on the slice tau[i].  The branches of the H3
-    formulas are taken node by node with np.where."""
+    """`HeatSlice` on an array of times tau, in numpy forms.  Branches are
+    taken node by node with np.where, each on arguments inside its range."""
 
     _exp = staticmethod(np.exp)
+
+    @staticmethod
+    def _sinhc(u):
+        v = np.maximum(u, 1e-8)
+        return np.where(u > 1e-8, v / np.sinh(v), 1.0 - u * u / 6.0)
+
+    @staticmethod
+    def _cothc(u):
+        v = np.maximum(u, 1.0)
+        return np.where(u < 1.0, _coth_cf(u * u), (v / np.tanh(v) - 1.0) / (v * v))
 
     def __init__(self, kern, tau):
         super().__init__(kern, tau)
         self.warp = (lambda x: x) if self.k == 0.0 else lambda x: np.sinh(self.k * x) / self.k
-
-    def value(self, x):
-        gauss = self.pref * np.exp(-x * x / self.four_tau)
-        if self.k == 0.0:
-            return gauss
-        kx = self.k * x
-        ratio = np.where(kx > 1e-8, kx / np.sinh(kx), 1.0 - kx * kx / 6.0)
-        return gauss * ratio * self.decay
-
-    def dlog(self, x):
-        k = self.k
-        if k == 0.0:
-            return -x / self.two_tau
-        kx = k * x
-        dlog = np.where(kx > 1e-4, 1.0 / x - k / np.tanh(kx),
-                        -k ** 2 * x / 3.0 + k ** 4 * x ** 3 / 45.0)
-        return dlog - x / self.two_tau
 
 
 class HeatKernel(ParabolicKernel):
@@ -458,10 +467,32 @@ class HeatKernel(ParabolicKernel):
         return float(lambertw(c * a).real) / c
 
     def profile_x(self, r, tau):
-        # flat: x^2 = 2 n tau log(r^2 / (4 pi tau)); H3 has no closed form
-        if self._k != 0.0:
-            return None
-        return math.sqrt(2.0 * self.n * tau * math.log(self.tau_max(r) / tau))
+        """Radius of {kernel >= r^(-n)} at tau, a float or an array of times.
+
+        Flat: x^2 = 2 n tau log(r^2 / (4 pi tau)).  H3: Newton in y = x^2 on
+        F(y) = log H - log r^(-n), decreasing and convex in y, from below the
+        root (the flat profile with the -k^2 y / 6 of log(u / sinh u)) until
+        |F| is at roundoff; times still short of it come back NaN.
+        """
+        tau = np.asarray(tau, dtype=float)
+        if self._k == 0.0:
+            x = np.sqrt(2.0 * self.n * tau * np.log(self.tau_max(r) / tau))
+            return x if x.ndim else float(x)
+        sl, k2, log_level = self.at(tau), self._k ** 2, -self.n * math.log(r)
+        a = -self.n / 2.0 * np.log(4.0 * math.pi * tau) - k2 * tau - log_level  # F(0)
+        tol = 4.0 * np.finfo(float).eps * (abs(a) + abs(log_level) + 1.0)
+        y = np.maximum(a, 0.0) / (1.0 / sl.four_tau + k2 / 6.0)
+        for _ in range(_NEWTON_STEPS):
+            u = self._k * np.sqrt(y)
+            f = a - y / sl.four_tau + np.log(sl._sinhc(u))
+            done = abs(f) <= tol
+            if done.all():
+                break
+            # dF/dy = d log H/dx / (2x) = -(1 / (4 tau) + k^2 (u coth u - 1) / (2 u^2))
+            step = f / (1.0 / sl.four_tau + 0.5 * k2 * sl._cothc(u))
+            y = np.where(done, y, np.maximum(y + step, 0.0))
+        x = np.where(done, np.sqrt(y), np.nan)
+        return x if x.ndim else float(x)
 
 
 class SubHeatKernel(ParabolicKernel):

@@ -67,8 +67,8 @@ def _eps(kernel):
 def surface_weight_term(kernel, field, region):
     """int over dE_r of v |grad K|^2 / sqrt(|grad K|^2 + K_tau^2) dA~."""
     def f(s):
-        return (field.mean_value(s.rho, -s.tau) * s.grad ** 2
-                / math.hypot(s.grad, s.dtau))
+        return (field.mean_value_np(s.rho, -s.tau) * s.grad ** 2
+                / np.hypot(s.grad, s.dtau))
 
     return sphere_integrate(region, f, **_eps(kernel))
 
@@ -168,7 +168,7 @@ def jhat_quantity(kernel, r):
     region = heatball_profile(kernel, r)
 
     def f(s):
-        return (s.grad ** 2 - s.value * s.dtau) / math.hypot(s.grad, s.dtau)
+        return (s.grad ** 2 - s.value * s.dtau) / np.hypot(s.grad, s.dtau)
 
     return sphere_integrate(region, f, **_eps(kernel))
 

@@ -4,25 +4,25 @@ Every kernel in the catalog is radial and strictly decreasing away from the
 center, so level sets are radial graphs.  Elliptic regions are balls of
 radius ``rho_star(r)`` solving ``kernel = r^(-n)``.  Parabolic regions live in
 backward time: the top time ``tau_max`` solves the on-center equation and the
-profile ``x(tau)`` is the per-slice root.  Each of these is the kernel's
-closed-form inverse where it has one (`_level_set`); bracketed Brent iteration
-serves the rest: the H3 heat profile, the reduced-distance kernel and the
-Green's functions of hyperbolic space with n != 3.
+profile ``x(tau)`` is the per-slice root.  Each of these is the kernel's own
+inverse where it has one (closed forms; batched Newton for the H3 heat
+profile); bracketed Brent iteration serves the rest: the reduced-distance
+kernel and the Green's functions of hyperbolic space with n != 3.
 
 A parabolic region is foliated by time slices: every quadrature node,
 profile root and surface sample lives at one backward time tau.  The engines
 therefore evaluate the kernel through its slice ``kernel.at(tau)``
 (`kernels.KernelSlice`), which checks tau once and holds what depends on tau
-alone.  Profile roots live on the kernel, by level parameter, so regions
+alone.  Brent roots live on the kernel, by level parameter, so regions
 rebuilt at the same level share them.
 
-`ball_integrate` integrates over a heat ball one tanh-sinh level at a time:
-the level's times become one column slice ``kernel.at(tau[:, None])``, a
-parabolic integrand is a factory ``integrand(slice) -> g(x)`` called on it
-once, and g maps a (slices x 21) matrix of comoving radii to its values.
-Each slice takes QK21 with QUADPACK's error estimate (`quad.qk21`); pieces
-over their share of the tolerance are bisected and evaluated again, all in
-one batch.
+Both engines integrate over a heat ball one tanh-sinh level of times at a
+time (`_time_integral`).  In `ball_integrate` the times become one column
+slice ``kernel.at(tau[:, None])``, a parabolic integrand is a factory
+``integrand(slice) -> g(x)`` called on it once, and g maps a (slices x 21)
+matrix of comoving radii to its values.  Each slice takes QK21 with
+QUADPACK's error estimate (`quad.qk21`); pieces over their share of the
+tolerance are bisected and evaluated again, all in one batch.
 
 Surface integrals over a parabolic level set use the space-time area element
 of g(t) + dt^2.  Along the profile the metric-normal speed of the level
@@ -31,8 +31,9 @@ disguise), so
 
     dA~ = sqrt(grad^2 + K_tau^2) / grad * (orbit sphere area) dtau,
 
-which is what `sphere_integrate` integrates, with quadratic substitutions at
-both time endpoints where the profile closes.
+which is what `sphere_integrate` integrates on the slice ``kernel.at(tau)``
+of a level's times, with quadratic substitutions at both time endpoints
+where the profile closes.
 """
 
 import math
@@ -47,7 +48,7 @@ from .quad import QK21_NODES, integrate_1d, integrate_de, qk21
 
 ROOT_XTOL = 1e-14
 # relative slivers next to tau = 0 and tau = tau_max excluded from
-# double-exponential nodes; their contribution is below double precision
+# double-exponential nodes; `_time_integral` bounds what they drop
 TIME_CLIP_LO = 1e-18
 TIME_CLIP_HI = 1e-13
 _DEPTH = 8  # bisections of a slice piece before its QK21 estimate is taken as is
@@ -55,12 +56,12 @@ _DEPTH = 8  # bisections of a slice piece before its QK21 estimate is taken as i
 
 @dataclass(frozen=True)
 class SurfaceSample:
-    """Kernel data at one point of a parabolic level surface."""
-    rho: float
-    tau: float
-    value: float
-    grad: float   # spatial gradient norm |grad K|
-    dtau: float   # time derivative at fixed manifold point
+    """Kernel data on a parabolic level surface, an array entry per time."""
+    rho: np.ndarray
+    tau: np.ndarray
+    value: np.ndarray
+    grad: np.ndarray   # spatial gradient norm |grad K|
+    dtau: np.ndarray   # time derivative at fixed manifold point
 
 
 def _level(kernel, r):
@@ -125,10 +126,9 @@ def green_ball(kernel, r):
 class HeatBallRegion:
     """Super-level set of a parabolic kernel in backward time.
 
-    The profile is the comoving-coordinate root per time slice.  Roots are
-    kept on the kernel by level parameter (``kernel._roots[r]``), so every
-    integral over this region, and every region rebuilt at the same level on
-    the same kernel, solves each slice once.
+    The profile is the comoving-coordinate root per time slice.  Brent roots
+    are kept on the kernel by level parameter (``kernel._roots[r]``), so
+    every region at the same level on the same kernel solves each slice once.
     """
     kernel: object
     r: float
@@ -147,14 +147,23 @@ class HeatBallRegion:
         return self.r ** (-self.kernel.n)
 
     def profile_x(self, tau):
-        if not (0.0 < tau < self.tau_max):
+        """Profile radius at tau (a float or an array of times): the kernel's
+        own inverse where it returns one, else Brent."""
+        taus = np.atleast_1d(np.asarray(tau, dtype=float))
+        if not np.all((taus > 0.0) & (taus < self.tau_max)):
             raise DomainError(f"tau must lie in (0, {self.tau_max})")
+        x = self.kernel.profile_x(self.r, taus)
+        x = np.full(taus.shape, np.nan) if x is None else x
+        for i in np.flatnonzero(np.isnan(x)):
+            x[i] = self._brent_x(float(taus[i]))
+        return x if np.ndim(tau) else float(x[0])
+
+    def _brent_x(self, tau):
         hit = self._roots.get(tau)
         if hit is not None:
             return hit
         kern, level = self.kernel, self.level
-        closed = kern.profile_x(self.r, tau)
-        value_cm = None if closed is not None else kern.at(tau).value_cm
+        value_cm = kern.at(tau).value_cm
 
         def f(s):
             return value_cm(s) - level
@@ -173,7 +182,7 @@ class HeatBallRegion:
                     raise NoRegionError("profile does not close inside the domain")
             return 0.0, hi
 
-        x = self._roots[tau] = _level_set(closed, f, bracket)
+        x = self._roots[tau] = _level_set(None, f, bracket)
         return x
 
     def profile_rho(self, tau):
@@ -238,7 +247,7 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
     slice (the slice gives the geodesic radius ``rho(x)``, the times ``t``
     and the kernel data).  The weight is sphere area times d mu d tau, and
     the error is the tanh-sinh estimate plus tau_max times the largest slice
-    estimate.  Returns (value, error_estimate).
+    estimate and the clipped slivers' bound.  Returns (value, error_estimate).
     """
     if not region.parabolic:
         geom = region.kernel.geom
@@ -256,20 +265,42 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
     def slices(taus):
         nonlocal worst
         out = np.zeros(taus.shape)
-        inner = np.flatnonzero((taus > tau_max * TIME_CLIP_LO)
-                               & (taus < tau_max * (1.0 - TIME_CLIP_HI)))
-        x_hi = np.array([region.profile_x(t) for t in taus[inner].tolist()])
-        inner, x_hi = inner[x_hi > 0.0], x_hi[x_hi > 0.0]
+        x_hi = region.profile_x(taus)
+        inner = np.flatnonzero(x_hi > 0.0)
         if inner.size:
             out[inner], err = _slice_integrals(
-                region.kernel, integrand, taus[inner], x_hi,
+                region.kernel, integrand, taus[inner], x_hi[inner],
                 0.1 * epsabs, max(0.1 * epsrel, 1e-10))
             worst = max(worst, float(err.max()))
         return out
 
-    val, err = integrate_de(slices, 0.0, tau_max, atol=epsabs, rtol=epsrel)
+    val, err = _time_integral(slices, tau_max, epsabs, epsrel)
     # the tanh-sinh weights are positive and sum to tau_max
     return val, err + tau_max * worst
+
+
+def _time_integral(density, tau_max, epsabs, epsrel):
+    """Tanh-sinh integral of ``density``, a map of a level's times to values,
+    over (0, tau_max) without the `TIME_CLIP_LO` and `TIME_CLIP_HI` slivers;
+    each sliver adds its width times |density| at the outermost time kept on
+    its side to the error."""
+    lo, hi = tau_max * TIME_CLIP_LO, tau_max * (1.0 - TIME_CLIP_HI)
+    ends = [(math.inf, 0.0), (-math.inf, 0.0)]  # (tau, |density|) kept outermost
+
+    def f(taus):
+        out = np.zeros(taus.shape)
+        inner = np.flatnonzero((taus > lo) & (taus < hi))  # never empty
+        tau = taus[inner]
+        out[inner] = val = density(tau)
+        i, j = tau.argmin(), tau.argmax()
+        if tau[i] < ends[0][0]:
+            ends[0] = (tau[i], abs(float(val[i])))
+        if tau[j] > ends[1][0]:
+            ends[1] = (tau[j], abs(float(val[j])))
+        return out
+
+    val, err = integrate_de(f, 0.0, tau_max, atol=epsabs, rtol=epsrel)
+    return val, err + lo * ends[0][1] + (tau_max - hi) * ends[1][1]
 
 
 def _slice_integrals(kern, integrand, tau, x_hi, epsabs, epsrel):
@@ -308,8 +339,9 @@ def sphere_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
 
     Elliptic: ``integrand(rho)`` times the sphere area at rho_star.
     Parabolic: ``integrand(sample)`` against the space-time area element,
-    where ``sample`` is a SurfaceSample with kernel data at the profile.
-    Returns (value, error_estimate).
+    where ``sample`` is a SurfaceSample of arrays, the kernel data at the
+    profile at the times of a tanh-sinh level.  The error adds the bound on
+    the clipped end slivers.  Returns (value, error_estimate).
     """
     if not region.parabolic:
         geom = region.kernel.geom
@@ -320,22 +352,20 @@ def sphere_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
     kern = region.kernel
     n = kern.n
     area = unit_sphere_area(n)
-    tau_max = region.tau_max
 
-    def f(tau):
-        if tau <= tau_max * TIME_CLIP_LO or tau >= tau_max * (1.0 - TIME_CLIP_HI):
-            return 0.0
+    def level(tau):
+        out = np.zeros(tau.shape)
         x = region.profile_x(tau)
         sl = kern.at(tau)
         value, grad, dtau = sl.sample(x)
-        if grad <= 0.0:
-            return 0.0  # sub-resolution sliver where the profile closes
-        s = SurfaceSample(rho=sl.rho(x), tau=tau, value=value, grad=grad, dtau=dtau)
-        measure = (math.hypot(grad, dtau) / grad) * area * sl.warp(x) ** (n - 1)
-        return integrand(s) * measure
+        keep = grad > 0.0  # drops sub-resolution slivers where the profile closes
+        s = SurfaceSample(rho=sl.rho(x)[keep], tau=tau[keep], value=value[keep],
+                          grad=grad[keep], dtau=dtau[keep])
+        measure = np.hypot(s.grad, s.dtau) / s.grad * area * sl.warp(x)[keep] ** (n - 1)
+        out[keep] = integrand(s) * measure
+        return out
 
-    return integrate_de(lambda taus: np.array([f(t) for t in taus.tolist()]),
-                        0.0, tau_max, atol=epsabs, rtol=epsrel)
+    return _time_integral(level, region.tau_max, epsabs, epsrel)
 
 
 def cap_integral(region, v_mean, s):
@@ -349,7 +379,8 @@ def cap_integral(region, v_mean, s):
     if not (0.0 < s < region.tau_max):
         raise DomainError("slice must lie strictly inside the region")
     level = region.level
+    tau = np.array([s])
     val, _ = _slice_integrals(
         region.kernel, lambda sl: lambda x: v_mean(sl.rho(x), sl.t) * (sl.value(x) - level),
-        np.array([s]), np.array([region.profile_x(s)]), 1e-11, 1e-9)
+        tau, region.profile_x(tau), 1e-11, 1e-9)
     return float(val[0])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from mvlab.errors import DomainError, UnsupportedError
 from mvlab.geometry import FlowGeometry, unit_sphere_area
@@ -181,11 +182,14 @@ def _per_point_heat(kern, x, tau):
         kx = k * x
         ratio = kx / math.sinh(kx) if kx > 1e-8 else 1.0 - kx * kx / 6.0
         value = value * ratio * math.exp(-k ** 2 * tau)
-        if kx > 1e-4:
-            dlog = 1.0 / x - k / math.tanh(kx)
+        if kx < 1.0:  # (u coth u - 1) / u^2 by seven levels of Lambert's fraction
+            d = 17.0
+            for j in (15.0, 13.0, 11.0, 9.0, 7.0, 5.0, 3.0):
+                d = j + kx * kx / d
+            cothc = 1.0 / d
         else:
-            dlog = -k ** 2 * x / 3.0 + k ** 4 * x ** 3 / 45.0
-        dlog = dlog - x / (2.0 * tau)
+            cothc = (kx / math.tanh(kx) - 1.0) / (kx * kx)
+        dlog = -x * (k ** 2 * cothc + 1.0 / (2.0 * tau))
     grad = abs(value * dlog) / math.sqrt(kern.geom.m2(x, -tau))
     dtau_log = -n / (2.0 * tau) + x * x / (4.0 * tau * tau) - k ** 2
     dtau = value * (-n / (2.0 * tau) + x * x / (4.0 * tau * tau) - k ** 2)
@@ -198,8 +202,8 @@ def _per_point_heat(kern, x, tau):
                                   FlowGeometry.hyperbolic(3)],
                          ids=["e2", "e3", "h3"])
 def test_heat_slice_bits(geom):
-    # x = 0 and one x on each branch of the H3 formulas: kx <= 1e-8,
-    # kx <= 1e-4 and kx > 1e-4
+    # x = 0 and x on each branch of the H3 formulas: kx <= 1e-8, kx < 1 and
+    # kx >= 1
     kern = HeatKernel(geom)
     for tau in (0.03, 0.17, 0.4, 0.93, 2.5):
         sl = kern.at(tau)
@@ -245,6 +249,84 @@ def test_generic_column_slices_evaluate_node_by_node(khat_s3):
     assert np.array_equal(batch.sm, [[khat_s3.at(0.1).sm], [khat_s3.at(0.2).sm]])
     with pytest.raises(DomainError):
         khat_s3.at(np.array([[0.1], [0.0]]))
+    # a 1-d array of times takes one radius per slice, as surface nodes do
+    flat, x = khat_s3.at(np.array([0.1, 0.2])), np.array([0.3, 0.9])
+    got = flat.sample(x)
+    for i, tau in enumerate((0.1, 0.2)):
+        sl = khat_s3.at(tau)
+        assert tuple(col[i] for col in got) == sl.sample(x[i])
+        assert (flat.rho(x)[i], flat.warp(x)[i]) == (sl.rho(x[i]), sl.warp(x[i]))
+
+
+@pytest.mark.parametrize("geom", [FlowGeometry.euclidean(2), FlowGeometry.hyperbolic(3)],
+                         ids=["e2", "h3"])
+def test_heat_slices_take_one_radius_per_time(geom):
+    kern = HeatKernel(geom)
+    taus, xs = np.array([0.03, 0.4, 2.5]), np.array([0.0, 5e-5, 1.3])
+    got = kern.at(taus).sample(xs)
+    for i, (tau, x) in enumerate(zip(taus, xs)):
+        want = kern.at(float(tau)).sample(x)
+        for g, w in zip(got, want):
+            assert g[i] == pytest.approx(w, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.5, 1e20])
+def test_heat_dlog_against_mpmath(tau, h3):
+    # d log H / dx = 1/x - k coth(kx) - x / (2 tau) on a kx grid across the
+    # old series branch at 1e-4 and the continued-fraction branch at 1; at
+    # tau = 1e20 the curvature term is all of it
+    mp = pytest.importorskip("mpmath")
+    kern = HeatKernel(h3)
+    xs = np.concatenate([np.geomspace(1e-7, 5.0, 120),
+                         [0.99999e-4, 1e-4, 1.00001e-4, 1.2e-4, 1e-3, 0.5,
+                          np.nextafter(1.0, 0.0), 1.0, 1.000001]])
+    scalar, batch = kern.at(tau), kern.at(np.array([tau] * xs.size))
+    with mp.workdps(40):
+        for x, g in zip(xs, batch.dlog(xs)):
+            want = 1 / mp.mpf(x) - mp.coth(mp.mpf(x)) - mp.mpf(x) / (2 * mp.mpf(tau))
+            for value in (scalar.dlog(x), g):
+                assert abs((value - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("r", [0.4, 1.0, 1.6, 3.0])
+def test_h3_profile_against_mpmath(r, h3):
+    # Newton's roots, one array of times from next to tau = 0 to within
+    # 1e-12 of tau_max, against 40-digit roots of the same level equation
+    # F(y) = a - y / (4 tau) + log(u / sinh u) = 0 in y = x^2 (bisection).
+    # Rounding a's terms moves the root by up to 4 tau eps (|terms| + 1)
+    # (|dF/dy| >= 1 / (4 tau)); Newton stays within 4 of that, and no
+    # farther out on the grid than Brent's roots of kernel = level
+    mp = pytest.importorskip("mpmath")
+    kern, eps = HeatKernel(h3), np.finfo(float).eps
+    tau_max = kern.tau_max(r)
+    us = np.array([1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7,
+                   0.9, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+    taus = tau_max * us
+    got = kern.profile_x(r, taus)
+    assert [kern.profile_x(r, float(t)) for t in taus] == got.tolist()
+    newton, brent = [], []
+    with mp.workdps(40):
+        for tau, x in zip(taus, got):
+            t = mp.mpf(tau)
+            a = -1.5 * mp.log(4 * mp.pi * t) - t + 3 * mp.log(mp.mpf(r))
+
+            def F(y):
+                u = mp.sqrt(y)
+                return a - y / (4 * t) + (mp.log(u / mp.sinh(u)) if y else 0)
+
+            lo, hi = mp.mpf(0), 2 * mp.mpf(x) ** 2
+            for _ in range(160):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if F(mid) > 0 else (lo, mid)
+            sl = kern.at(float(tau))
+            xb = brentq(lambda s: sl.value_cm(s) - r ** -3.0, 0.0, 10.0,
+                        xtol=1e-14, rtol=4.0 * eps)
+            shift = 4.0 * tau * eps * (abs(1.5 * math.log(4.0 * math.pi * tau)) + tau
+                                       + abs(3.0 * math.log(r)) + 1.0)
+            newton.append(float(abs(x * x - lo)) / shift)
+            brent.append(float(abs(xb * xb - lo)) / shift)
+    assert max(newton) <= 4.0
+    assert max(newton) <= max(brent)
 
 
 def test_generic_slice_keeps_radius_round_trip(khat_s3):

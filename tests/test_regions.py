@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
 
+from mvlab import kernels, regions
 from mvlab import mv_parabolic as mvp
-from mvlab import regions
 from mvlab.errors import DomainError, NoRegionError
 from mvlab.fields import make_field
 from mvlab.geometry import FlowGeometry, unit_sphere_area
 from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                            ParabolicKernel, SubGreenKernel, SubHeatKernel,
                            SupGreenKernel)
-from mvlab.quad import integrate_1d
+from mvlab.quad import integrate_1d, integrate_de
 from mvlab.reduced import ReducedDistanceField
 from mvlab.regions import (ball_integrate, cap_integral, green_ball,
                            heatball_profile, level_radius, sphere_integrate)
@@ -199,7 +199,7 @@ def test_h3_top_time_lambert_w(h3):
         assert heatball_profile(h, r).tau_max == pytest.approx(top, rel=1e-13)
 
 
-def test_closed_forms_solve_no_roots(brent_calls):
+def test_closed_forms_solve_no_roots(brent_calls, h3):
     for kern in green_kernels():
         for r in RADII:
             green_ball(kern, r)
@@ -207,46 +207,76 @@ def test_closed_forms_solve_no_roots(brent_calls):
         reg = heatball_profile(HeatKernel(FlowGeometry.euclidean(n)), 1.0)
         for u in np.linspace(0.05, 0.95, 7):
             reg.profile_x(u * reg.tau_max)
+    # the H3 heat profile is batched Newton, on spheres and balls alike
+    kern = HeatKernel(h3)
+    for r in (0.5, 1.0, 1.5):
+        reg = heatball_profile(kern, r)
+        reg.profile_x(reg.tau_max * np.array([1e-15, 0.5, 1.0 - 1e-12]))
+        mvp.jhat_quantity(kern, r)
+        mvp.mv_heat_sphere(kern, make_field("exp-radial", h3), r)
+        mvp.mv_heat_ball(kern, make_field("exp-radial", h3), r)
     assert brent_calls == []
     # Green's functions of H4 have no inverse: Brent still serves them
     green_ball(GreenKernel(FlowGeometry.hyperbolic(4)), 1.0)
     assert len(brent_calls) == 1
 
 
-def test_h3_one_root_solve_per_new_slice(h3, brent_calls):
-    reg = heatball_profile(HeatKernel(h3), 1.0)
-    assert brent_calls == []        # Lambert-W top time
-    taus = [u * reg.tau_max for u in (0.1, 0.5, 0.9)]
+def test_h3_newton_falls_back_to_brent(h3, brent_calls, monkeypatch):
+    # one Newton step leaves most times short of roundoff: Brent solves those
+    kern = HeatKernel(h3)
+    reg = heatball_profile(kern, 1.0)
+    taus = reg.tau_max * np.array([1e-6, 0.1, 0.5, 0.9])
+    newton = reg.profile_x(taus)
+    assert brent_calls == []
+    monkeypatch.setattr(kernels, "_NEWTON_STEPS", 1)
+    assert np.isnan(kern.profile_x(1.0, taus)).any()
+    fallback = reg.profile_x(taus)
+    assert 0 < len(brent_calls) <= len(taus)
+    assert np.allclose(fallback, newton, rtol=1e-12, atol=0.0)
+
+
+def test_brent_profile_one_root_solve_per_new_slice(s3, brent_calls):
+    # the top time and the nine domain checks of the build are Brent roots;
+    # the slices below are none of those
+    reg = heatball_profile(ComovingGauss(s3), 0.5)
+    built = len(brent_calls)
+    taus = [u * reg.tau_max for u in (0.15, 0.45, 0.85)]
     for i, tau in enumerate(taus):
         reg.profile_x(tau)
-        assert len(brent_calls) == i + 1
+        assert len(brent_calls) == built + i + 1
     for tau in taus:
         reg.profile_x(tau)          # cached slices
-    assert len(brent_calls) == len(taus)
+    reg.profile_x(np.array(taus))
+    assert len(brent_calls) == built + len(taus)
 
 
-def test_h3_profile_independent_of_query_order(h3):
+def test_brent_profile_independent_of_query_order(s3):
     # two kernels: regions on one kernel share their roots
-    fwd, rev = heatball_profile(HeatKernel(h3), 1.0), heatball_profile(HeatKernel(h3), 1.0)
+    fwd = heatball_profile(ComovingGauss(s3), 0.5)
+    rev = heatball_profile(ComovingGauss(s3), 0.5)
     us = (0.1, 0.3, 0.5, 0.7, 0.9)
     forward = [fwd.profile_x(u * fwd.tau_max) for u in us]
     backward = [rev.profile_x(u * rev.tau_max) for u in reversed(us)]
     assert forward == backward[::-1]
 
 
-def test_profile_roots_shared_per_kernel_and_level(h3, brent_calls):
-    kern = HeatKernel(h3)
-    first = heatball_profile(kern, 1.0)
-    taus = [u * first.tau_max for u in (0.1, 0.5, 0.9)]
+def test_profile_roots_shared_per_kernel_and_level(s3, brent_calls):
+    kern = ComovingGauss(s3)
+    first = heatball_profile(kern, 0.5)
+    taus = [u * first.tau_max for u in (0.15, 0.45, 0.85)]
     roots = [first.profile_x(tau) for tau in taus]
-    assert len(brent_calls) == len(taus)
-    again = heatball_profile(kern, 1.0)
+    solved = len(brent_calls)
+    again = heatball_profile(kern, 0.5)
     assert [again.profile_x(tau) for tau in taus] == roots
-    assert len(brent_calls) == len(taus)          # no slice solved twice
-    heatball_profile(kern, 1.2).profile_x(taus[1])
-    assert len(brent_calls) == len(taus) + 1      # another level
-    assert heatball_profile(HeatKernel(h3), 1.0).profile_x(taus[1]) == roots[1]
-    assert len(brent_calls) == len(taus) + 2      # another kernel
+    assert len(brent_calls) == solved + 1         # the top time only
+    other = heatball_profile(kern, 0.6)
+    solved = len(brent_calls)
+    other.profile_x(taus[1])
+    assert len(brent_calls) == solved + 1         # another level
+    fresh = heatball_profile(ComovingGauss(s3), 0.5)
+    solved = len(brent_calls)
+    assert fresh.profile_x(taus[1]) == roots[1]
+    assert len(brent_calls) == solved + 1         # another kernel
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -422,7 +452,7 @@ def test_parabolic_surface_weight(e2):
     h = HeatKernel(e2)
     reg = heatball_profile(h, 1.0)
     val, _ = sphere_integrate(
-        reg, lambda s: s.grad ** 2 / math.hypot(s.grad, s.dtau))
+        reg, lambda s: s.grad ** 2 / np.hypot(s.grad, s.dtau))
     assert val == pytest.approx(1.0, abs=1e-5)
 
 
@@ -433,6 +463,86 @@ def test_heat_sphere_area_consistency(e2):
     a2, _ = sphere_integrate(reg, lambda s: 1.0, epsabs=1e-12, epsrel=1e-10)
     assert a1 > 0.0 and math.isfinite(a1)
     assert abs(a1 - a2) / a2 <= 1e-5
+
+
+def per_node_sphere_integrate(region, integrand, epsabs, epsrel):
+    """Oracle: the heat-sphere integral one tanh-sinh node at a time, with
+    one scalar slice and one scalar SurfaceSample per node, as the surface
+    engine was before it took a level's times in one batch."""
+    kern, n = region.kernel, region.kernel.n
+    area, tau_max = unit_sphere_area(n), region.tau_max
+
+    def f(tau):
+        if tau <= tau_max * regions.TIME_CLIP_LO or tau >= tau_max * (1.0 - regions.TIME_CLIP_HI):
+            return 0.0
+        x = region.profile_x(tau)
+        sl = kern.at(tau)
+        value, grad, dtau = sl.sample(x)
+        if grad <= 0.0:
+            return 0.0
+        s = regions.SurfaceSample(rho=sl.rho(x), tau=tau, value=value, grad=grad, dtau=dtau)
+        return integrand(s) * (math.hypot(grad, dtau) / grad) * area * sl.warp(x) ** (n - 1)
+
+    return integrate_de(lambda taus: np.array([f(t) for t in taus.tolist()]),
+                        0.0, tau_max, atol=epsabs, rtol=epsrel)
+
+
+def jhat_density(s):
+    return (s.grad ** 2 - s.value * s.dtau) / math.hypot(s.grad, s.dtau)
+
+
+@pytest.mark.parametrize("model", ["e2", "e3", "h3"])
+def test_batched_sphere_matches_per_node(model, request):
+    geom = request.getfixturevalue(model)
+    kern = HeatKernel(geom)
+    field = make_field("superharmonic" if geom.is_flat else "exp-radial", geom)
+
+    def weight(s):
+        return field.mean_value(s.rho, -s.tau) * s.grad ** 2 / math.hypot(s.grad, s.dtau)
+
+    for r in (0.5, 1.0, 1.5):
+        region = heatball_profile(kern, r)
+        pairs = [(mvp.jhat_quantity(kern, r)[0], jhat_density),
+                 (mvp.surface_weight_term(kern, field, region)[0], weight)]
+        for got, density in pairs:
+            want, _ = per_node_sphere_integrate(region, density, **mvp._EPS_EXACT)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_batched_sphere_matches_per_node_shot_kernel(khat_s3, s3_ricci_sweep):
+    # the generic slice keeps the per-node kernel calls, so the shot kernel's
+    # finite-difference floor (~1e-6) does not enter; the session sweep has
+    # shot these nodes already
+    got, _ = mvp.jhat_quantity(khat_s3, 1.1)
+    want, _ = per_node_sphere_integrate(heatball_profile(khat_s3, 1.1), jhat_density,
+                                        **mvp._EPS_SHOT)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(r=st.floats(0.4, 1.6), model=st.sampled_from(["e2", "e3", "h3"]))
+def test_heat_sphere_error_is_true_and_informative(r, model):
+    # Jhat = 1 on flat models; the surface weight of v = 1 is 1 on the H3
+    # heat sphere
+    geom = {"e2": FlowGeometry.euclidean(2), "e3": FlowGeometry.euclidean(3),
+            "h3": FlowGeometry.hyperbolic(3)}[model]
+    kern = HeatKernel(geom)
+    if geom.is_flat:
+        value, err = mvp.jhat_quantity(kern, r)
+    else:
+        value, err = mvp.surface_weight_term(kern, make_field("constant-1", geom),
+                                             heatball_profile(kern, r))
+    eps = mvp._EPS_EXACT
+    assert abs(value - 1.0) <= err <= eps["epsabs"] + eps["epsrel"] * abs(value)
+
+
+@pytest.mark.parametrize("clip", [1e-9, 1e-6])
+def test_clipped_sliver_enters_the_error(clip, e2, monkeypatch):
+    # the Jhat density of E2 is constant in tau: a wider clip at the top
+    # drops clip * Jhat, and the error must carry it
+    monkeypatch.setattr(regions, "TIME_CLIP_HI", clip)
+    value, err = mvp.jhat_quantity(HeatKernel(e2), 1.0)
+    assert 0.5 * clip <= abs(value - 1.0) <= err <= 2.0 * clip
 
 
 def test_parabolic_nesting(e2):
