@@ -45,10 +45,10 @@ for tau in (0.05, 0.1, 0.2, 0.3):
     print(f"  tau = {tau:4.2f}: theta = {val:.8f}")
 
 print("\ncurvature integral along minimizers vs the Li-Yau expression:")
-from mvlab.kernels import SubHeatKernel
+from mvlab.kernels import SubHeatKernel, liyau_expression
 kern = SubHeatKernel(sphere)
 for rho, tau in ((0.8, 0.2), (1.2, 0.3)):
-    lhs = kern.liyau(rho, tau)
+    lhs = liyau_expression(kern, rho, tau)
     kval, _ = sphere.k_curvature_integral(rho, tau)
     rhs = 3.0 / (2.0 * tau) - kval / (2.0 * tau ** 1.5)
     print(f"  rho = {rho}, tau = {tau}: Q = {lhs:.8f} vs "

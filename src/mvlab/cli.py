@@ -10,8 +10,9 @@ error.  A usage error is reported before any quantity is computed, as one
 ``error:`` line on stderr (argparse's own errors print the usage line first)
 and nothing on stdout.  Usage errors are
 
-* an unknown command, suite, quantity or sweep geometry, or a missing or
-  malformed config or report file;
+* an unknown command, flag, suite, quantity or sweep geometry, or a missing
+  or malformed config or report file;
+* a ``--jobs`` or ``MVLAB_JOBS`` that is not a positive integer;
 * a ``verify --geometry`` other than gaussian, gaussian-soliton or
   shrinking-s3;
 * a ``--tol-scale`` that is not finite and positive;
@@ -48,14 +49,14 @@ from .sweeps import SweepReport, check_grid
 QUANTITIES = ("I", "J", "ihat", "jhat", "ibar", "jbar", "theta")
 
 GEOMETRIES = {
-    "euclidean2": lambda n: FlowGeometry.euclidean(2),
-    "euclidean3": lambda n: FlowGeometry.euclidean(3),
-    "hyperbolic3": lambda n: FlowGeometry.hyperbolic(3),
-    "gaussian": lambda n: FlowGeometry.gaussian_soliton(n or 2),
-    "shrinking-s2": lambda n: FlowGeometry.shrinking_sphere(2),
-    "shrinking-s3": lambda n: FlowGeometry.shrinking_sphere(3),
-    "mcf-circle": lambda n: McfShrinkingSphereTrack(1),
-    "mcf-sphere": lambda n: McfShrinkingSphereTrack(2),
+    "euclidean2": lambda: FlowGeometry.euclidean(2),
+    "euclidean3": lambda: FlowGeometry.euclidean(3),
+    "hyperbolic3": lambda: FlowGeometry.hyperbolic(3),
+    "gaussian": lambda: FlowGeometry.gaussian_soliton(2),
+    "shrinking-s2": lambda: FlowGeometry.shrinking_sphere(2),
+    "shrinking-s3": lambda: FlowGeometry.shrinking_sphere(3),
+    "mcf-circle": lambda: McfShrinkingSphereTrack(1),
+    "mcf-sphere": lambda: McfShrinkingSphereTrack(2),
 }
 
 
@@ -80,6 +81,13 @@ def _load_config(path):
     return out
 
 
+def _jobs(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"--jobs and MVLAB_JOBS take a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="mvlab",
                                 description="mean value identity verification lab")
@@ -89,8 +97,8 @@ def _build_parser():
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("MVLAB_JOBS", "1")))
+    # argparse converts a string default too, so a bad MVLAB_JOBS is a usage error
+    common.add_argument("--jobs", type=_jobs, default=os.environ.get("MVLAB_JOBS", "1"))
 
     v = sub.add_parser("verify", parents=[common],
                        help="run a named verification suite")
@@ -102,7 +110,6 @@ def _build_parser():
                        help="tabulate a monotone quantity over a grid")
     s.add_argument("--quantity", choices=QUANTITIES, required=True)
     s.add_argument("--geometry", default="euclidean3")
-    s.add_argument("--dimension", type=int, default=None)
     s.add_argument("--field", default="constant-1")
     s.add_argument("--rmin", type=float, default=0.5)
     s.add_argument("--rmax", type=float, default=1.5)
@@ -139,7 +146,7 @@ def _report_csv(report):
 def _cmd_verify(args):
     _check_tol_scale(args)
     report = run_suite(args.suite, tol_scale=args.tol_scale,
-                       geometry=args.geometry, jobs=max(1, args.jobs))
+                       geometry=args.geometry, jobs=args.jobs)
     fmt = args.format or "json"
     text = report.to_json() + "\n" if fmt == "json" else _report_csv(report)
     _emit(text, args.out)
@@ -176,7 +183,7 @@ def _sweep_rows(args, grid):
     geom_name = args.geometry
     if geom_name not in GEOMETRIES:
         raise ValueError(f"unknown geometry '{geom_name}'")
-    geom = GEOMETRIES[geom_name](args.dimension)
+    geom = GEOMETRIES[geom_name]()
     q = args.quantity
 
     is_track = isinstance(geom, McfShrinkingSphereTrack)

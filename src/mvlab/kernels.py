@@ -11,13 +11,13 @@ Gaussian, the hyperbolic-3 heat kernel, the reduced-distance kernel
 ``(4 pi tau)^(-n/2) exp(-ell)`` built on top of geodesic shooting, and the
 ambient Gaussian restricted to a mean-curvature-flow track.
 
-All parabolic kernels expose derivatives at fixed *manifold* point: on an
-evolving geometry the time derivative is taken at fixed comoving coordinate.
-They also evaluate one backward time at a time: ``kernel.at(tau)`` is a
-`KernelSlice`, and the exact heat kernel's formulas are written once, in its
-`HeatSlice`.  Given an array of times, ``kernel.at`` returns the slices as
-one object: a column takes a matrix of radii, one row per slice (the
-batched quadrature of `regions`), a 1-d array one radius per slice.
+A parabolic kernel is defined by its slice class, the only way to evaluate
+it: ``kernel.at(tau)`` is a `KernelSlice` of the comoving radius x, and time
+derivatives are taken at fixed x (fixed *manifold* point).  `HeatSlice` holds
+the exact heat kernel's formulas, `ShotSlice` the reduced-distance kernel's
+finite differences.  Given an array of times, ``kernel.at`` returns the
+slices as one object: a column takes a matrix of radii, one row per slice
+(the batched quadrature of `regions`), a 1-d array one radius per slice.
 
 Kernels invert ``kernel = r^(-n)`` (``level_radius``, ``tau_max``, ``profile_x``)
 where they can (closed forms; Newton for the H3 heat profile) and return
@@ -184,13 +184,81 @@ class SupGreenKernel(EllipticKernel):
             raise UnsupportedError("sup-Green needs a nonpositively curved model")
 
 
+class KernelSlice:
+    """A parabolic kernel at one backward time tau, as functions of the
+    comoving radius x.
+
+    Every quadrature node, profile root and surface sample of a heat ball
+    lies on one time slice: the slice checks tau once and holds what depends
+    on tau alone.  A subclass gives ``value(x)``, ``dlog(x)`` = d log K/dx
+    and ``dtau_log(x)`` = d log K/dtau at fixed x; the derivatives of K, its
+    gradient norm, its Li-Yau expression and the surface ``sample`` follow
+    here.  ``dx``, ``grad`` and ``dtau`` accept the value at x when the
+    caller has it.  ``rho(x)`` is the geodesic radius, ``warp(x)`` the orbit
+    warp and ``sm`` the radial metric factor sqrt(g_xx) of the slice.
+    """
+
+    def __init__(self, kern, tau):
+        kern._check_tau(tau)
+        self.kern, self.tau, self.t = kern, tau, -tau
+        self.sm = math.sqrt(kern.geom.m2(0.0, -tau))
+
+    def rho(self, x):
+        return self.kern.rho_of_x(x, self.tau)
+
+    def warp(self, x):
+        return self.kern.geom.warp_cm(x, self.t)
+
+    def dx(self, x, v=None):
+        return (self.value(x) if v is None else v) * self.dlog(x)
+
+    def grad(self, x, v=None):
+        return abs(self.dx(x, v)) / self.sm
+
+    def dtau(self, x, v=None):
+        return (self.value(x) if v is None else v) * self.dtau_log(x)
+
+    def liyau(self, x):
+        """|grad log K|^2 - d log K/dtau, finite where K underflows."""
+        g = self.dlog(x) / self.sm
+        return g * g - self.dtau_log(x)
+
+    def sample(self, x):
+        """(value, |grad|, d/dtau) at x."""
+        v = self.value(x)
+        return v, self.grad(x, v), self.dtau(x, v)
+
+
+class KernelSlices:
+    """Scalar slices of a kernel on an array of times tau (row i of a matrix
+    of radii, or entry i of an array, lies on the slice tau[i]): the methods
+    call the scalar method of the same name node by node."""
+
+    def __init__(self, kern, tau):
+        cls = kern.slice_class
+        self.rows = [cls(kern, t) for t in tau.ravel().tolist()]
+        self.tau, self.t = tau, -tau
+        self.sm = np.reshape([sl.sm for sl in self.rows], tau.shape)
+        for name in ("rho", "warp", "value", "grad", "dtau", "liyau"):
+            setattr(self, name, functools.partial(self._map, getattr(cls, name)))
+
+    def _map(self, method, x, v=None):
+        rows = np.reshape(x, (len(self.rows), -1)).tolist()
+        return np.reshape([[method(sl, xi) for xi in row]
+                           for sl, row in zip(self.rows, rows)], np.shape(x))
+
+    def sample(self, x):  # one radius per slice
+        nodes = [sl.sample(xi) for sl, xi in zip(self.rows, np.ravel(x).tolist())]
+        return tuple(np.reshape(col, np.shape(x)) for col in zip(*nodes))
+
+
 class ParabolicKernel:
     """Common behavior of parabolic kernels (backward time tau > 0).
 
-    Subclasses implement the comoving-coordinate trio ``value_cm``,
-    ``dx_cm``, ``dtau_cm`` and the Li-Yau expression ``liyau_cm``;
-    radius-based wrappers convert at the slice time t = -tau.  ``at(tau)``
-    returns the kernel on one time slice (`KernelSlice`).
+    A subclass gives ``slice_class``, a `KernelSlice` subclass with
+    ``value``, ``dlog`` and ``dtau_log``; it may give ``slices_class`` for
+    arrays of times (default `KernelSlices`, node by node) and invert its
+    level sets (``tau_max``, ``profile_x``).
 
     ``_roots`` holds the level-set profile roots of every region built on
     the kernel, by level parameter r and then by tau, so regions of the same
@@ -198,6 +266,7 @@ class ParabolicKernel:
     """
 
     parabolic = True
+    slices_class = KernelSlices
 
     def __init__(self, geom):
         self.geom = geom
@@ -214,7 +283,7 @@ class ParabolicKernel:
     def at(self, tau):
         """The kernel on the time slice tau, or on each slice of an array of
         times; raises DomainError off the domain."""
-        return (KernelSlices if isinstance(tau, np.ndarray) else KernelSlice)(self, tau)
+        return (self.slices_class if isinstance(tau, np.ndarray) else self.slice_class)(self, tau)
 
     def tau_max(self, r):
         return None  # top time of {kernel > r^(-n)}: no closed form
@@ -227,97 +296,6 @@ class ParabolicKernel:
 
     def rho_of_x(self, x, tau):
         return self.geom.rho_of_x(x, -tau)
-
-    def value(self, rho, tau):
-        return self.value_cm(self.x_of_rho(rho, tau), tau)
-
-    def grad_norm_cm(self, x, tau):
-        return abs(self.dx_cm(x, tau)) / math.sqrt(self.geom.m2(x, -tau))
-
-    def grad_norm(self, rho, tau):
-        return self.grad_norm_cm(self.x_of_rho(rho, tau), tau)
-
-    def evaluate(self, rho, tau):
-        x = self.x_of_rho(rho, tau)
-        return (self.value_cm(x, tau), self.grad_norm_cm(x, tau),
-                self.dtau_cm(x, tau))
-
-    def liyau(self, rho, tau):
-        return self.liyau_cm(self.x_of_rho(rho, tau), tau)
-
-
-class KernelSlice:
-    """A parabolic kernel at one backward time tau, as functions of the
-    comoving radius x.
-
-    Every quadrature node, profile root and surface sample of a heat ball
-    lies on one time slice: the slice checks tau once and holds what depends
-    on tau alone.  This generic slice calls the kernel's per-point methods.
-
-    * ``value_cm(x)`` and ``sample(x)`` evaluate at x itself; they serve the
-      level set (profile roots and surface samples).
-    * ``value(x)``, ``grad(x, v)`` and ``liyau(x)`` evaluate at the geodesic
-      radius ``rho(x)``, as the radius-based kernel methods do; on an evolving
-      model that is the point ``x_of_rho(rho_of_x(x))``, at most an ulp from
-      x.  They serve integrands over the region.
-
-    ``grad`` accepts the value at x when the caller has it, for closed
-    forms to reuse.  ``warp(x)`` is the orbit warp and ``sm`` the radial
-    metric factor sqrt(g_xx) of the slice.
-    """
-
-    def __init__(self, kern, tau):
-        kern._check_tau(tau)
-        self.kern, self.tau, self.t = kern, tau, -tau
-        self.sm = math.sqrt(kern.geom.m2(0.0, -tau))
-
-    def rho(self, x):
-        return self.kern.rho_of_x(x, self.tau)
-
-    def warp(self, x):
-        return self.kern.geom.warp_cm(x, self.t)
-
-    def value_cm(self, x):
-        return self.kern.value_cm(x, self.tau)
-
-    def sample(self, x):
-        """(value, |grad|, d/dtau) at x."""
-        kern, tau = self.kern, self.tau
-        return kern.value_cm(x, tau), kern.grad_norm_cm(x, tau), kern.dtau_cm(x, tau)
-
-    def _node(self, x):
-        return self.kern.x_of_rho(self.rho(x), self.tau)
-
-    def value(self, x):
-        return self.kern.value_cm(self._node(x), self.tau)
-
-    def grad(self, x, v=None):
-        return self.kern.grad_norm_cm(self._node(x), self.tau)
-
-    def liyau(self, x):
-        return self.kern.liyau_cm(self._node(x), self.tau)
-
-
-class KernelSlices:
-    """`KernelSlice`s on an array of times tau (row i of a matrix of radii,
-    or entry i of an array, lies on the slice tau[i]): the methods call the
-    `KernelSlice` method of the same name node by node."""
-
-    def __init__(self, kern, tau):
-        self.rows = [KernelSlice(kern, t) for t in tau.ravel().tolist()]
-        self.tau, self.t = tau, -tau
-        self.sm = np.reshape([sl.sm for sl in self.rows], tau.shape)
-        for name in ("rho", "warp", "value", "grad", "liyau"):
-            setattr(self, name, functools.partial(self._map, getattr(KernelSlice, name)))
-
-    def _map(self, method, x, v=None):
-        rows = np.reshape(x, (len(self.rows), -1)).tolist()
-        return np.reshape([[method(sl, xi) for xi in row]
-                           for sl, row in zip(self.rows, rows)], np.shape(x))
-
-    def sample(self, x):  # one radius per slice
-        nodes = [sl.sample(xi) for sl, xi in zip(self.rows, np.ravel(x).tolist())]
-        return tuple(np.reshape(col, np.shape(x)) for col in zip(*nodes))
 
 
 def _coth_cf(u2):
@@ -332,8 +310,8 @@ def _coth_cf(u2):
 class HeatSlice(KernelSlice):
     """The exact heat kernel on one time slice; its formulas live here only.
 
-    The models are static, so x is the geodesic radius and both families of
-    `KernelSlice` coincide.  `HeatSlices` holds the numpy forms.
+    The models are static, so x is the geodesic radius and sm = 1.
+    `HeatSlices` holds the numpy forms.
     """
 
     _exp = staticmethod(math.exp)
@@ -358,16 +336,11 @@ class HeatSlice(KernelSlice):
         self.four_tau2 = 4.0 * tau * tau
         self.warp = kern.geom.warp  # static: the orbit warp at every time
 
-    def rho(self, x):
-        return x
-
     def value(self, x):
         gauss = self.pref * self._exp(-x * x / self.four_tau)
         if self.k == 0.0:
             return gauss
         return gauss * self._sinhc(self.k * x) * self.decay
-
-    value_cm = value
 
     def dlog(self, x):
         """d log H / dx = -x (k^2 (u coth u - 1) / u^2 + 1 / (2 tau)), u = k x:
@@ -379,25 +352,9 @@ class HeatSlice(KernelSlice):
     def dtau_log(self, x):
         return self.dtau0 + x * x / self.four_tau2 - self.k ** 2
 
-    def dx(self, x, v=None):
-        return (self.value(x) if v is None else v) * self.dlog(x)
-
-    def grad(self, x, v=None):
-        return abs(self.dx(x, v)) / self.sm
-
-    def dtau(self, x, v=None):
-        return (self.value(x) if v is None else v) * self.dtau_log(x)
-
     def liyau(self, x):
-        # log-domain evaluation, exact for the flat Gaussian: n / (2 tau)
-        if self.k == 0.0:
-            return -self.dtau0
-        dlog = self.dlog(x)
-        return dlog * dlog - self.dtau_log(x)
-
-    def sample(self, x):
-        v = self.value(x)
-        return v, self.grad(x, v), self.dtau(x, v)
+        # exact for the flat Gaussian: n / (2 tau)
+        return -self.dtau0 if self.k == 0.0 else super().liyau(x)
 
 
 class HeatSlices(HeatSlice):
@@ -426,10 +383,10 @@ class HeatKernel(ParabolicKernel):
 
     Conventions: tau is backward time, the kernel solves the backward heat
     equation d/dtau = Delta on the static model and integrates to unit mass.
-    The per-point methods evaluate through `HeatSlice`.
     """
 
     kind = HEAT
+    slice_class, slices_class = HeatSlice, HeatSlices
 
     def __init__(self, geom):
         super().__init__(geom)
@@ -441,21 +398,6 @@ class HeatKernel(ParabolicKernel):
             self._k = 0.0
         else:
             raise UnsupportedError("exact heat kernels need a static model")
-
-    def at(self, tau):
-        return (HeatSlices if isinstance(tau, np.ndarray) else HeatSlice)(self, tau)
-
-    def value_cm(self, x, tau):
-        return self.at(tau).value(x)
-
-    def dx_cm(self, x, tau):
-        return self.at(tau).dx(x)
-
-    def dtau_cm(self, x, tau):
-        return self.at(tau).dtau(x)
-
-    def liyau_cm(self, x, tau):
-        return self.at(tau).liyau(x)
 
     def tau_max(self, r):
         # on-center (4 pi tau)^(n/2) exp(k^2 tau) = r^n; with a = r^2 / (4 pi)
@@ -495,61 +437,50 @@ class HeatKernel(ParabolicKernel):
         return x if x.ndim else float(x)
 
 
-class SubHeatKernel(ParabolicKernel):
-    """Reduced-distance kernel (4 pi tau)^(-n/2) exp(-ell).
+class ShotSlice(KernelSlice):
+    """The reduced-distance kernel on one time slice: ell comes from geodesic
+    shooting, so d log K/dx = -d ell/dx and d log K/dtau are centered
+    differences of ell, with the steps of the kernel (`SubHeatKernel`)."""
 
-    ``field`` is a ReducedDistanceField; its value is obtained by geodesic
-    shooting, so the spatial gradient and the time derivative (at fixed
-    manifold point) are centered finite differences of ell.  The spatial
-    step is 1e-4 * max(1, rho); the tau step is relative (2e-3 * tau) to
-    keep the difference quotient accurate against the 1/tau blowup of ell.
-    """
+    def __init__(self, kern, tau):
+        super().__init__(kern, tau)
+        self.pref = (4.0 * math.pi * tau) ** (-kern.n / 2.0)
+
+    def _ell(self, x, tau):
+        return self.kern.field.ell_cm(abs(x), tau)
+
+    def value(self, x):
+        return self.pref * math.exp(-self._ell(x, self.tau))
+
+    def dlog(self, x):
+        if x <= 1e-8:
+            return 0.0  # radial symmetry; below FD resolution
+        h = self.kern.h_space * max(1.0, x)
+        if x < 2.0 * h:
+            h = 0.5 * x  # keep the stencil on one side of the center
+        return -(self._ell(x + h, self.tau) - self._ell(x - h, self.tau)) / (2.0 * h)
+
+    def dtau_log(self, x):
+        tau = self.tau
+        h = self.kern.h_tau_rel * tau
+        dl = (self._ell(x, tau + h) - self._ell(x, tau - h)) / (2.0 * h)
+        return -self.kern.n / (2.0 * tau) - dl
+
+
+class SubHeatKernel(ParabolicKernel):
+    """Reduced-distance kernel (4 pi tau)^(-n/2) exp(-ell) of the
+    ReducedDistanceField ``field``, on `ShotSlice`s.  The spatial step is
+    h_space * max(1, x); the tau step is relative (h_tau_rel * tau) to keep
+    the difference quotient accurate against the 1/tau blowup of ell."""
 
     kind = SUB_HEAT
+    slice_class = ShotSlice
 
     def __init__(self, field):
         super().__init__(field.flow)
         self.field = field
         self.h_space = 1e-4
         self.h_tau_rel = 1e-3
-
-    def ell_cm(self, x, tau):
-        return self.field.ell_cm(abs(x), tau)
-
-    def value_cm(self, x, tau):
-        self._check_tau(tau)
-        n = self.n
-        return (4.0 * math.pi * tau) ** (-n / 2.0) * math.exp(-self.ell_cm(x, tau))
-
-    def dx_cm(self, x, tau):
-        if x <= 1e-8:
-            return 0.0  # radial symmetry; below FD resolution
-        h = self.h_space * max(1.0, x)
-        if x < 2.0 * h:
-            h = 0.5 * x  # keep the stencil on one side of the center
-        dl = (self.ell_cm(x + h, tau) - self.ell_cm(x - h, tau)) / (2.0 * h)
-        return -self.value_cm(x, tau) * dl
-
-    def dtau_cm(self, x, tau):
-        h = self.h_tau_rel * tau
-        dl = (self.ell_cm(x, tau + h) - self.ell_cm(x, tau - h)) / (2.0 * h)
-        return self.value_cm(x, tau) * (-self.n / (2.0 * tau) - dl)
-
-    def grad_log_cm(self, x, tau):
-        """Signed d(log K)/dx = -d ell/dx by centered differences."""
-        if x <= 1e-8:
-            return 0.0
-        h = self.h_space * max(1.0, x)
-        if x < 2.0 * h:
-            h = 0.5 * x
-        return -(self.ell_cm(x + h, tau) - self.ell_cm(x - h, tau)) / (2.0 * h)
-
-    def liyau_cm(self, x, tau):
-        # assembled from ell so it stays finite where the kernel underflows
-        h = self.h_tau_rel * tau
-        dl_tau = (self.ell_cm(x, tau + h) - self.ell_cm(x, tau - h)) / (2.0 * h)
-        grad2 = self.grad_log_cm(x, tau) ** 2 / self.geom.m2(x, -tau)
-        return grad2 + dl_tau + self.n / (2.0 * tau)
 
 
 def mcf_sup_heat_kernel(x0, y, tau, n):
@@ -608,7 +539,8 @@ class McfShrinkingSphereTrack:
 
 
 def liyau_expression(kernel, rho, tau):
-    """|grad log u|^2 - (log u)_tau for a parabolic kernel."""
+    """|grad log u|^2 - (log u)_tau for a parabolic kernel, at the geodesic
+    radius rho."""
     if not getattr(kernel, "parabolic", False):
         raise UnsupportedError("Li-Yau expression needs a parabolic kernel")
-    return kernel.liyau(rho, tau)
+    return kernel.at(tau).liyau(kernel.x_of_rho(rho, tau))

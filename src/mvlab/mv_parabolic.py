@@ -49,7 +49,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import make_field
-from .kernels import McfShrinkingSphereTrack, SubHeatKernel
+from .kernels import McfShrinkingSphereTrack, SubHeatKernel, liyau_expression
 from .quad import integrate_1d
 from .regions import ball_integrate, heatball_profile, sphere_integrate
 from .sweeps import SweepReport
@@ -389,8 +389,7 @@ def ly_ricci_residual(rd_field, rho, tau):
     n/(2 tau) - K_curv/(2 tau^(3/2)) with the curvature integral taken by
     quadrature along the minimizing geodesic.
     """
-    kern = SubHeatKernel(rd_field)
-    lhs = kern.liyau(rho, tau)
+    lhs = liyau_expression(SubHeatKernel(rd_field), rho, tau)
     kval, _ = rd_field.k_curvature_integral(rho, tau)
     rhs = rd_field.n / (2.0 * tau) - kval / (2.0 * tau ** 1.5)
     return abs(lhs - rhs), lhs, rhs

@@ -10,11 +10,11 @@ profile); bracketed Brent iteration serves the rest: the reduced-distance
 kernel and the Green's functions of hyperbolic space with n != 3.
 
 A parabolic region is foliated by time slices: every quadrature node,
-profile root and surface sample lives at one backward time tau.  The engines
-therefore evaluate the kernel through its slice ``kernel.at(tau)``
-(`kernels.KernelSlice`), which checks tau once and holds what depends on tau
-alone.  Brent roots live on the kernel, by level parameter, so regions
-rebuilt at the same level share them.
+profile root and surface sample lives at one backward time tau, and a
+parabolic kernel is defined by its slice class (`kernels.KernelSlice`): the
+engines evaluate it only through its slice ``kernel.at(tau)``, which checks
+tau once and holds what depends on tau alone.  Brent roots live on the
+kernel, by level parameter, so regions rebuilt at the same level share them.
 
 Both engines integrate over a heat ball one tanh-sinh level of times at a
 time (`_time_integral`).  In `ball_integrate` the times become one column
@@ -163,10 +163,10 @@ class HeatBallRegion:
         if hit is not None:
             return hit
         kern, level = self.kernel, self.level
-        value_cm = kern.at(tau).value_cm
+        value = kern.at(tau).value
 
         def f(s):
-            return value_cm(s) - level
+            return value(s) - level
 
         def bracket():
             x_cap = kern.geom.x_max(-tau)
@@ -192,10 +192,9 @@ class HeatBallRegion:
         """d rho / d tau of rho = sqrt(m2) x: the implicit-function dx/dtau
         plus the exact d sqrt(m2) / d tau = -(d m2 / dt) / (2 sqrt(m2))."""
         x = self.profile_x(tau)
-        kern, t = self.kernel, -tau
-        dx_dtau = -kern.dtau_cm(x, tau) / kern.dx_cm(x, tau)
-        sm = math.sqrt(kern.geom.m2(x, t))
-        return sm * dx_dtau - x * kern.geom.dm2_dt(x, t) / (2.0 * sm)
+        sl, geom = self.kernel.at(tau), self.kernel.geom
+        dx_dtau = -sl.dtau_log(x) / sl.dlog(x)
+        return sl.sm * dx_dtau - x * geom.dm2_dt(x, sl.t) / (2.0 * sl.sm)
 
 
 def heatball_profile(kernel, r):
@@ -207,7 +206,7 @@ def heatball_profile(kernel, r):
     level = _level(kernel, r)
 
     def center(tau):
-        return kernel.value_cm(0.0, tau) - level
+        return kernel.at(tau).value(0.0) - level
 
     def bracket():
         lo, hi = 1e-12, 1.0

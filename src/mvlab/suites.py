@@ -207,7 +207,8 @@ def _parabolic_battery(ts):
         worst = 0.0
         for u in np.linspace(0.02, 0.98, 25):
             tau = u * reg.tau_max
-            root = brentq(lambda x: h2.value_cm(x, tau) - reg.level, 0.0, 10.0,
+            value = h2.at(tau).value
+            root = brentq(lambda x: value(x) - reg.level, 0.0, 10.0,
                           xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
             worst = max(worst, abs(reg.profile_rho(tau) - root))
         return _check("heatball_profile_closed_form", worst, 0.0, 1e-10 * ts)

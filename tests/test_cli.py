@@ -182,6 +182,17 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert usage_error(["verify", "--suite", "ricci", "--geometry", "nonsense"])
     assert usage_error(["verify", "--suite", "all", "--geometry", "euclidean3"])
 
+    # argparse refuses these itself, after its usage line
+    def argparse_error(argv, flag):
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        return code == 2 and out == "" and f"error: {flag}" in err
+    assert argparse_error(j + ["--dimension", "3"], "unrecognized arguments: --dimension")
+    assert argparse_error(["verify", "--suite", "mcf", "--jobs", "-4"], "argument --jobs")
+    assert argparse_error(["verify", "--suite", "mcf", "--jobs", "two"], "argument --jobs")
+    monkeypatch.setenv("MVLAB_JOBS", "abc")
+    assert argparse_error(["verify", "--suite", "mcf"], "argument --jobs")
+
 
 def test_sweep_golden_csv(capsys):
     """Byte-exact output of an I/J sweep: verdicts and formatting."""

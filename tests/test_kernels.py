@@ -132,12 +132,12 @@ def test_green_profile_far_tail(n, k, d):
 # --------------------------------------------------------------------------- #
 def test_heat_kernel_values(e2, h3):
     h = HeatKernel(e2)
-    assert h.value(0.0, 0.25) == pytest.approx(1.0 / math.pi, rel=1e-15)
+    assert h.at(0.25).value(0.0) == pytest.approx(1.0 / math.pi, rel=1e-15)
 
     hk = HeatKernel(h3)
     expect = (4.0 * math.pi * 0.5) ** (-1.5) * (1.0 / math.sinh(1.0)) \
         * math.exp(-1.0 / 2.0 - 0.5)
-    assert hk.value(1.0, 0.5) == pytest.approx(expect, rel=1e-14)
+    assert hk.at(0.5).value(1.0) == pytest.approx(expect, rel=1e-14)
     assert expect == pytest.approx(1.9877e-2, rel=1e-4)
 
 
@@ -151,10 +151,10 @@ def test_heat_equation_residual(geom_name, tol, rng):
     for _ in range(10):
         d = float(rng.uniform(0.2, 1.2))
         tau = float(rng.uniform(0.3, 0.9))
-        dtau = _d1(lambda s: kern.value_cm(d, s), tau, 5e-3 * tau)
-        lap = (_d2(lambda x: kern.value_cm(x, tau), d, 5e-3)
-               + (geom.n - 1) * geom.warp_dr(d) / geom.warp(d)
-               * _d1(lambda x: kern.value_cm(x, tau), d, 5e-3))
+        value = kern.at(tau).value
+        dtau = _d1(lambda s: kern.at(s).value(d), tau, 5e-3 * tau)
+        lap = (_d2(value, d, 5e-3)
+               + (geom.n - 1) * geom.warp_dr(d) / geom.warp(d) * _d1(value, d, 5e-3))
         worst = max(worst, abs(dtau - lap))
     assert worst <= tol
 
@@ -164,10 +164,10 @@ def test_heat_kernel_analytic_derivatives(h3, rng):
     for _ in range(5):
         d = float(rng.uniform(0.2, 1.5))
         tau = float(rng.uniform(0.2, 0.8))
-        assert _d1(lambda x: kern.value_cm(x, tau), d, 1e-3) == pytest.approx(
-            kern.dx_cm(d, tau), rel=1e-9)
-        assert _d1(lambda s: kern.value_cm(d, s), tau, 1e-3 * tau) == pytest.approx(
-            kern.dtau_cm(d, tau), rel=1e-9)
+        sl = kern.at(tau)
+        assert _d1(sl.value, d, 1e-3) == pytest.approx(sl.dx(d), rel=1e-9)
+        assert _d1(lambda s: kern.at(s).value(d), tau, 1e-3 * tau) == pytest.approx(
+            sl.dtau(d), rel=1e-9)
 
 
 def _per_point_heat(kern, x, tau):
@@ -212,9 +212,6 @@ def test_heat_slice_bits(geom):
             assert (sl.value(x), sl.grad(x), sl.dtau(x), sl.liyau(x)) == \
                 (value, grad, dtau, liyau)
             assert sl.sample(x) == (value, grad, dtau)
-            assert (kern.value_cm(x, tau), kern.grad_norm_cm(x, tau),
-                    kern.dtau_cm(x, tau), kern.liyau_cm(x, tau)) == \
-                (value, grad, dtau, liyau)
 
 
 @pytest.mark.parametrize("geom", [FlowGeometry.euclidean(2), FlowGeometry.euclidean(3),
@@ -319,7 +316,7 @@ def test_h3_profile_against_mpmath(r, h3):
                 mid = (lo + hi) / 2
                 lo, hi = (mid, hi) if F(mid) > 0 else (lo, mid)
             sl = kern.at(float(tau))
-            xb = brentq(lambda s: sl.value_cm(s) - r ** -3.0, 0.0, 10.0,
+            xb = brentq(lambda s: sl.value(s) - r ** -3.0, 0.0, 10.0,
                         xtol=1e-14, rtol=4.0 * eps)
             shift = 4.0 * tau * eps * (abs(1.5 * math.log(4.0 * math.pi * tau)) + tau
                                        + abs(3.0 * math.log(r)) + 1.0)
@@ -329,20 +326,46 @@ def test_h3_profile_against_mpmath(r, h3):
     assert max(newton) <= max(brent)
 
 
-def test_generic_slice_keeps_radius_round_trip(khat_s3):
-    # ball integrands evaluate at the geodesic radius like the radius-based
-    # methods; the level set evaluates at x itself
-    tau = 0.2
-    sl = khat_s3.at(tau)
-    for x in (0.3, 0.7):
-        rho = khat_s3.rho_of_x(x, tau)
-        assert sl.rho(x) == rho
-        assert sl.value(x) == khat_s3.value(rho, tau)
-        assert sl.grad(x) == khat_s3.grad_norm(rho, tau)
-        assert sl.liyau(x) == khat_s3.liyau(rho, tau)
-        assert sl.value_cm(x) == khat_s3.value_cm(x, tau)
-        assert sl.sample(x) == (khat_s3.value_cm(x, tau), khat_s3.grad_norm_cm(x, tau),
-                                khat_s3.dtau_cm(x, tau))
+def _per_point_shot(kern, x, tau):
+    """The per-point SubHeatKernel arithmetic the shot slices replaced, as
+    the reference for their bits: (value, |grad|, d/dtau)."""
+    n = kern.n
+
+    def ell(x, tau):
+        return kern.field.ell_cm(abs(x), tau)
+
+    value = (4.0 * math.pi * tau) ** (-n / 2.0) * math.exp(-ell(x, tau))
+    if x <= 1e-8:
+        dx = 0.0
+    else:
+        h = kern.h_space * max(1.0, x)
+        if x < 2.0 * h:
+            h = 0.5 * x
+        dx = -value * ((ell(x + h, tau) - ell(x - h, tau)) / (2.0 * h))
+    h = kern.h_tau_rel * tau
+    dl = (ell(x, tau + h) - ell(x, tau - h)) / (2.0 * h)
+    dtau = value * (-n / (2.0 * tau) - dl)
+    return value, abs(dx) / math.sqrt(kern.geom.m2(x, -tau)), dtau
+
+
+@pytest.mark.parametrize("name", ["khat_flat2", "khat_s3"])
+def test_shot_slice_bits(name, request):
+    # x = 0, x on the half-step stencil next to the center and x on the full
+    # stencil; a column of slices calls the scalar slices node by node
+    kern = request.getfixturevalue(name)
+    taus, xs = (0.1, 0.2), (0.0, 5e-9, 1.5e-4, 0.3, 0.7)
+    for tau in taus:
+        sl = kern.at(tau)
+        for x in xs:
+            value, grad, dtau = _per_point_shot(kern, x, tau)
+            assert (sl.value(x), sl.grad(x), sl.dtau(x)) == (value, grad, dtau)
+            assert sl.sample(x) == (value, grad, dtau)
+    batch = kern.at(np.array(taus)[:, None])
+    grid = np.array([xs] * len(taus))
+    for method in ("rho", "warp", "value", "grad", "dtau", "liyau"):
+        got = getattr(batch, method)(grid)
+        for (i, j), x in np.ndenumerate(grid):
+            assert got[i, j] == getattr(kern.at(taus[i]), method)(x)
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.1, -math.inf])
@@ -357,8 +380,6 @@ def test_heat_kernel_unsupported():
         HeatKernel(FlowGeometry.hyperbolic(2))
     with pytest.raises(UnsupportedError):
         HeatKernel(FlowGeometry.shrinking_sphere(3))
-    with pytest.raises(DomainError):
-        HeatKernel(FlowGeometry.euclidean(2)).value(0.5, -0.1)
 
 
 def kernel_mass(kern, tau):
@@ -367,7 +388,7 @@ def kernel_mass(kern, tau):
     area = unit_sphere_area(kern.n)
 
     def f(x):
-        return sl.value_cm(x) * area * sl.warp(x) ** (kern.n - 1) * sl.sm
+        return sl.value(x) * area * sl.warp(x) ** (kern.n - 1) * sl.sm
 
     hi = kern.geom.x_max(-tau)
     if math.isinf(hi):
@@ -390,7 +411,7 @@ def test_level_monotonicity(e2, h3, khat_s3):
                        (khat_s3, (0.15,))):
         for tau in taus:
             xs = np.linspace(0.05, 1.2, 12)
-            vals = [kern.value_cm(x, tau) for x in xs]
+            vals = [kern.at(tau).value(x) for x in xs]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -417,14 +438,15 @@ def test_liyau_hyperbolic_evaluates_only(h3):
     for d, tau in ((0.5, 0.2), (1.5, 0.4), (1e-5, 0.2)):
         q = liyau_expression(kern, d, tau)
         assert math.isfinite(q)
-        val, grad, dtau = kern.evaluate(d, tau)
+        val, grad, dtau = kern.at(tau).sample(d)
         assert q == pytest.approx((grad / val) ** 2 - dtau / val, rel=1e-12)
 
 
 def test_subheat_flat_values(khat_flat2):
-    val, grad, dtau = khat_flat2.evaluate(1.0, 0.25)
+    sl = khat_flat2.at(0.25)
+    val, grad, dtau = sl.sample(1.0)
     assert val == pytest.approx(math.exp(-1.0) / math.pi, rel=1e-9)
-    assert khat_flat2.value(0.0, 0.25) == pytest.approx(1.0 / math.pi, rel=1e-9)
+    assert sl.value(0.0) == pytest.approx(1.0 / math.pi, rel=1e-9)
     # gradient matches the Gaussian's
     assert grad == pytest.approx(val * 1.0 / (2.0 * 0.25), rel=1e-5)
 
@@ -440,7 +462,7 @@ def test_subheat_subsolution_direction_s3(rd_s3, khat_s3):
     samples = [(0.5, 0.1), (0.8, 0.2), (1.2, 0.3)]
     chk = soliton_residuals(rd_s3, samples)
     for (rho, tau), w in zip(samples, chk.conjugate_heat):
-        khat = khat_s3.value(rho, tau)
+        khat = khat_s3.at(tau).value(khat_s3.x_of_rho(rho, tau))
         assert -khat * w <= 1e-6   # subsolution, up to FD noise
         assert w >= -1e-4          # one-sided: never significantly negative
 

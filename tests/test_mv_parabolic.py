@@ -224,7 +224,7 @@ def test_liyau_decomposition_flat(rd_flat2):
     kern.h_space, kern.h_tau_rel = 1e-5, 2e-5  # tight steps for the equality
     kval, _ = rd_flat2.k_curvature_integral(1.0, 0.25)
     assert abs(kval) <= 1e-10
-    lhs = kern.liyau(1.0, 0.25)
+    lhs = liyau_expression(kern, 1.0, 0.25)
     assert abs(lhs - 2.0 / (2.0 * 0.25)) <= 1e-8
 
 

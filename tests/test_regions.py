@@ -17,9 +17,9 @@ from mvlab import mv_parabolic as mvp
 from mvlab.errors import DomainError, NoRegionError
 from mvlab.fields import make_field
 from mvlab.geometry import FlowGeometry, unit_sphere_area
-from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
-                           ParabolicKernel, SubGreenKernel, SubHeatKernel,
-                           SupGreenKernel)
+from mvlab.kernels import (GreenKernel, HeatKernel, KernelSlice,
+                           McfShrinkingSphereTrack, ParabolicKernel,
+                           SubGreenKernel, SubHeatKernel, SupGreenKernel)
 from mvlab.quad import integrate_1d, integrate_de
 from mvlab.reduced import ReducedDistanceField
 from mvlab.regions import (ball_integrate, cap_integral, green_ball,
@@ -183,11 +183,12 @@ def test_flat_heat_level_set_matches_brent(n):
     for r in (0.3, 1.0, 3.0):
         level = r ** (-n)
         reg = heatball_profile(h, r)
-        top = brent_root(lambda tau: h.value_cm(0.0, tau) - level, 1e-6, 10.0)
+        top = brent_root(lambda tau: h.at(tau).value(0.0) - level, 1e-6, 10.0)
         assert reg.tau_max == pytest.approx(top, rel=1e-13)
         for u in np.linspace(0.02, 0.98, 13):
             tau = u * reg.tau_max
-            x = brent_root(lambda s: h.value_cm(s, tau) - level, 0.0, 10.0 * r)
+            value = h.at(tau).value
+            x = brent_root(lambda s: value(s) - level, 0.0, 10.0 * r)
             assert reg.profile_x(tau) == pytest.approx(x, rel=1e-13)
 
 
@@ -195,7 +196,7 @@ def test_h3_top_time_lambert_w(h3):
     h = HeatKernel(h3)
     for r in RADII:
         level = r ** (-3)
-        top = brent_root(lambda tau: h.value_cm(0.0, tau) - level, 1e-6, 10.0)
+        top = brent_root(lambda tau: h.at(tau).value(0.0) - level, 1e-6, 10.0)
         assert heatball_profile(h, r).tau_max == pytest.approx(top, rel=1e-13)
 
 
@@ -299,7 +300,7 @@ def test_profile_level_and_slope(e2):
     for u in (0.1, 0.5, 0.9):
         tau = u * reg.tau_max
         x = reg.profile_x(tau)
-        assert abs(h.value_cm(x, tau) / level - 1.0) <= 1e-11
+        assert abs(h.at(tau).value(x) / level - 1.0) <= 1e-11
         # implicit slope against the closed-form profile derivative
         eps = 1e-6 * tau
         fd = (reg.profile_rho(tau + eps) - reg.profile_rho(tau - eps)) / (2 * eps)
@@ -424,19 +425,24 @@ def test_heat_ball_error_is_true_and_informative(r, model):
     assert abs(value - 1.0) <= err <= tol
 
 
+class ComovingGaussSlice(KernelSlice):
+    def value(self, x):
+        return (4.0 * math.pi * self.tau) ** (-self.kern.n / 2.0) * math.exp(
+            -x * x / (4.0 * self.tau))
+
+    def dlog(self, x):
+        return -x / (2.0 * self.tau)
+
+    def dtau_log(self, x):
+        return -self.kern.n / (2.0 * self.tau) + x * x / (4.0 * self.tau * self.tau)
+
+
 class ComovingGauss(ParabolicKernel):
     """The flat Gaussian in the comoving angle of an evolving model: a kernel
-    whose profile moves with the metric scale, at the cost of one Brent root
-    per slice."""
+    defined by its slice class alone, whose profile moves with the metric
+    scale, at the cost of one Brent root per slice."""
 
-    def value_cm(self, x, tau):
-        return (4.0 * math.pi * tau) ** (-self.n / 2.0) * math.exp(-x * x / (4.0 * tau))
-
-    def dx_cm(self, x, tau):
-        return self.value_cm(x, tau) * (-x / (2.0 * tau))
-
-    def dtau_cm(self, x, tau):
-        return self.value_cm(x, tau) * (-self.n / (2.0 * tau) + x * x / (4.0 * tau * tau))
+    slice_class = ComovingGaussSlice
 
 
 def test_profile_slope_shrinking_sphere(s3):
