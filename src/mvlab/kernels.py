@@ -507,12 +507,13 @@ class McfShrinkingSphereTrack:
         if n < 1:
             raise UnsupportedError("track dimension must be >= 1")
         self.n = n
+        self._area = unit_sphere_area(n + 1)
 
     def slice_radius(self, tau):
         return math.sqrt(2.0 * self.n * tau)
 
     def slice_area(self, tau):
-        return unit_sphere_area(self.n + 1) * self.slice_radius(tau) ** self.n
+        return self._area * self.slice_radius(tau) ** self.n
 
     def value(self, tau):
         if tau <= 0:

@@ -5,11 +5,14 @@ For a kernel G with level sets ``Psi_r = {G = r^(-n)}`` and super-level balls
 
     v(x) = int_{Psi_r} |grad G| v dA  -  int_{Omega_r} (G - r^(-n)) Dv dmu,
 
-and the ball form as
+and the ball form as its Fubini collapse (a point of Omega_r lies in
+Omega_eta exactly when eta > G^(-1/n)), one pass with the heat ball's weight
 
-    v(x) = r^(-n) int_{Omega_r} |grad log G|^2 v dmu
-           - n r^(-n) int_0^r eta^n [ int_{Omega_eta} (G - eta^(-n)) Dv dmu ] deta / eta.
+    v(x) = r^(-n) int_{Omega_r} [ |grad log G|^2 v - (e^psi - 1 - psi) Dv ] dmu
+         = r^(-n) int_{Omega_r} |grad log G|^2 v dmu
+           - n r^(-n) int_0^r eta^n [ int_{Omega_eta} (G - eta^(-n)) Dv dmu ] deta / eta,
 
+with psi = log(G r^n).
 With the exact Green's function both are identities; with a comparison
 kernel they become one-sided bounds whose deficit this module reports with
 the sign arranged to be nonnegative.  The monotone companions are
@@ -34,23 +37,6 @@ def _surface_term(kernel, region, field):
     """J_v over the region: int_{Psi_r} |grad G| v dA."""
     return sphere_integrate(
         region, lambda rho: kernel.grad_norm(rho) * field.mean_value(rho, 0.0))
-
-
-def _ball_weight_term(kernel, region, field):
-    """I_v over the region: r^(-n) int_{Omega_r} |grad log G|^2 v dmu."""
-    val, err = ball_integrate(
-        region,
-        lambda rho: (kernel.grad_norm(rho) / kernel.value(rho)) ** 2
-        * field.mean_value(rho, 0.0))
-    scale = region.r ** (-kernel.n)
-    return val * scale, err * scale
-
-
-def _ball_phi_lap_term(kernel, region, field):
-    level = region.level
-    return ball_integrate(
-        region,
-        lambda rho: (kernel.value(rho) - level) * field.mean_laplacian(rho, 0.0))
 
 
 def mv_identity(kernel, field, r, form="sphere"):
@@ -93,25 +79,33 @@ def _mv_rhs_for_region(kernel, region, field, form):
         raise ValueError("form must be 'sphere' or 'ball'")
     if form == "sphere":
         surf, _ = _surface_term(kernel, region, field)
-        corr, _ = _ball_phi_lap_term(kernel, region, field)
+        level = region.level
+        corr, _ = ball_integrate(region, lambda rho: (kernel.value(rho) - level)
+                                 * field.mean_laplacian(rho, 0.0))
         return surf - corr
-    n = kernel.n
-    r = region.r
-    main, _ = _ball_weight_term(kernel, region, field)
+    # I_v and the Fubini-collapsed correction in one pass; at the default
+    # tolerance the E3 superharmonic residual at r = 1 rises from 0 to 8.5e-13
+    logr_n = kernel.n * math.log(region.r)
 
-    def eta_integrand(eta):
-        sub = green_ball(kernel, eta)
-        inner, _ = _ball_phi_lap_term(kernel, sub, field)
-        return eta ** (n - 1) * inner
+    def density(rho):
+        g = kernel.value(rho)
+        psi = math.log(g) + logr_n
+        return ((kernel.grad_norm(rho) / g) ** 2 * field.mean_value(rho, 0.0)
+                - (math.expm1(psi) - psi) * field.mean_laplacian(rho, 0.0))
 
-    iterated, _ = integrate_1d(eta_integrand, 0.0, r,
-                               epsabs=1e-12, epsrel=1e-9)
-    return main - n * r ** (-n) * iterated
+    val, _ = ball_integrate(region, density, epsabs=1e-13, epsrel=1e-12)
+    return val * region.r ** (-kernel.n)
 
 
 def i_quantity(kernel, field, r):
-    """I_v(r) with its quadrature error estimate."""
-    return _ball_weight_term(kernel, green_ball(kernel, r), field)
+    """I_v(r) = r^(-n) int_{Omega_r} |grad log G|^2 v dmu with its quadrature
+    error estimate."""
+    val, err = ball_integrate(
+        green_ball(kernel, r),
+        lambda rho: (kernel.grad_norm(rho) / kernel.value(rho)) ** 2
+        * field.mean_value(rho, 0.0))
+    scale = r ** (-kernel.n)
+    return val * scale, err * scale
 
 
 def j_quantity(kernel, field, r):

@@ -443,9 +443,9 @@ def ibar_quantity(track, a, r):
     tau_r = track.tau_max(r)
 
     def f(tau):
-        q = (track.grad_tangential(tau) ** 2
-             - track.dtau_material(tau) / track.value(tau))
-        return q * track.slice_area(tau)
+        # on the homothetic track the Li-Yau expression is exactly n/(2 tau):
+        # the tangential gradient vanishes and log K varies as -(n/2) log tau
+        return n / (2.0 * tau) * track.slice_area(tau)
 
     val, err = integrate_1d(f, tau_a, tau_r, epsabs=1e-12, epsrel=1e-10)
     scale = r ** n - a ** n

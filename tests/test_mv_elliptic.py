@@ -9,6 +9,8 @@ from mvlab.errors import PreconditionError, UnsupportedError
 from mvlab.fields import make_field
 from mvlab.kernels import GreenKernel, SubGreenKernel, SupGreenKernel
 from mvlab import mv_elliptic as mve
+from mvlab.quad import integrate_1d
+from mvlab.regions import ball_integrate, green_ball
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,39 @@ def test_sphere_ball_form_consistency(green3, e3, name):
     _, rhs_b, res_b = mve.mv_identity(green3, f, 0.8, "ball")
     assert abs(rhs_s - rhs_b) <= 1e-7
     assert max(res_s, res_b) <= 1e-7
+
+
+def nested_eta_correction(kernel, field, r):
+    """The ball form's correction as the iterated integral of its definition:
+    n r^(-n) int_0^r eta^(n-1) int_{Omega_eta} (G - eta^(-n)) Dv dmu deta."""
+    n = kernel.n
+
+    def eta_term(eta):
+        inner, _ = ball_integrate(
+            green_ball(kernel, eta), lambda rho: (kernel.value(rho) - eta ** (-n))
+            * field.mean_laplacian(rho, 0.0))
+        return eta ** (n - 1) * inner
+
+    iterated, _ = integrate_1d(eta_term, 0.0, r, epsabs=1e-12, epsrel=1e-9)
+    return n * r ** (-n) * iterated
+
+
+@pytest.mark.parametrize("r", [0.5, 0.8, 1.5])
+@pytest.mark.parametrize("kind,model,name", [
+    ("green", "e3", "superharmonic"), ("green", "h3", "exp-radial"),
+    ("sub", "h3", "constant-1"), ("sup", "h3", "constant-1")])
+def test_ball_form_fubini_matches_nested_eta(kind, model, name, r, request):
+    geom = request.getfixturevalue(model)
+    f = make_field(name, geom, **({"C": 10.0} if name == "superharmonic" else {}))
+    if kind == "green":
+        kern = GreenKernel(geom)
+        _, rhs, _ = mve.mv_identity(kern, f, r, "ball")
+    else:  # the deficit is v(x) - rhs for sub-Green and rhs - v(x) for sup-Green
+        kern = SubGreenKernel(geom, k=1.0) if kind == "sub" else SupGreenKernel(geom)
+        sign = -1.0 if kind == "sub" else 1.0
+        rhs = f.center_value() + sign * mve.mv_inequality_deficit(kern, f, r, "ball")
+    i_v, _ = mve.i_quantity(kern, f, r)
+    assert abs(rhs - (i_v - nested_eta_correction(kern, f, r))) <= 1e-9
 
 
 def test_identity_requires_exact_green(sub3, h3):

@@ -263,6 +263,22 @@ def test_track_quantities_equal_density():
                 theta, abs=1e-4)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_track_ibar_integrates_exact_liyau(n):
+    # the homothetic track's Li-Yau expression n/(2 tau) against its
+    # two-path form |grad^T log K|^2 - (log K)_tau
+    track = McfShrinkingSphereTrack(n)
+    for tau in np.geomspace(1e-6, 1e3, 37):
+        two_path = (track.grad_tangential(tau) ** 2
+                    - track.dtau_material(tau) / track.value(tau))
+        assert abs(n / (2.0 * tau) - two_path) <= 4 * math.ulp(n / (2.0 * tau))
+    theta = mvp.gaussian_density(n)
+    for r in (0.5, 1.0, 2.0):
+        for a in (0.0, r / 2):
+            val, err = mvp.ibar_quantity(track, a, r)
+            assert abs(val - theta) <= err
+
+
 def test_mcf_sweep_directions():
     out = mvp.mcf_sweep(2, [0.5, 1.0, 1.5, 2.0])
     assert out["jbar"].monotone_ok and out["ibar0"].monotone_ok

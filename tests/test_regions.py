@@ -13,6 +13,7 @@ from scipy import integrate
 from scipy.optimize import brentq
 
 from mvlab import kernels, regions
+from mvlab import mv_elliptic as mve
 from mvlab import mv_parabolic as mvp
 from mvlab.errors import DomainError, NoRegionError
 from mvlab.fields import make_field
@@ -423,6 +424,19 @@ def test_heat_ball_error_is_true_and_informative(r, model):
     eps, scale = mvp._EPS_EXACT, r ** kern.n
     tol = (eps["epsabs"] + eps["epsrel"] * scale) / scale
     assert abs(value - 1.0) <= err <= tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(r=st.floats(0.2, 2.5),
+       case=st.sampled_from([("e3", "harmonic-quadratic"), ("e3", "constant-1"),
+                             ("h3", "constant-1")]))
+def test_green_ball_error_is_true_and_informative(r, case):
+    # I_v(r) = v(x) for harmonic v and the exact Green's function
+    model, name = case
+    geom = {"e3": FlowGeometry.euclidean(3), "h3": FlowGeometry.hyperbolic(3)}[model]
+    field = make_field(name, geom)
+    value, err = mve.i_quantity(GreenKernel(geom), field, r)
+    assert abs(value - field.center_value()) <= err <= 1e-8
 
 
 class ComovingGaussSlice(KernelSlice):
