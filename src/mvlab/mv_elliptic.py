@@ -13,6 +13,7 @@ Omega_eta exactly when eta > G^(-1/n)), one pass with the heat ball's weight
            - n r^(-n) int_0^r eta^n [ int_{Omega_eta} (G - eta^(-n)) Dv dmu ] deta / eta,
 
 with psi = log(G r^n).
+
 With the exact Green's function both are identities; with a comparison
 kernel they become one-sided bounds whose deficit this module reports with
 the sign arranged to be nonnegative.  The monotone companions are
