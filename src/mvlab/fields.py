@@ -36,8 +36,10 @@ class TestField:
     ``omega`` is a unit direction (``None`` means the first axis).  The
     ``mean_*`` callbacks take ``(rho, t)`` and return exact averages over the
     geodesic sphere of radius ``rho`` of v, of Delta v and of the heat
-    operator ``(d/dt - Delta) v``; the ``*_np`` forms take numpy arrays (radii
-    and times) and default to the scalar forms, where those are arithmetic.
+    operator ``(d/dt - Delta) v``.  ``mean_heat_op`` and ``mean_value_np``
+    take numpy arrays (radii and times), as the heat-ball integrands call
+    them; ``mean_value_np`` defaults to ``mean_value`` where that is
+    arithmetic.
     """
 
     name: str
@@ -51,11 +53,10 @@ class TestField:
     tags: tuple
     params: dict = dc_field(default_factory=dict)
     mean_value_np: callable = None
-    mean_heat_op_np: callable = None
 
-    def __post_init__(self):  # a missing *_np form is the scalar form
-        for name in ("mean_value_np", "mean_heat_op_np"):
-            object.__setattr__(self, name, getattr(self, name) or getattr(self, name[:-3]))
+    def __post_init__(self):  # a missing array form is the scalar form
+        if self.mean_value_np is None:
+            object.__setattr__(self, "mean_value_np", self.mean_value)
 
     def center_value(self, t=0.0):
         return self.value(0.0, t, None)
@@ -177,8 +178,7 @@ def make_field(name, geom, **params):
             dt=lambda rho, t=0.0, omega=None: 0.0,
             mean_value=lambda rho, t=0.0: rho * rho,
             mean_laplacian=lap,
-            mean_heat_op=lambda rho, t=0.0: -lap(rho, t),
-            mean_heat_op_np=lambda rho, t=0.0: -lap(rho, t, m=np),
+            mean_heat_op=lambda rho, t=0.0: -lap(rho, t, m=np),
             tags=(SUBHARMONIC,))
 
     if name == "superharmonic":
@@ -269,9 +269,8 @@ def make_field(name, geom, **params):
             dt=lambda rho, t=0.0, omega=None: 0.0,
             mean_value=lambda rho, t=0.0: math.exp(-rho),
             mean_laplacian=lap,
-            mean_heat_op=lambda rho, t=0.0: -lap(rho, t),
+            mean_heat_op=lambda rho, t=0.0: -lap(rho, t, m=np),
             mean_value_np=lambda rho, t=0.0: np.exp(-rho),
-            mean_heat_op_np=lambda rho, t=0.0: -lap(rho, t, m=np),
             tags=(SUPERHARMONIC,))
 
     raise UnsupportedError(f"unknown field '{name}'")

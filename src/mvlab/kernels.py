@@ -15,16 +15,15 @@ A parabolic kernel is defined by its slice class, the only way to evaluate
 it: ``kernel.at(tau)`` is a `KernelSlice` of the comoving radius x, and time
 derivatives are taken at fixed x (fixed *manifold* point).  `HeatSlice` holds
 the exact heat kernel's formulas, `ShotSlice` the reduced-distance kernel's
-finite differences.  Given an array of times, ``kernel.at`` returns the
-slices as one object: a column takes a matrix of radii, one row per slice
-(the batched quadrature of `regions`), a 1-d array one radius per slice.
+finite differences.  One class serves every shape of tau, in numpy: a float,
+a column of times with a matrix of radii, one row per slice (the batched
+quadrature of `regions`), or a 1-d array with one radius per slice.
 
 Kernels invert ``kernel = r^(-n)`` (``level_radius``, ``tau_max``, ``profile_x``)
 where they can (closed forms; Newton for the H3 heat profile) and return
 None where `regions` must solve for it.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -185,29 +184,37 @@ class SupGreenKernel(EllipticKernel):
 
 
 class KernelSlice:
-    """A parabolic kernel at one backward time tau, as functions of the
-    comoving radius x.
+    """A parabolic kernel at backward time tau, as functions of the comoving
+    radius x.
 
     Every quadrature node, profile root and surface sample of a heat ball
     lies on one time slice: the slice checks tau once and holds what depends
-    on tau alone.  A subclass gives ``value(x)``, ``dlog(x)`` = d log K/dx
-    and ``dtau_log(x)`` = d log K/dtau at fixed x; the derivatives of K, its
+    on tau alone.  tau is a float, a 1-d array (one radius per time) or a
+    column (a row of radii per time); the methods broadcast x against it in
+    numpy.  A subclass gives ``value(x)``, ``dlog(x)`` = d log K/dx and
+    ``dtau_log(x)`` = d log K/dtau at fixed x; the derivatives of K, its
     gradient norm, its Li-Yau expression and the surface ``sample`` follow
     here.  ``dx``, ``grad`` and ``dtau`` accept the value at x when the
     caller has it.  ``rho(x)`` is the geodesic radius, ``warp(x)`` the orbit
-    warp and ``sm`` the radial metric factor sqrt(g_xx) of the slice.
+    warp and ``sm`` the radial metric factor sqrt(g_xx) of the slice; every
+    model is homogeneous in x.
     """
 
     def __init__(self, kern, tau):
         kern._check_tau(tau)
         self.kern, self.tau, self.t = kern, tau, -tau
-        self.sm = math.sqrt(kern.geom.m2(0.0, -tau))
+        self.sm = np.sqrt(kern.geom.m2(0.0, -tau))
 
     def rho(self, x):
-        return self.kern.rho_of_x(x, self.tau)
+        return self.sm * x
 
     def warp(self, x):
-        return self.kern.geom.warp_cm(x, self.t)
+        geom = self.kern.geom
+        if geom.kind == SHRINKING_SPHERE:
+            return self.sm * np.sin(x)
+        if geom.kind == HYPERBOLIC:
+            return np.sinh(geom.k * x) / geom.k
+        return x
 
     def dx(self, x, v=None):
         return (self.value(x) if v is None else v) * self.dlog(x)
@@ -229,36 +236,12 @@ class KernelSlice:
         return v, self.grad(x, v), self.dtau(x, v)
 
 
-class KernelSlices:
-    """Scalar slices of a kernel on an array of times tau (row i of a matrix
-    of radii, or entry i of an array, lies on the slice tau[i]): the methods
-    call the scalar method of the same name node by node."""
-
-    def __init__(self, kern, tau):
-        cls = kern.slice_class
-        self.rows = [cls(kern, t) for t in tau.ravel().tolist()]
-        self.tau, self.t = tau, -tau
-        self.sm = np.reshape([sl.sm for sl in self.rows], tau.shape)
-        for name in ("rho", "warp", "value", "grad", "dtau", "liyau"):
-            setattr(self, name, functools.partial(self._map, getattr(cls, name)))
-
-    def _map(self, method, x, v=None):
-        rows = np.reshape(x, (len(self.rows), -1)).tolist()
-        return np.reshape([[method(sl, xi) for xi in row]
-                           for sl, row in zip(self.rows, rows)], np.shape(x))
-
-    def sample(self, x):  # one radius per slice
-        nodes = [sl.sample(xi) for sl, xi in zip(self.rows, np.ravel(x).tolist())]
-        return tuple(np.reshape(col, np.shape(x)) for col in zip(*nodes))
-
-
 class ParabolicKernel:
     """Common behavior of parabolic kernels (backward time tau > 0).
 
     A subclass gives ``slice_class``, a `KernelSlice` subclass with
-    ``value``, ``dlog`` and ``dtau_log``; it may give ``slices_class`` for
-    arrays of times (default `KernelSlices`, node by node) and invert its
-    level sets (``tau_max``, ``profile_x``).
+    ``value``, ``dlog`` and ``dtau_log``, and may invert its level sets
+    (``tau_max``, ``profile_x``).
 
     ``_roots`` holds the level-set profile roots of every region built on
     the kernel, by level parameter r and then by tau, so regions of the same
@@ -266,7 +249,6 @@ class ParabolicKernel:
     """
 
     parabolic = True
-    slices_class = KernelSlices
 
     def __init__(self, geom):
         self.geom = geom
@@ -274,8 +256,9 @@ class ParabolicKernel:
         self._roots = {}
 
     def _check_tau(self, tau):
-        # a column of slices is checked at its ends
-        for end in (tau.min(), tau.max()) if isinstance(tau, np.ndarray) else (tau,):
+        # an array of slices is checked at its ends
+        tau = np.asarray(tau)
+        for end in (tau.min(), tau.max()):
             if end <= 0:
                 raise DomainError("backward time tau must be positive")
             self.geom.check_time(-end)
@@ -283,7 +266,7 @@ class ParabolicKernel:
     def at(self, tau):
         """The kernel on the time slice tau, or on each slice of an array of
         times; raises DomainError off the domain."""
-        return (self.slices_class if isinstance(tau, np.ndarray) else self.slice_class)(self, tau)
+        return self.slice_class(self, tau)
 
     def tau_max(self, r):
         return None  # top time of {kernel > r^(-n)}: no closed form
@@ -293,9 +276,6 @@ class ParabolicKernel:
 
     def x_of_rho(self, rho, tau):
         return self.geom.x_of_rho(rho, -tau)
-
-    def rho_of_x(self, x, tau):
-        return self.geom.rho_of_x(x, -tau)
 
 
 def _coth_cf(u2):
@@ -308,21 +288,21 @@ def _coth_cf(u2):
 
 
 class HeatSlice(KernelSlice):
-    """The exact heat kernel on one time slice; its formulas live here only.
+    """The exact heat kernel on time slices; its formulas live here only.
 
-    The models are static, so x is the geodesic radius and sm = 1.
-    `HeatSlices` holds the numpy forms.
+    The models are static, so x is the geodesic radius and sm = 1.  Branches
+    are taken node by node with np.where, each on arguments inside its range.
     """
-
-    _exp = staticmethod(math.exp)
 
     @staticmethod
     def _sinhc(u):  # u / sinh u
-        return u / math.sinh(u) if u > 1e-8 else 1.0 - u * u / 6.0
+        v = np.maximum(u, 1e-8)
+        return np.where(u > 1e-8, v / np.sinh(v), 1.0 - u * u / 6.0)
 
     @staticmethod
     def _cothc(u):  # (u coth u - 1) / u^2; the direct form cancels below u = 1
-        return _coth_cf(u * u) if u < 1.0 else (u / math.tanh(u) - 1.0) / (u * u)
+        v = np.maximum(u, 1.0)
+        return np.where(u < 1.0, _coth_cf(u * u), (v / np.tanh(v) - 1.0) / (v * v))
 
     def __init__(self, kern, tau):
         super().__init__(kern, tau)
@@ -331,13 +311,12 @@ class HeatSlice(KernelSlice):
         self.pref = (4.0 * math.pi * tau) ** (-n / 2.0)
         self.four_tau = 4.0 * tau
         self.two_tau = 2.0 * tau
-        self.decay = self._exp(-k ** 2 * tau)
+        self.decay = np.exp(-k ** 2 * tau)
         self.dtau0 = -n / (2.0 * tau)
         self.four_tau2 = 4.0 * tau * tau
-        self.warp = kern.geom.warp  # static: the orbit warp at every time
 
     def value(self, x):
-        gauss = self.pref * self._exp(-x * x / self.four_tau)
+        gauss = self.pref * np.exp(-x * x / self.four_tau)
         if self.k == 0.0:
             return gauss
         return gauss * self._sinhc(self.k * x) * self.decay
@@ -357,27 +336,6 @@ class HeatSlice(KernelSlice):
         return -self.dtau0 if self.k == 0.0 else super().liyau(x)
 
 
-class HeatSlices(HeatSlice):
-    """`HeatSlice` on an array of times tau, in numpy forms.  Branches are
-    taken node by node with np.where, each on arguments inside its range."""
-
-    _exp = staticmethod(np.exp)
-
-    @staticmethod
-    def _sinhc(u):
-        v = np.maximum(u, 1e-8)
-        return np.where(u > 1e-8, v / np.sinh(v), 1.0 - u * u / 6.0)
-
-    @staticmethod
-    def _cothc(u):
-        v = np.maximum(u, 1.0)
-        return np.where(u < 1.0, _coth_cf(u * u), (v / np.tanh(v) - 1.0) / (v * v))
-
-    def __init__(self, kern, tau):
-        super().__init__(kern, tau)
-        self.warp = (lambda x: x) if self.k == 0.0 else lambda x: np.sinh(self.k * x) / self.k
-
-
 class HeatKernel(ParabolicKernel):
     """Exact heat kernel: flat models for every n, hyperbolic models for n = 3.
 
@@ -386,7 +344,7 @@ class HeatKernel(ParabolicKernel):
     """
 
     kind = HEAT
-    slice_class, slices_class = HeatSlice, HeatSlices
+    slice_class = HeatSlice
 
     def __init__(self, geom):
         super().__init__(geom)
@@ -438,27 +396,32 @@ class HeatKernel(ParabolicKernel):
 
 
 class ShotSlice(KernelSlice):
-    """The reduced-distance kernel on one time slice: ell comes from geodesic
+    """The reduced-distance kernel on time slices: ell comes from geodesic
     shooting, so d log K/dx = -d ell/dx and d log K/dtau are centered
     differences of ell, with the steps of the kernel (`SubHeatKernel`)."""
 
     def __init__(self, kern, tau):
         super().__init__(kern, tau)
-        self.pref = (4.0 * math.pi * tau) ** (-kern.n / 2.0)
+        # the ufunc, not **: a float's ** takes libm's pow, an array's numpy's
+        self.pref = np.power(4.0 * math.pi * tau, -kern.n / 2.0)
 
     def _ell(self, x, tau):
-        return self.kern.field.ell_cm(abs(x), tau)
+        """ell at |x| and tau, broadcast; shooting is scalar, so one call per
+        node."""
+        return np.asarray(np.frompyfunc(self.kern.field.ell_cm, 2, 1)(np.abs(x), tau), float)
 
     def value(self, x):
-        return self.pref * math.exp(-self._ell(x, self.tau))
+        return self.pref * np.exp(-self._ell(x, self.tau))
 
     def dlog(self, x):
-        if x <= 1e-8:
-            return 0.0  # radial symmetry; below FD resolution
-        h = self.kern.h_space * max(1.0, x)
-        if x < 2.0 * h:
-            h = 0.5 * x  # keep the stencil on one side of the center
-        return -(self._ell(x + h, self.tau) - self._ell(x - h, self.tau)) / (2.0 * h)
+        x, tau = np.broadcast_arrays(np.asarray(x, dtype=float), self.tau)
+        out = np.zeros(x.shape)
+        live = x > 1e-8  # 0 below: radial symmetry, and below FD resolution
+        x, tau = x[live], tau[live]
+        h = self.kern.h_space * np.maximum(1.0, x)
+        h = np.where(x < 2.0 * h, 0.5 * x, h)  # keep the stencil on one side of the center
+        out[live] = -(self._ell(x + h, tau) - self._ell(x - h, tau)) / (2.0 * h)
+        return out[()]
 
     def dtau_log(self, x):
         tau = self.tau

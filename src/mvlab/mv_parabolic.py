@@ -80,7 +80,7 @@ def _heat_op_ball_term(kernel, field, region, weight):
 
     def f(sl):
         value, rho, t = sl.value, sl.rho, sl.t
-        return lambda x: weight(value(x)) * field.mean_heat_op_np(rho(x), t)
+        return lambda x: weight(value(x)) * field.mean_heat_op(rho(x), t)
 
     return ball_integrate(region, f, **_eps(kernel))
 
@@ -128,7 +128,7 @@ def _i_density(kernel, field, region, correction=False):
             out = out * field.mean_value_np(rho, sl.t)
             if correction:  # e^psi - 1 - psi with e^psi = q = K r^n
                 q = val * scale
-                out = out + (q - 1.0 - np.log(q)) * field.mean_heat_op_np(rho, sl.t)
+                out = out + (q - 1.0 - np.log(q)) * field.mean_heat_op(rho, sl.t)
             return out
         return g
 

@@ -13,14 +13,15 @@ A parabolic region is foliated by time slices: every quadrature node,
 profile root and surface sample lives at one backward time tau, and a
 parabolic kernel is defined by its slice class (`kernels.KernelSlice`): the
 engines evaluate it only through its slice ``kernel.at(tau)``, which checks
-tau once and holds what depends on tau alone.  Brent roots live on the
-kernel, by level parameter, so regions rebuilt at the same level share them.
+tau once and holds what depends on tau alone.  A slice takes a float or an
+array of times and evaluates in numpy.  Brent roots live on the kernel, by
+level parameter, so regions rebuilt at the same level share them.
 
 Both engines integrate over a heat ball one tanh-sinh level of times at a
-time (`_time_integral`).  In `ball_integrate` the times become one column
-slice ``kernel.at(tau[:, None])``, a parabolic integrand is a factory
-``integrand(slice) -> g(x)`` called on it once, and g maps a (slices x 21)
-matrix of comoving radii to its values.  Each slice takes QK21 with
+time (`_time_integral`).  In `ball_integrate` the times become one slice on
+a column of times, ``kernel.at(tau[:, None])``, a parabolic integrand is a
+factory ``integrand(slice) -> g(x)`` called on it once, and g maps a
+(slices x 21) matrix of comoving radii to its values.  Each slice takes QK21 with
 QUADPACK's error estimate (`quad.qk21`); pieces over their share of the
 tolerance are bisected and evaluated again, all in one batch.
 
@@ -186,7 +187,7 @@ class HeatBallRegion:
         return x
 
     def profile_rho(self, tau):
-        return self.kernel.rho_of_x(self.profile_x(tau), tau)
+        return self.kernel.at(tau).rho(self.profile_x(tau))
 
     def profile_slope(self, tau):
         """d rho / d tau of rho = sqrt(m2) x: the implicit-function dx/dtau
@@ -223,13 +224,12 @@ def heatball_profile(kernel, r):
     tau_max = _level_set(kernel.tau_max(r), center, bracket, xtol=1e-300)
     region = HeatBallRegion(kernel=kernel, r=r, tau_max=tau_max)
 
-    geom = kernel.geom
-    if math.isfinite(geom.x_max(0.0)):
-        for u in np.linspace(0.05, 0.95, 9):
-            tau = u * tau_max
-            if region.profile_x(tau) > 0.9 * geom.x_max(-tau):
-                raise NoRegionError(
-                    f"profile reaches 90% of the domain radius at tau = {tau:.4g}")
+    x_max = kernel.geom.x_max(0.0)  # the same at every time
+    if math.isfinite(x_max):
+        taus = np.linspace(0.05, 0.95, 9) * tau_max
+        wide = taus[region.profile_x(taus) > 0.9 * x_max]
+        if wide.size:
+            raise NoRegionError(f"profile reaches 90% of the domain radius at tau = {wide[0]:.4g}")
     return region
 
 
@@ -241,7 +241,7 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
 
     Elliptic: ``integrand(rho)`` over the ball (weight: sphere area).
     Parabolic: ``integrand`` is a factory called once per batch of time
-    slices with the kernel's column slice at those times; it returns
+    slices with the kernel's slice on a column of those times; it returns
     ``g(x)``, the integrand on a matrix of comoving radii x, one row per
     slice (the slice gives the geodesic radius ``rho(x)``, the times ``t``
     and the kernel data).  The weight is sphere area times d mu d tau, and
@@ -305,11 +305,12 @@ def _time_integral(density, tau_max, epsabs, epsrel):
 def _slice_integrals(kern, integrand, tau, x_hi, epsabs, epsrel):
     """Integrals of ``integrand`` over the slices {0 <= x <= x_hi} at times tau.
 
-    Every piece of every slice goes through QK21 in one batch: one column
-    slice ``kern.at(tau)`` and one (pieces x 21) matrix of radii.  A piece
-    whose error estimate exceeds its length's share of the slice tolerance
-    max(epsabs, epsrel |integral|) is bisected, and the halves form the next
-    batch, down to _DEPTH bisections.  Returns (integrals, error estimates).
+    Every piece of every slice goes through QK21 in one batch: one slice
+    ``kern.at(tau)`` on a column of times and one (pieces x 21) matrix of
+    radii.  A piece whose error estimate exceeds its length's share of the
+    slice tolerance max(epsabs, epsrel |integral|) is bisected, and the
+    halves form the next batch, down to _DEPTH bisections.  Returns
+    (integrals, error estimates).
     """
     area, n = unit_sphere_area(kern.n), kern.n
     val, err = np.zeros(tau.size), np.zeros(tau.size)

@@ -67,12 +67,16 @@ class SuiteReport:
 
     @classmethod
     def from_dict(cls, d):
-        checks = [CheckResult(name=c["name"], value=c["value"],
-                              expected=c["expected"], tol=c["tol"],
-                              passed=c["pass"], err=c.get("err", 0.0),
-                              error=c.get("error"))
-                  for c in d["checks"]]
-        return cls(suite=d["suite"], checks=checks)
+        """Inverse of `to_dict`; ValueError when d is not a suite report."""
+        try:
+            checks = [CheckResult(name=c["name"], value=c["value"],
+                                  expected=c["expected"], tol=c["tol"],
+                                  passed=c["pass"], err=c.get("err", 0.0),
+                                  error=c.get("error"))
+                      for c in d["checks"]]
+            return cls(suite=d["suite"], checks=checks)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a suite report ({type(exc).__name__}: {exc})") from None
 
 
 def _judge(value, expected, tol):

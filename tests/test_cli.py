@@ -181,6 +181,14 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert usage_error(["verify", "--suite", "mcf", "--tol-scale", "inf"])
     assert usage_error(["verify", "--suite", "ricci", "--geometry", "nonsense"])
     assert usage_error(["verify", "--suite", "all", "--geometry", "euclidean3"])
+    # valid JSON that is not a suite report
+    check = {"name": "c", "expected": 0.0, "tol": 1.0, "pass": True}
+    for i, doc in enumerate(({}, [1], None, {"suite": "s", "checks": 3},
+                             {"suite": "s", "checks": [1]},
+                             {"suite": "s", "checks": [check]})):
+        path = tmp_path / f"not_a_report_{i}.json"
+        path.write_text(json.dumps(doc))
+        assert usage_error(["report", "--in", str(path)]), doc
 
     # argparse refuses these itself, after its usage line
     def argparse_error(argv, flag):

@@ -311,8 +311,8 @@ def test_profile_level_and_slope(e2):
 def test_watson_weight(e2):
     h = HeatKernel(e2)
     reg = heatball_profile(h, 1.0)
-    # parabolic integrands are factories: a column slice of times gives g(x)
-    # on a matrix of radii, one row per slice
+    # parabolic integrands are factories: a slice on a column of times gives
+    # g(x) on a matrix of radii, one row per time
     def integrand(sl):
         def g(x):
             rho = sl.rho(x)
@@ -344,7 +344,7 @@ def slice_densities(geom, region):
     """
     name = "superharmonic" if geom.is_flat else "exp-radial"
     field = make_field(name, geom)
-    out = [lambda sl: lambda x: sl.value(x) * field.mean_heat_op_np(sl.rho(x), sl.t)]
+    out = [lambda sl: lambda x: sl.value(x) * field.mean_heat_op(sl.rho(x), sl.t)]
     if geom.is_flat:
         out.append(mvp._i_density(region.kernel, field, region, correction=True))
     return out
@@ -487,7 +487,7 @@ def test_heat_sphere_area_consistency(e2):
 
 def per_node_sphere_integrate(region, integrand, epsabs, epsrel):
     """Oracle: the heat-sphere integral one tanh-sinh node at a time, with
-    one scalar slice and one scalar SurfaceSample per node, as the surface
+    one slice at a float time and one scalar SurfaceSample per node, as the surface
     engine was before it took a level's times in one batch."""
     kern, n = region.kernel, region.kernel.n
     area, tau_max = unit_sphere_area(n), region.tau_max
@@ -530,9 +530,9 @@ def test_batched_sphere_matches_per_node(model, request):
 
 
 def test_batched_sphere_matches_per_node_shot_kernel(khat_s3, s3_ricci_sweep):
-    # the generic slice keeps the per-node kernel calls, so the shot kernel's
-    # finite-difference floor (~1e-6) does not enter; the session sweep has
-    # shot these nodes already
+    # the shot slice on an array of times shoots the same nodes as on
+    # floats, so the shot kernel's finite-difference floor (~1e-6) does not
+    # enter; the session sweep has shot these nodes already
     got, _ = mvp.jhat_quantity(khat_s3, 1.1)
     want, _ = per_node_sphere_integrate(heatball_profile(khat_s3, 1.1), jhat_density,
                                         **mvp._EPS_SHOT)
