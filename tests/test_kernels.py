@@ -267,6 +267,18 @@ def test_generic_column_slices_evaluate_node_by_node(khat_s3):
         assert (flat.rho(x)[i], flat.warp(x)[i]) == (sl.rho(x[i]), sl.warp(x[i]))
 
 
+@pytest.mark.parametrize("geom", [FlowGeometry.euclidean(2), FlowGeometry.hyperbolic(3)],
+                         ids=["e2", "h3"])
+def test_heat_slices_take_one_radius_per_time(geom):
+    kern = HeatKernel(geom)
+    taus, xs = np.array([0.03, 0.4, 2.5]), np.array([0.0, 5e-5, 1.3])
+    got = kern.at(taus).sample(xs)
+    for i, (tau, x) in enumerate(zip(taus, xs)):
+        want = kern.at(float(tau)).sample(x)
+        for g, w in zip(got, want):
+            assert g[i] == pytest.approx(w, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("tau", [0.05, 0.5, 1e20])
 def test_heat_dlog_against_mpmath(tau, h3):
     # d log H / dx = 1/x - k coth(kx) - x / (2 tau) on a kx grid across the
