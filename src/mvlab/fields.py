@@ -38,8 +38,8 @@ class TestField:
     geodesic sphere of radius ``rho`` of v, of Delta v and of the heat
     operator ``(d/dt - Delta) v``.  ``mean_heat_op`` and ``mean_value_np``
     take numpy arrays (radii and times), as the heat-ball integrands call
-    them; ``mean_value_np`` defaults to ``mean_value`` where that is
-    arithmetic.
+    them, and hold at rho = 0 too; ``mean_value_np`` defaults to
+    ``mean_value`` where that is arithmetic.
     """
 
     name: str
@@ -60,6 +60,13 @@ class TestField:
 
     def center_value(self, t=0.0):
         return self.value(0.0, t, None)
+
+
+def _quot(a, b, center, m):
+    """a / b on floats (m = math) or arrays (m = np); ``center`` where b = 0."""
+    if m is math:
+        return a / b if b else center
+    return np.divide(a, b, out=np.full(np.shape(b), center), where=b != 0.0)
 
 
 def _e1(omega, idx):
@@ -165,10 +172,8 @@ def make_field(name, geom, **params):
 
         def lap(rho, t=0.0, omega=None, m=math):
             if geom.kind == HYPERBOLIC:
-                if m is math and rho == 0.0:
-                    return 2.0 * n
                 kr = geom.k * rho
-                return 2.0 + 2.0 * (n - 1) * kr / m.tanh(kr)
+                return 2.0 + _quot(2.0 * (n - 1) * kr, m.tanh(kr), 2.0 * (n - 1), m)
             return 2.0 * n
 
         return TestField(
@@ -258,9 +263,8 @@ def make_field(name, geom, **params):
             raise UnsupportedError("exp-radial needs (n-1)k >= 1 to be superharmonic")
 
         def lap(rho, t=0.0, omega=None, m=math):
-            if m is math and rho == 0.0:
-                return -math.inf  # cone point; never sampled in quadrature
-            return m.exp(-rho) * (1.0 - (n - 1) * geom.k / m.tanh(geom.k * rho))
+            # -inf at the cone point rho = 0; never sampled in quadrature
+            return m.exp(-rho) * (1.0 - _quot((n - 1) * geom.k, m.tanh(geom.k * rho), math.inf, m))
 
         return TestField(
             name, geom,

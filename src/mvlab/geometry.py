@@ -210,10 +210,13 @@ class FlowGeometry:
         return 0.0
 
     def warp_cm(self, x, t=0.0):
-        """Orbit warp w(x, t): the sphere through x has area A * w^(n-1)."""
+        """Orbit warp w(x, t) in numpy: the sphere through x has area A * w^(n-1)
+        (``warp`` keeps math.sinh, to which the elliptic H3 bits are pinned)."""
         if self.kind == SHRINKING_SPHERE:
-            return math.sqrt(self.scale(t)) * math.sin(x)
-        return self.warp(x, t)
+            return np.sqrt(self.scale(t)) * np.sin(x)
+        if self.kind == HYPERBOLIC:
+            return np.sinh(self.k * x) / self.k
+        return x
 
     def dwarp_cm_dx(self, x, t=0.0):
         if self.kind == SHRINKING_SPHERE:

@@ -209,12 +209,7 @@ class KernelSlice:
         return self.sm * x
 
     def warp(self, x):
-        geom = self.kern.geom
-        if geom.kind == SHRINKING_SPHERE:
-            return self.sm * np.sin(x)
-        if geom.kind == HYPERBOLIC:
-            return np.sinh(geom.k * x) / geom.k
-        return x
+        return self.kern.geom.warp_cm(x, self.t)
 
     def dx(self, x, v=None):
         return (self.value(x) if v is None else v) * self.dlog(x)
@@ -273,9 +268,6 @@ class ParabolicKernel:
 
     def profile_x(self, r, tau):
         return None  # its comoving radius at tau: no closed form
-
-    def x_of_rho(self, rho, tau):
-        return self.geom.x_of_rho(rho, -tau)
 
 
 def _coth_cf(u2):
@@ -507,4 +499,4 @@ def liyau_expression(kernel, rho, tau):
     radius rho."""
     if not getattr(kernel, "parabolic", False):
         raise UnsupportedError("Li-Yau expression needs a parabolic kernel")
-    return kernel.at(tau).liyau(kernel.x_of_rho(rho, tau))
+    return kernel.at(tau).liyau(kernel.geom.x_of_rho(rho, -tau))

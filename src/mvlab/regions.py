@@ -201,8 +201,9 @@ class HeatBallRegion:
 def heatball_profile(kernel, r):
     """Build the parabolic level region for level parameter r.
 
-    The top time solves the on-center equation; the region is rejected when
-    the profile comes within 10 percent of the domain radius.
+    The top time solves the on-center equation; the region is rejected when,
+    at one of 9 times, the profile comes within 10 percent of the domain
+    radius or does not close inside it, and the first such time is named.
     """
     level = _level(kernel, r)
 
@@ -227,8 +228,11 @@ def heatball_profile(kernel, r):
     x_max = kernel.geom.x_max(0.0)  # the same at every time
     if math.isfinite(x_max):
         taus = np.linspace(0.05, 0.95, 9) * tau_max
-        wide = taus[region.profile_x(taus) > 0.9 * x_max]
-        if wide.size:
+        try:
+            wide = taus[region.profile_x(taus) > 0.9 * x_max]
+        except NoRegionError:  # one does not close: the first time that fails, in order
+            wide = [next(tau for tau in taus if region.profile_x(tau) > 0.9 * x_max)]
+        if len(wide):
             raise NoRegionError(f"profile reaches 90% of the domain radius at tau = {wide[0]:.4g}")
     return region
 

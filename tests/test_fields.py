@@ -156,16 +156,19 @@ def test_sphere_means_match_angular_quadrature(name, n, rng):
     assert worst <= 1e-10
 
 
-@pytest.mark.parametrize("name,model", [
-    ("constant-1", "e2"), ("superharmonic", "e2"), ("caloric-quadratic", "e3"),
-    ("gaussian-translate", "e2"), ("gaussian-translate", "e3"),
-    ("subharmonic", "h3"), ("exp-radial", "h3")])
-def test_sphere_means_take_node_matrices(name, model, request):
+@pytest.mark.parametrize("name,model,op_tol", [
+    pytest.param(name, model, tol, id=f"{name}-{model}") for name, model, tol in (
+        ("constant-1", "e2", 0.0), ("superharmonic", "e2", 0.0),
+        ("caloric-quadratic", "e3", 1e-8), ("gaussian-translate", "e2", 1e-8),
+        ("gaussian-translate", "e3", 1e-8), ("subharmonic", "h3", 0.0),
+        ("exp-radial", "h3", 0.0))])
+def test_sphere_means_take_node_matrices(name, model, op_tol, request):
     # heat-ball integrands call mean_value_np and mean_heat_op on a matrix of
     # radii and a column of times.  The scalar (math) forms are the reference:
     # mean_value for mean_value_np, and for mean_heat_op the centered
-    # difference in t of mean_value minus mean_laplacian (the difference is
-    # exactly 0 where the mean does not depend on t)
+    # difference in t of mean_value minus mean_laplacian.  The difference is
+    # exactly 0 where the mean does not depend on t, and there the reference
+    # is -mean_laplacian to the bit, so only the caloric fields take op_tol
     field = make_field(name, request.getfixturevalue(model))
     rho = np.array([[1e-7, 0.2, 0.9, 1.7], [0.05, 0.5, 1.1, 2.0]])
     t = np.array([[-0.01], [-0.3]])
@@ -176,11 +179,23 @@ def test_sphere_means_take_node_matrices(name, model, request):
         return dt - field.mean_laplacian(r, s)
 
     for mean, mean_np, tol in ((field.mean_value, field.mean_value_np, 0.0),
-                               (heat_op, field.mean_heat_op, 1e-8)):
+                               (heat_op, field.mean_heat_op, op_tol)):
         got = np.broadcast_to(mean_np(rho, t), rho.shape)
         for (i, j), r in np.ndenumerate(rho):
             assert got[i, j] == pytest.approx(mean(float(r), float(t[i, 0])),
                                               rel=1e-14, abs=tol)
+
+
+@pytest.mark.parametrize("name,center", [("subharmonic", -6.0), ("exp-radial", math.inf)])
+def test_heat_op_at_the_center(h3, name, center):
+    # the array form holds at rho = 0, alone or among other radii, with the
+    # scalar Laplacian's center value (a numpy divide or invalid warning
+    # would fail the test)
+    field = make_field(name, h3)
+    assert field.mean_heat_op(0.0) == center == -field.mean_laplacian(0.0)
+    got = field.mean_heat_op(np.array([[0.0, 0.5]]), np.array([[0.1]]))
+    assert got[0, 0] == center
+    assert got[0, 1] == pytest.approx(-field.mean_laplacian(0.5), rel=1e-14)
 
 
 def test_gaussian_translate_mean_dt_consistency(e2):

@@ -467,7 +467,7 @@ def test_subheat_subsolution_direction_s3(rd_s3, khat_s3):
     samples = [(0.5, 0.1), (0.8, 0.2), (1.2, 0.3)]
     chk = soliton_residuals(rd_s3, samples)
     for (rho, tau), w in zip(samples, chk.conjugate_heat):
-        khat = khat_s3.at(tau).value(khat_s3.x_of_rho(rho, tau))
+        khat = khat_s3.at(tau).value(khat_s3.geom.x_of_rho(rho, -tau))
         assert -khat * w <= 1e-6   # subsolution, up to FD noise
         assert w >= -1e-4          # one-sided: never significantly negative
 

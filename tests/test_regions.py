@@ -577,8 +577,20 @@ def test_parabolic_nesting(e2):
 
 def test_compactness_rejection(rd_s3):
     kern = SubHeatKernel(rd_s3)
-    with pytest.raises(NoRegionError):
+    with pytest.raises(NoRegionError, match="90% of the domain radius at tau = 0.7088"):
         heatball_profile(kern, 20.0)
+
+
+@pytest.mark.parametrize("r,message", [
+    (7.0, "reaches 90% of the domain radius at tau = 1.072"),
+    (8.0, "reaches 90% of the domain radius at tau = 0.8276"),
+    (9.0, "does not close inside the domain")])
+def test_rejection_names_the_first_time_that_fails(s3, r, message):
+    # the domain check solves its 9 times at once; at r = 8 a later time's
+    # profile does not close, and the wide time before it is still the one
+    # reported, as a check of one time after the other would
+    with pytest.raises(NoRegionError, match=message):
+        heatball_profile(ComovingGauss(s3), r)
 
 
 def test_heatball_domain_errors(e2):
