@@ -7,8 +7,8 @@ average of the Li-Yau expression over heat balls, Ihat(a, r), are
 non-increasing in r with Jhat <= Ihat.  On the flat model (the trivial
 shrinking soliton) both are constant and equal to the reduced volume 1.
 
-The shrinking-sphere sweep takes around a minute: every kernel value is a
-shot geodesic.
+The kernel is Perelman's closed form of ell on both flows; the soliton
+identities at the end differentiate the shot ell, its independent oracle.
 """
 
 from mvlab import FlowGeometry, ReducedDistanceField

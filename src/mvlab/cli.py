@@ -11,7 +11,8 @@ error.  A usage error is reported before any quantity is computed, as one
 and nothing on stdout.  Usage errors are
 
 * an unknown command, flag, suite, quantity or sweep geometry, or a missing
-  or malformed config or report file;
+  or malformed config or report file (a report field of the wrong type, or
+  a stored ``pass`` that its value, expected and tol do not give);
 * a ``--jobs`` or ``MVLAB_JOBS`` that is not a positive integer;
 * a ``verify --geometry`` other than gaussian, gaussian-soliton or
   shrinking-s3;

@@ -8,14 +8,14 @@ valid on Cartan-Hadamard models).
 
 Parabolic kinds (functions of radius and backward time tau): the flat
 Gaussian, the hyperbolic-3 heat kernel, the reduced-distance kernel
-``(4 pi tau)^(-n/2) exp(-ell)`` built on top of geodesic shooting, and the
+``(4 pi tau)^(-n/2) exp(-ell)`` with Perelman's closed-form ell, and the
 ambient Gaussian restricted to a mean-curvature-flow track.
 
 A parabolic kernel is defined by its slice class, the only way to evaluate
 it: ``kernel.at(tau)`` is a `KernelSlice` of the comoving radius x, and time
 derivatives are taken at fixed x (fixed *manifold* point).  `HeatSlice` holds
-the exact heat kernel's formulas, `ShotSlice` the reduced-distance kernel's
-finite differences.  One class serves every shape of tau, in numpy: a float,
+the exact heat kernel's formulas, `ReducedSlice` the reduced-distance
+kernel's.  One class serves every shape of tau, in numpy: a float,
 a column of times with a matrix of radii, one row per slice (the batched
 quadrature of `regions`), or a 1-d array with one radius per slice.
 
@@ -237,10 +237,6 @@ class ParabolicKernel:
     A subclass gives ``slice_class``, a `KernelSlice` subclass with
     ``value``, ``dlog`` and ``dtau_log``, and may invert its level sets
     (``tau_max``, ``profile_x``).
-
-    ``_roots`` holds the level-set profile roots of every region built on
-    the kernel, by level parameter r and then by tau, so regions of the same
-    level share them.
     """
 
     parabolic = True
@@ -248,7 +244,6 @@ class ParabolicKernel:
     def __init__(self, geom):
         self.geom = geom
         self.n = geom.n
-        self._roots = {}
 
     def _check_tau(self, tau):
         # an array of slices is checked at its ends
@@ -387,55 +382,56 @@ class HeatKernel(ParabolicKernel):
         return x if x.ndim else float(x)
 
 
-class ShotSlice(KernelSlice):
-    """The reduced-distance kernel on time slices: ell comes from geodesic
-    shooting, so d log K/dx = -d ell/dx and d log K/dtau are centered
-    differences of ell, with the steps of the kernel (`SubHeatKernel`)."""
+class ReducedSlice(KernelSlice):
+    """The reduced-distance kernel on time slices in Perelman's closed form
+    (arXiv math/0211159 section 7): radial minimizers have constant momentum,
+    so with sigma = 2 sqrt(tau), the radial metric factor m^2 = 1 + beta^2
+    sigma^2 and A = int_0^sigma ds / m^2 = arctan(beta sigma) / beta (sigma
+    if beta = 0), ell = (x^2 / A + (n/2)(sigma - A)) / sigma.  beta^2 =
+    -(d m^2/dt) / 4 is (n - 1)/2 on the shrinking n-sphere, 0 on static
+    models.  Shooting (`ReducedDistanceField.ell_cm`) is its oracle."""
 
     def __init__(self, kern, tau):
         super().__init__(kern, tau)
+        n, geom, s = kern.n, kern.geom, 2.0 * np.sqrt(tau)
+        m2 = geom.m2(0.0, -tau)
+        beta = math.sqrt(-geom.dm2_dt(0.0, 0.0) / 4.0)
+        a = np.arctan(beta * s) / beta if beta else s
         # the ufunc, not **: a float's ** takes libm's pow, an array's numpy's
-        self.pref = np.power(4.0 * math.pi * tau, -kern.n / 2.0)
-
-    def _ell(self, x, tau):
-        """ell at |x| and tau, broadcast; shooting is scalar, so one call per
-        node."""
-        return np.asarray(np.frompyfunc(self.kern.field.ell_cm, 2, 1)(np.abs(x), tau), float)
+        self.pref = np.power(4.0 * math.pi * tau, -n / 2.0)
+        self.ell0 = 0.5 * n * (s - a) / s        # ell at the center
+        self.ell2 = 1.0 / (a * s)                # ell = ell0 + ell2 x^2
+        # d log K/dtau = -n/(2 tau) - (2/sigma) d ell/dsigma, dA/dsigma = 1/m^2
+        self.dtau0 = -n / (2.0 * tau) - n * (a - s / m2) / s ** 3
+        self.dtau2 = 2.0 * (s / m2 + a) * self.ell2 ** 2 / s
 
     def value(self, x):
-        return self.pref * np.exp(-self._ell(x, self.tau))
+        return self.pref * np.exp(-(self.ell0 + self.ell2 * x * x))
 
     def dlog(self, x):
-        x, tau = np.broadcast_arrays(np.asarray(x, dtype=float), self.tau)
-        out = np.zeros(x.shape)
-        live = x > 1e-8  # 0 below: radial symmetry, and below FD resolution
-        x, tau = x[live], tau[live]
-        h = self.kern.h_space * np.maximum(1.0, x)
-        h = np.where(x < 2.0 * h, 0.5 * x, h)  # keep the stencil on one side of the center
-        out[live] = -(self._ell(x + h, tau) - self._ell(x - h, tau)) / (2.0 * h)
-        return out[()]
+        return -2.0 * self.ell2 * x
 
     def dtau_log(self, x):
-        tau = self.tau
-        h = self.kern.h_tau_rel * tau
-        dl = (self._ell(x, tau + h) - self._ell(x, tau - h)) / (2.0 * h)
-        return -self.kern.n / (2.0 * tau) - dl
+        return self.dtau0 + self.dtau2 * x * x
 
 
 class SubHeatKernel(ParabolicKernel):
     """Reduced-distance kernel (4 pi tau)^(-n/2) exp(-ell) of the
-    ReducedDistanceField ``field``, on `ShotSlice`s.  The spatial step is
-    h_space * max(1, x); the tau step is relative (h_tau_rel * tau) to keep
-    the difference quotient accurate against the 1/tau blowup of ell."""
+    ReducedDistanceField ``field``, on `ReducedSlice`s."""
 
     kind = SUB_HEAT
-    slice_class = ShotSlice
+    slice_class = ReducedSlice
 
     def __init__(self, field):
         super().__init__(field.flow)
-        self.field = field
-        self.h_space = 1e-4
-        self.h_tau_rel = 1e-3
+
+    def profile_x(self, r, tau):
+        """Radius of {kernel >= r^(-n)} at tau (a float or an array of times),
+        where ell = n log r - (n/2) log(4 pi tau); 0 where rounding makes x^2 < 0."""
+        sl = self.at(np.asarray(tau, dtype=float))
+        ell_r = self.n * (math.log(r) - 0.5 * np.log(4.0 * math.pi * sl.tau))
+        x = np.sqrt(np.maximum(ell_r - sl.ell0, 0.0) / sl.ell2)
+        return x if x.ndim else float(x)
 
 
 def mcf_sup_heat_kernel(x0, y, tau, n):

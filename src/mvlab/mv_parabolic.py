@@ -54,14 +54,8 @@ from .quad import integrate_1d
 from .regions import ball_integrate, heatball_profile, sphere_integrate
 from .sweeps import SweepReport
 
-# quadrature settings per kernel backing: closed forms can be driven hard,
-# shot kernels carry finite-difference bias around 1e-6 relative
-_EPS_EXACT = {"epsabs": 1e-10, "epsrel": 1e-9}
-_EPS_SHOT = {"epsabs": 1e-7, "epsrel": 1e-7}
-
-
-def _eps(kernel):
-    return _EPS_SHOT if isinstance(kernel, SubHeatKernel) else _EPS_EXACT
+# quadrature settings of every region integral: all kernels are closed forms
+_EPS = {"epsabs": 1e-10, "epsrel": 1e-9}
 
 
 def surface_weight_term(kernel, field, region):
@@ -70,7 +64,7 @@ def surface_weight_term(kernel, field, region):
         return (field.mean_value_np(s.rho, -s.tau) * s.grad ** 2
                 / np.hypot(s.grad, s.dtau))
 
-    return sphere_integrate(region, f, **_eps(kernel))
+    return sphere_integrate(region, f, **_EPS)
 
 
 def _heat_op_ball_term(kernel, field, region, weight):
@@ -82,7 +76,7 @@ def _heat_op_ball_term(kernel, field, region, weight):
         value, rho, t = sl.value, sl.rho, sl.t
         return lambda x: weight(value(x)) * field.mean_heat_op(rho(x), t)
 
-    return ball_integrate(region, f, **_eps(kernel))
+    return ball_integrate(region, f, **_EPS)
 
 
 def _scalar_R_ball_term(kernel, field, region):
@@ -99,7 +93,7 @@ def _scalar_R_ball_term(kernel, field, region):
             return geom.scalar_R(r, t) * field.mean_value_np(r, t)
         return g
 
-    return ball_integrate(region, f, **_eps(kernel))
+    return ball_integrate(region, f, **_EPS)
 
 
 def _j_term(kernel, field, region):
@@ -138,7 +132,7 @@ def _i_density(kernel, field, region, correction=False):
 def _i_term(kernel, field, region):
     """I_v over the region: (1/r^n) int (|grad log K|^2 + R log(K r^n)) v."""
     scale = region.r ** kernel.n
-    val, err = ball_integrate(region, _i_density(kernel, field, region), **_eps(kernel))
+    val, err = ball_integrate(region, _i_density(kernel, field, region), **_EPS)
     return val / scale, err / scale
 
 
@@ -159,7 +153,7 @@ def mv_heat_ball(kernel, field, r):
     lhs = field.center_value(0.0)
     # I_v and its correction in one pass over the region
     density = _i_density(kernel, field, region, "caloric" not in field.tags)
-    rhs = ball_integrate(region, density, **_eps(kernel))[0] / r ** kernel.n
+    rhs = ball_integrate(region, density, **_EPS)[0] / r ** kernel.n
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -170,13 +164,13 @@ def jhat_quantity(kernel, r):
     def f(s):
         return (s.grad ** 2 - s.value * s.dtau) / np.hypot(s.grad, s.dtau)
 
-    return sphere_integrate(region, f, **_eps(kernel))
+    return sphere_integrate(region, f, **_EPS)
 
 
 def liyau_ball_integral(kernel, r):
     """int over E_r of the Li-Yau expression of the kernel."""
     region = heatball_profile(kernel, r)
-    return ball_integrate(region, lambda sl: sl.liyau, **_eps(kernel))
+    return ball_integrate(region, lambda sl: sl.liyau, **_EPS)
 
 
 def ihat_quantity(kernel, a, r, _cache=None):
@@ -238,15 +232,12 @@ def jhat_sweep(kernel, r_grid, a_fracs=(0.0, 0.5), tol=1e-6):
                 ierrs.append(ie)
             pairs.append((a, r, iv, ie))
 
-    # the finite-difference bias of shot kernels sets the monotonicity slack
-    slack = tol if not isinstance(kernel, SubHeatKernel) else max(tol, 3e-6)
     return {
         "jhat": SweepReport(name="jhat", grid=list(r_grid), values=jvals,
-                            errors=jerrs, direction="non-increasing",
-                            tol=slack),
+                            errors=jerrs, direction="non-increasing", tol=tol),
         "ihat0": SweepReport(name="ihat(0,r)", grid=list(r_grid),
                              values=ivals, errors=ierrs,
-                             direction="non-increasing", tol=slack),
+                             direction="non-increasing", tol=tol),
         "pairs": pairs,
     }
 
@@ -384,10 +375,10 @@ def soliton_residuals(rd_field, samples):
 def ly_ricci_residual(rd_field, rho, tau):
     """Two-path residual of the Li-Yau decomposition on a Ricci flow.
 
-    The left side evaluates the Li-Yau expression of the reduced-distance
-    kernel by finite differences; the right side is
+    The left side is the Li-Yau expression of the closed-form
+    reduced-distance kernel; the right side is
     n/(2 tau) - K_curv/(2 tau^(3/2)) with the curvature integral taken by
-    quadrature along the minimizing geodesic.
+    quadrature along the shot minimizing geodesic.
     """
     lhs = liyau_expression(SubHeatKernel(rd_field), rho, tau)
     kval, _ = rd_field.k_curvature_integral(rho, tau)

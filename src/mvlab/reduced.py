@@ -17,6 +17,10 @@ scalar comoving coordinate x and the Euler-Lagrange equation
 where m^2(x, tau) is the radial metric coefficient.  The reduced distance is
 the minimal energy divided by 2 sqrt(tau), and the reduced volume is the
 spatial integral of (4 pi tau)^(-n/2) exp(-ell).
+
+On both realized flows ell has a closed form, `kernels.ReducedSlice`, which
+the reduced volume, Jhat, Ihat and the Li-Yau expression evaluate; the shot
+ell and geodesics here are its independent oracle.
 """
 
 import math
@@ -29,6 +33,7 @@ from scipy.optimize import brentq
 
 from .errors import CutLocusWarning, DomainError, ShootingError
 from .geometry import unit_sphere_area
+from .kernels import SubHeatKernel
 from .quad import integrate_1d
 
 ODE_RTOL = 1e-10
@@ -36,12 +41,6 @@ ODE_ATOL = 1e-12
 TARGET_TOL = 1e-12
 V_MAX = 10.0          # largest initial speed of the bracketed fallback
 MULTI_STARTS = 8      # geometric speeds in (0, V_MAX] it brackets between
-
-
-def _qkey(v):
-    """Relative quantization (~1e-12) of a float for memo keys."""
-    m, e = math.frexp(v)
-    return int(m * (1 << 40)), e
 
 
 @dataclass
@@ -147,47 +146,32 @@ def l_length(flow, path, sigma_bar, path_dot=None):
 
 
 class ReducedDistanceField:
-    """Reduced distance of a model flow, centered at the pole at time zero.
-
-    Values come from shooting; a quantized (x, tau) memo caches results so
-    kernel quadratures that revisit nearby points stay affordable.  The memo
-    is read-mostly: concurrent readers are safe and inserts are atomic
-    (a plain dict assignment).
-    """
+    """Reduced distance of a model flow, centered at the pole at time zero, by
+    shooting: the oracle of the closed form, which `reduced_volume` integrates."""
 
     def __init__(self, flow):
         self.flow = flow
         self.n = flow.n
-        self._memo = {}
-        self._slope = {}  # sigma_bar -> d(x_end)/dv, secant warm starts
 
     # ------------------------------------------------------------------ #
     # shooting to a target
     # ------------------------------------------------------------------ #
     def _solve_velocity(self, x_target, tau):
-        """Initial speed whose geodesic ends at x_target at backward time tau.
-
-        Proportional secant iteration; the endpoint map of the realized
-        homogeneous flows is linear in the speed, so a cached slope per
-        sigma_bar makes the first guess land within root tolerance.
-        """
+        """Initial speed whose geodesic ends at x_target at backward time tau:
+        proportional secant steps from the flat speed; the endpoint map of the
+        realized flows is linear in the speed, so the second shot lands."""
         sigma_bar = 2.0 * math.sqrt(tau)
         if x_target == 0.0:
             return 0.0, shoot_l_geodesic(self.flow, 0.0, sigma_bar)
 
-        skey = _qkey(sigma_bar)
-        slope = self._slope.get(skey)
-        v = x_target / slope if slope else x_target / sigma_bar
+        v = x_target / sigma_bar
         for _ in range(60):
             try:
                 geod = shoot_l_geodesic(self.flow, v, sigma_bar)
             except ShootingError:
                 v *= 0.5
                 continue
-            if geod.x_end > 0.0:
-                self._slope[skey] = geod.x_end / v
-            err = geod.x_end - x_target
-            if abs(err) <= TARGET_TOL * max(1.0, abs(x_target)):
+            if abs(geod.x_end - x_target) <= TARGET_TOL * max(1.0, abs(x_target)):
                 return v, geod
             if geod.x_end <= 0.0:
                 break
@@ -239,17 +223,11 @@ class ReducedDistanceField:
     # reduced distance and derived quantities
     # ------------------------------------------------------------------ #
     def ell_cm(self, x, tau):
-        """Reduced distance at comoving position x (memoized)."""
+        """Reduced distance at comoving position x, by shooting."""
         if tau <= 0:
             raise DomainError("backward time tau must be positive")
-        key = (_qkey(x), _qkey(tau)) if x != 0.0 else (0, _qkey(tau))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[0]
-        v, geod = self._solve_velocity(x, tau)
-        ell = geod.length / (2.0 * math.sqrt(tau))
-        self._memo[key] = (ell, v)
-        return ell
+        _, geod = self._solve_velocity(x, tau)
+        return geod.length / (2.0 * math.sqrt(tau))
 
     def ell(self, rho, tau):
         self.flow.check_point(rho, -tau)
@@ -259,19 +237,15 @@ class ReducedDistanceField:
         return 2.0 * math.sqrt(tau) * self.ell_cm(x, tau)
 
     def reduced_volume(self, tau, epsabs=1e-9):
-        """Spatial integral of (4 pi tau)^(-n/2) exp(-ell) at backward time tau."""
-        if tau <= 0:
-            raise DomainError("backward time tau must be positive")
-        flow, n, t = self.flow, self.n, -tau
-        area = unit_sphere_area(n)
-        pref = (4.0 * math.pi * tau) ** (-n / 2.0)
+        """Spatial integral of the closed-form kernel (4 pi tau)^(-n/2)
+        exp(-ell) on its slice at backward time tau."""
+        sl = SubHeatKernel(self).at(tau)
+        area, n = unit_sphere_area(self.n), self.n
 
         def f(x):
-            w = flow.warp_cm(x, t)
-            return (pref * math.exp(-self.ell_cm(x, tau))
-                    * area * w ** (n - 1) * math.sqrt(flow.m2(x, t)))
+            return float(sl.value(x) * area * sl.warp(x) ** (n - 1) * sl.sm)
 
-        hi = flow.x_max(t)
+        hi = self.flow.x_max(-tau)
         if math.isinf(hi):
             hi = 14.0 * math.sqrt(tau)  # integrand under 1e-18 beyond this
         return integrate_1d(f, 0.0, hi, epsabs=epsabs, epsrel=1e-8)

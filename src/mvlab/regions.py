@@ -7,15 +7,14 @@ backward time: the top time ``tau_max`` solves the on-center equation and the
 profile ``x(tau)`` is the per-slice root.  Each of these is the kernel's own
 inverse where it has one (closed forms; batched Newton for the H3 heat
 profile); bracketed Brent iteration serves the rest: the reduced-distance
-kernel and the Green's functions of hyperbolic space with n != 3.
+top time, H3 profile times Newton leaves short, hyperbolic Green radii (n != 3).
 
 A parabolic region is foliated by time slices: every quadrature node,
 profile root and surface sample lives at one backward time tau, and a
 parabolic kernel is defined by its slice class (`kernels.KernelSlice`): the
 engines evaluate it only through its slice ``kernel.at(tau)``, which checks
 tau once and holds what depends on tau alone.  A slice takes a float or an
-array of times and evaluates in numpy.  Brent roots live on the kernel, by
-level parameter, so regions rebuilt at the same level share them.
+array of times and evaluates in numpy.
 
 Both engines integrate over a heat ball one tanh-sinh level of times at a
 time (`_time_integral`).  In `ball_integrate` the times become one slice on
@@ -38,7 +37,7 @@ where the profile closes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -47,7 +46,6 @@ from .errors import DomainError, NoRegionError
 from .geometry import unit_sphere_area
 from .quad import QK21_NODES, integrate_1d, integrate_de, qk21
 
-ROOT_XTOL = 1e-14
 # relative slivers next to tau = 0 and tau = tau_max excluded from
 # double-exponential nodes; `_time_integral` bounds what they drop
 TIME_CLIP_LO = 1e-18
@@ -71,12 +69,13 @@ def _level(kernel, r):
     return r ** (-kernel.n)
 
 
-def _level_set(closed, f, bracket, xtol=ROOT_XTOL):
-    """``closed``, or when the kernel has none the Brent root of f on bracket()."""
+def _level_set(closed, f, bracket):
+    """``closed``, or when the kernel has none the Brent root of f on bracket(),
+    to a relative tolerance (xtol = 1e-300: roots can sit far below 1)."""
     if closed is not None:
         return float(closed)
     lo, hi = bracket()
-    return float(brentq(f, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps))
+    return float(brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
 
 
 def level_radius(kernel, r):
@@ -99,8 +98,7 @@ def level_radius(kernel, r):
             lo, hi = 0.5 * lo, lo
         return lo, hi
 
-    # xtol = 1e-300 leaves rtol in charge: Brent radii can sit far below 1
-    return _level_set(kernel.level_radius(r), f, bracket, xtol=1e-300)
+    return _level_set(kernel.level_radius(r), f, bracket)
 
 
 @dataclass(frozen=True)
@@ -123,21 +121,13 @@ def green_ball(kernel, r):
     return GreenBallRegion(kernel=kernel, r=r, rho_star=level_radius(kernel, r))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeatBallRegion:
-    """Super-level set of a parabolic kernel in backward time.
-
-    The profile is the comoving-coordinate root per time slice.  Brent roots
-    are kept on the kernel by level parameter (``kernel._roots[r]``), so
-    every region at the same level on the same kernel solves each slice once.
-    """
+    """Super-level set of a parabolic kernel in backward time; the profile
+    is the comoving-coordinate root per time slice."""
     kernel: object
     r: float
     tau_max: float
-    _roots: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._roots = self.kernel._roots.setdefault(self.r, {})
 
     @property
     def parabolic(self):
@@ -149,7 +139,8 @@ class HeatBallRegion:
 
     def profile_x(self, tau):
         """Profile radius at tau (a float or an array of times): the kernel's
-        own inverse where it returns one, else Brent."""
+        own inverse where it returns one, else Brent; NoRegionError where it
+        does not close inside the domain."""
         taus = np.atleast_1d(np.asarray(tau, dtype=float))
         if not np.all((taus > 0.0) & (taus < self.tau_max)):
             raise DomainError(f"tau must lie in (0, {self.tau_max})")
@@ -157,12 +148,11 @@ class HeatBallRegion:
         x = np.full(taus.shape, np.nan) if x is None else x
         for i in np.flatnonzero(np.isnan(x)):
             x[i] = self._brent_x(float(taus[i]))
+        if np.any(x >= self.kernel.geom.x_max(0.0)):
+            raise NoRegionError("profile does not close inside the domain")
         return x if np.ndim(tau) else float(x[0])
 
     def _brent_x(self, tau):
-        hit = self._roots.get(tau)
-        if hit is not None:
-            return hit
         kern, level = self.kernel, self.level
         value = kern.at(tau).value
 
@@ -173,8 +163,8 @@ class HeatBallRegion:
             x_cap = kern.geom.x_max(-tau)
             if math.isinf(x_cap):
                 x_cap = 1e6
-            # the flat Gaussian's profile at this level bounds the H3 and the
-            # reduced-kernel profiles; sqrt(tau) / 10 keeps the bracket open
+            # the flat Gaussian's profile at this level bounds the H3 profile;
+            # sqrt(tau) / 10 keeps the bracket open
             gauss = -4.0 * tau * math.log(level * (4.0 * math.pi * tau) ** (kern.n / 2.0))
             hi = min(math.sqrt(max(gauss, 0.0)) + 0.1 * math.sqrt(tau), x_cap * (1.0 - 1e-9))
             while f(hi) > 0.0:
@@ -183,8 +173,7 @@ class HeatBallRegion:
                     raise NoRegionError("profile does not close inside the domain")
             return 0.0, hi
 
-        x = self._roots[tau] = _level_set(None, f, bracket)
-        return x
+        return _level_set(None, f, bracket)
 
     def profile_rho(self, tau):
         return self.kernel.at(tau).rho(self.profile_x(tau))
@@ -222,7 +211,7 @@ def heatball_profile(kernel, r):
                 raise NoRegionError("kernel does not exceed the level near tau = 0")
         return lo, hi
 
-    tau_max = _level_set(kernel.tau_max(r), center, bracket, xtol=1e-300)
+    tau_max = _level_set(kernel.tau_max(r), center, bracket)
     region = HeatBallRegion(kernel=kernel, r=r, tau_max=tau_max)
 
     x_max = kernel.geom.x_max(0.0)  # the same at every time

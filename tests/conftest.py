@@ -1,5 +1,5 @@
-"""Shared fixtures.  Reduced-distance fields are session-scoped so their
-shooting memos are shared across test modules; all randomness is seeded."""
+"""Shared fixtures, session-scoped where they hold results that several
+test modules read (the shrinking-sphere sweep); all randomness is seeded."""
 
 import numpy as np
 import pytest

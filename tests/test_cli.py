@@ -41,7 +41,7 @@ def test_verify_elliptic_report(tmp_path, capsys):
         assert check["pass"] is True
 
 
-@pytest.mark.parametrize("suite", ["elliptic", "parabolic", "mcf"])
+@pytest.mark.parametrize("suite", ["elliptic", "parabolic", "reduced", "ricci", "mcf"])
 def test_verify_golden_report(suite, tmp_path, capsys):
     """Byte-exact verify reports: every number and the layout are pinned."""
     out = tmp_path / "report.json"
@@ -183,9 +183,14 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert usage_error(["verify", "--suite", "all", "--geometry", "euclidean3"])
     # valid JSON that is not a suite report
     check = {"name": "c", "expected": 0.0, "tol": 1.0, "pass": True}
+    # fields of the wrong type, and a stored verdict its numbers do not give
+    mistyped = {"name": "c", "value": "x", "expected": 0, "tol": "y", "pass": "no"}
+    stale = {"name": "c", "value": 0.5, "expected": 0.0, "tol": 0.1, "pass": True}
     for i, doc in enumerate(({}, [1], None, {"suite": "s", "checks": 3},
                              {"suite": "s", "checks": [1]},
-                             {"suite": "s", "checks": [check]})):
+                             {"suite": "s", "checks": [check]},
+                             {"suite": "s", "checks": [mistyped]},
+                             {"suite": "s", "checks": [stale]})):
         path = tmp_path / f"not_a_report_{i}.json"
         path.write_text(json.dumps(doc))
         assert usage_error(["report", "--in", str(path)]), doc
@@ -286,7 +291,7 @@ def test_jhat_sweep_flat_equality(tmp_path):
     assert len(lines) == 8
     for line in lines[1:]:
         _, value, _, ok = line.split(",")
-        assert abs(float(value) - 1.0) <= 1e-4
+        assert abs(float(value) - 1.0) <= 1e-10
         assert ok == "true"
 
 

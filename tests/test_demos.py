@@ -88,6 +88,6 @@ def test_missing_name_is_reported():
                      "mvp.jhat_quantity\n"
                      "kern = SubHeatKernel(None)\n"
                      "kern.liyau(0.8, 0.2)\n"
-                     "kern.at, kern.h_space, kern.n\n")
+                     "kern.at, kern.geom, kern.n\n")
     missing, _ = missing_names(tree)
     assert missing == ["mvlab.unit_ball_volume", "mvp.heat_j_quantity", "kern.liyau"]

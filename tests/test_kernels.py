@@ -17,6 +17,7 @@ from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                            SubGreenKernel, SubHeatKernel, SupGreenKernel,
                            liyau_expression, mcf_sup_heat_kernel)
 from mvlab.quad import integrate_1d
+from mvlab.reduced import ODE_RTOL, ReducedDistanceField
 
 
 def _d1(f, x, h):
@@ -223,9 +224,9 @@ def test_heat_slice_bits(geom):
 def test_column_slices_match_scalar_slices(name, request):
     # a float, a 1-d array (one radius per time) and a column of times (a
     # matrix of radii) give the kernel's one slice class, and the arrays
-    # agree with the float slices node by node: to the bit for the shot
-    # kernel, within 1e-14 for the heat kernel, whose float prefactor takes
-    # libm's pow and the arrays numpy's
+    # agree with the float slices node by node: to the bit for the
+    # reduced-distance kernel, within 1e-14 for the heat kernel, whose float
+    # prefactor takes libm's pow and the arrays numpy's
     shot = name.startswith("khat")
     kern = request.getfixturevalue(name) if shot else HeatKernel(request.getfixturevalue(name))
     taus = (0.1, 0.2) if shot else (0.03, 0.4, 2.5)
@@ -338,39 +339,42 @@ def test_h3_profile_against_mpmath(r, h3):
     assert max(newton) <= max(brent)
 
 
-def _per_point_shot(kern, x, tau):
-    """The per-point math-library SubHeatKernel arithmetic, as the reference
-    for the numpy shot slices: (value, |grad|, d/dtau)."""
-    n = kern.n
-
-    def ell(x, tau):
-        return kern.field.ell_cm(abs(x), tau)
-
-    value = (4.0 * math.pi * tau) ** (-n / 2.0) * math.exp(-ell(x, tau))
-    if x <= 1e-8:
-        dx = 0.0
-    else:
-        h = kern.h_space * max(1.0, x)
-        if x < 2.0 * h:
-            h = 0.5 * x
-        dx = -value * ((ell(x + h, tau) - ell(x - h, tau)) / (2.0 * h))
-    h = kern.h_tau_rel * tau
-    dl = (ell(x, tau + h) - ell(x, tau - h)) / (2.0 * h)
-    dtau = value * (-n / (2.0 * tau) - dl)
-    return value, abs(dx) / math.sqrt(kern.geom.m2(x, -tau)), dtau
-
-
-@pytest.mark.parametrize("name", ["khat_flat2", "khat_s3"])
-def test_shot_slice_bits(name, request):
-    # x = 0, x on the half-step stencil next to the center and x on the full
-    # stencil
-    kern = request.getfixturevalue(name)
-    for tau in (0.1, 0.2):
+@pytest.mark.parametrize("geom", [FlowGeometry.gaussian_soliton(2),
+                                  FlowGeometry.shrinking_sphere(2),
+                                  FlowGeometry.shrinking_sphere(3), FlowGeometry.hyperbolic(3)],
+                         ids=["gaussian2", "s2", "s3", "h3"])
+def test_reduced_slice_matches_shooting(geom):
+    # the closed-form slice against the shot ell on a (rho, tau) grid: the
+    # value to 1e-10 relative, d log K/dx and d log K/dtau against centered
+    # differences of the shot ell within their step error, which is
+    # |D(2h) - D(h)| (three times the h^2 error of D(h)) plus the shots'
+    # ODE_RTOL noise over the step
+    field = ReducedDistanceField(geom)
+    kern, n = SubHeatKernel(field), geom.n
+    for tau in (0.05, 0.2, 0.4):
         sl = kern.at(tau)
-        for x in (0.0, 5e-9, 1.5e-4, 0.3, 0.7):
-            want = _per_point_shot(kern, x, tau)
-            assert _within_4ulp((sl.value(x), sl.grad(x), sl.dtau(x)), want)
-            assert _within_4ulp(sl.sample(x), want)
+        for rho in (0.0, 0.3, 0.8, 1.5):
+            x = geom.x_of_rho(rho, -tau)
+            ell = field.ell_cm(x, tau)
+            want = (4.0 * math.pi * tau) ** (-n / 2.0) * math.exp(-ell)
+            assert sl.value(x) == pytest.approx(want, rel=1e-10, abs=0.0)
+            noise = ODE_RTOL * (1.0 + ell)
+
+            def dtau(h):
+                return -n / (2.0 * tau) - (field.ell_cm(x, tau + h)
+                                           - field.ell_cm(x, tau - h)) / (2.0 * h)
+            h = 1e-3 * tau
+            step = abs(dtau(2.0 * h) - dtau(h)) + noise / h
+            assert abs(sl.dtau_log(x) - dtau(h)) <= step
+            if x == 0.0:
+                assert sl.dlog(x) == 0.0
+                continue
+
+            def dx(h):
+                return -(field.ell_cm(x + h, tau) - field.ell_cm(x - h, tau)) / (2.0 * h)
+            h = 1e-3 * x
+            step = abs(dx(2.0 * h) - dx(h)) + noise / h
+            assert abs(sl.dlog(x) - dx(h)) <= step
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.1, -math.inf])
@@ -425,8 +429,8 @@ def test_liyau_values(e2, e3, khat_flat2):
     assert liyau_expression(h2, 0.7, 0.25) == pytest.approx(4.0, abs=1e-12)
     h3e = HeatKernel(e3)
     assert liyau_expression(h3e, 1.3, 0.5) == pytest.approx(3.0, abs=1e-12)
-    # reduced-distance kernel on the flat model: finite-difference path
-    assert liyau_expression(khat_flat2, 0.9, 0.25) == pytest.approx(4.0, abs=1e-5)
+    # reduced-distance kernel on the flat model: the closed form is the Gaussian's
+    assert liyau_expression(khat_flat2, 0.9, 0.25) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_liyau_upper_bound_euclidean(e2, rng):
@@ -453,7 +457,7 @@ def test_subheat_flat_values(khat_flat2):
     assert val == pytest.approx(math.exp(-1.0) / math.pi, rel=1e-9)
     assert sl.value(0.0) == pytest.approx(1.0 / math.pi, rel=1e-9)
     # gradient matches the Gaussian's
-    assert grad == pytest.approx(val * 1.0 / (2.0 * 0.25), rel=1e-5)
+    assert grad == pytest.approx(val * 1.0 / (2.0 * 0.25), rel=1e-12)
 
 
 def test_subheat_subsolution_direction_s3(rd_s3, khat_s3):

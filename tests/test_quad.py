@@ -58,8 +58,7 @@ INTEGRANDS = {
     "shifted_inverse_sqrt": (
         lambda x: math.inf if x <= 1.5 else 1.0 / math.sqrt(x - 1.5), 1.5, 3.7),
 }
-TOLERANCES = [(mvp._EPS_EXACT["epsabs"], mvp._EPS_EXACT["epsrel"]),
-              (mvp._EPS_SHOT["epsabs"], mvp._EPS_SHOT["epsrel"]),
+TOLERANCES = [(mvp._EPS["epsabs"], mvp._EPS["epsrel"]), (1e-7, 1e-7),
               (1e-11, 1e-9), (0.0, 1e-14)]
 
 
@@ -113,8 +112,8 @@ def test_random_integrands():
             scipy_de(vectorised(f), a, b, atol, rtol)[:2]
 
 
-@pytest.mark.parametrize("eps", [mvp._EPS_EXACT, mvp._EPS_SHOT],
-                         ids=["exact", "shot"])
+@pytest.mark.parametrize("eps", [mvp._EPS, {"epsabs": 1e-7, "epsrel": 1e-7}],
+                         ids=["exact", "loose"])
 def test_heat_sphere_integrand(eps, monkeypatch):
     # the integrand sphere_integrate hands integrate_de on an H3 heat sphere
     kern = HeatKernel(FlowGeometry.hyperbolic(3))

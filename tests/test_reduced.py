@@ -206,10 +206,28 @@ def test_ell_continuity_on_grid(rd_s3):
     assert all(b >= a for a, b in zip(vals, vals[1:]))  # radial monotonicity
 
 
-def test_memo_reuse(rd_flat2):
-    before = len(rd_flat2._memo)
-    v1 = rd_flat2.ell(1.234567, 0.321)
-    mid = len(rd_flat2._memo)
-    v2 = rd_flat2.ell(1.234567, 0.321)
-    assert v1 == v2
-    assert len(rd_flat2._memo) == mid > before - 1
+def test_production_paths_do_not_shoot(monkeypatch, capsys):
+    # Jhat, Ihat, the reduced volume and their sweeps evaluate the closed
+    # form: with the ODE solver gone every one of them still succeeds
+    from mvlab import mv_parabolic as mvp
+    from mvlab import reduced
+    from mvlab.cli import main
+    from mvlab.geometry import FlowGeometry
+    from mvlab.kernels import SubHeatKernel
+
+    def shot(*args, **kwargs):
+        raise AssertionError("a production path shot a geodesic")
+    monkeypatch.setattr(reduced, "solve_ivp", shot)
+    for name, geom in (("shrinking-s3", FlowGeometry.shrinking_sphere(3)),
+                       ("gaussian", FlowGeometry.gaussian_soliton(2))):
+        field = ReducedDistanceField(geom)
+        kern = SubHeatKernel(field)
+        assert math.isfinite(mvp.jhat_quantity(kern, 0.8)[0])
+        assert math.isfinite(mvp.ihat_quantity(kern, 0.4, 0.8)[0])
+        assert math.isfinite(field.reduced_volume(0.2)[0])
+        for quantity in ("theta", "jhat", "ihat"):
+            assert main(["sweep", "--quantity", quantity, "--geometry", name,
+                         "--steps", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 6 * 4
+    with pytest.raises(AssertionError, match="shot a geodesic"):
+        field.ell_cm(0.5, 0.2)  # the oracle still shoots

@@ -201,7 +201,7 @@ def test_h3_top_time_lambert_w(h3):
         assert heatball_profile(h, r).tau_max == pytest.approx(top, rel=1e-13)
 
 
-def test_closed_forms_solve_no_roots(brent_calls, h3):
+def test_closed_forms_solve_no_roots(brent_calls, h3, khat_s3):
     for kern in green_kernels():
         for r in RADII:
             green_ball(kern, r)
@@ -218,6 +218,15 @@ def test_closed_forms_solve_no_roots(brent_calls, h3):
         mvp.mv_heat_sphere(kern, make_field("exp-radial", h3), r)
         mvp.mv_heat_ball(kern, make_field("exp-radial", h3), r)
     assert brent_calls == []
+    # the reduced-distance profile is closed form: only its on-center top
+    # time is a Brent root, one per region built
+    for r in (0.8, 1.4):
+        reg = heatball_profile(khat_s3, r)
+        reg.profile_x(reg.tau_max * np.array([1e-15, 0.5, 1.0 - 1e-12]))
+        mvp.jhat_quantity(khat_s3, r)
+        mvp.ihat_quantity(khat_s3, 0.0, r)
+    assert [call[0].__name__ for call in brent_calls] == ["center"] * 6
+    brent_calls.clear()
     # Green's functions of H4 have no inverse: Brent still serves them
     green_ball(GreenKernel(FlowGeometry.hyperbolic(4)), 1.0)
     assert len(brent_calls) == 1
@@ -239,46 +248,24 @@ def test_h3_newton_falls_back_to_brent(h3, brent_calls, monkeypatch):
 
 def test_brent_profile_one_root_solve_per_new_slice(s3, brent_calls):
     # the top time and the nine domain checks of the build are Brent roots;
-    # the slices below are none of those
+    # then each slice asked for is one root, on a float or in an array
     reg = heatball_profile(ComovingGauss(s3), 0.5)
-    built = len(brent_calls)
+    assert len(brent_calls) == 10
     taus = [u * reg.tau_max for u in (0.15, 0.45, 0.85)]
     for i, tau in enumerate(taus):
         reg.profile_x(tau)
-        assert len(brent_calls) == built + i + 1
-    for tau in taus:
-        reg.profile_x(tau)          # cached slices
+        assert len(brent_calls) == 11 + i
     reg.profile_x(np.array(taus))
-    assert len(brent_calls) == built + len(taus)
+    assert len(brent_calls) == 13 + len(taus)
 
 
 def test_brent_profile_independent_of_query_order(s3):
-    # two kernels: regions on one kernel share their roots
     fwd = heatball_profile(ComovingGauss(s3), 0.5)
     rev = heatball_profile(ComovingGauss(s3), 0.5)
     us = (0.1, 0.3, 0.5, 0.7, 0.9)
     forward = [fwd.profile_x(u * fwd.tau_max) for u in us]
     backward = [rev.profile_x(u * rev.tau_max) for u in reversed(us)]
     assert forward == backward[::-1]
-
-
-def test_profile_roots_shared_per_kernel_and_level(s3, brent_calls):
-    kern = ComovingGauss(s3)
-    first = heatball_profile(kern, 0.5)
-    taus = [u * first.tau_max for u in (0.15, 0.45, 0.85)]
-    roots = [first.profile_x(tau) for tau in taus]
-    solved = len(brent_calls)
-    again = heatball_profile(kern, 0.5)
-    assert [again.profile_x(tau) for tau in taus] == roots
-    assert len(brent_calls) == solved + 1         # the top time only
-    other = heatball_profile(kern, 0.6)
-    solved = len(brent_calls)
-    other.profile_x(taus[1])
-    assert len(brent_calls) == solved + 1         # another level
-    fresh = heatball_profile(ComovingGauss(s3), 0.5)
-    solved = len(brent_calls)
-    assert fresh.profile_x(taus[1]) == roots[1]
-    assert len(brent_calls) == solved + 1         # another kernel
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -330,7 +317,7 @@ def test_watson_weight(e2):
 # and QK21 on the whole slice misses the tolerance, to next to the top
 SLICE_FRACS = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 0.9, 0.999,
                1.0 - 1e-6, 1.0 - 1e-9]
-SLICE_TOL = (1e-11, 1e-10)   # what ball_integrate asks of a slice at _EPS_EXACT
+SLICE_TOL = (1e-11, 1e-10)   # what ball_integrate asks of a slice at _EPS
 
 
 def slice_densities(geom, region):
@@ -421,7 +408,7 @@ def test_heat_ball_error_is_true_and_informative(r, model):
     else:
         value, err = mvp._i_term(kern, make_field("constant-1", geom),
                                  heatball_profile(kern, r))
-    eps, scale = mvp._EPS_EXACT, r ** kern.n
+    eps, scale = mvp._EPS, r ** kern.n
     tol = (eps["epsabs"] + eps["epsrel"] * scale) / scale
     assert abs(value - 1.0) <= err <= tol
 
@@ -525,17 +512,16 @@ def test_batched_sphere_matches_per_node(model, request):
         pairs = [(mvp.jhat_quantity(kern, r)[0], jhat_density),
                  (mvp.surface_weight_term(kern, field, region)[0], weight)]
         for got, density in pairs:
-            want, _ = per_node_sphere_integrate(region, density, **mvp._EPS_EXACT)
+            want, _ = per_node_sphere_integrate(region, density, **mvp._EPS)
             assert abs(got - want) <= 1e-13 * abs(want)
 
 
-def test_batched_sphere_matches_per_node_shot_kernel(khat_s3, s3_ricci_sweep):
-    # the shot slice on an array of times shoots the same nodes as on
-    # floats, so the shot kernel's finite-difference floor (~1e-6) does not
-    # enter; the session sweep has shot these nodes already
+def test_batched_sphere_matches_per_node_shot_kernel(khat_s3):
+    # the reduced-distance kernel of the shrinking sphere, on one slice per
+    # level of times and on float slices node by node
     got, _ = mvp.jhat_quantity(khat_s3, 1.1)
     want, _ = per_node_sphere_integrate(heatball_profile(khat_s3, 1.1), jhat_density,
-                                        **mvp._EPS_SHOT)
+                                        **mvp._EPS)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -552,7 +538,7 @@ def test_heat_sphere_error_is_true_and_informative(r, model):
     else:
         value, err = mvp.surface_weight_term(kern, make_field("constant-1", geom),
                                              heatball_profile(kern, r))
-    eps = mvp._EPS_EXACT
+    eps = mvp._EPS
     assert abs(value - 1.0) <= err <= eps["epsabs"] + eps["epsrel"] * abs(value)
 
 
@@ -579,6 +565,9 @@ def test_compactness_rejection(rd_s3):
     kern = SubHeatKernel(rd_s3)
     with pytest.raises(NoRegionError, match="90% of the domain radius at tau = 0.7088"):
         heatball_profile(kern, 20.0)
+    # past the domain radius the closed-form profile is rejected too
+    with pytest.raises(NoRegionError, match="does not close inside the domain"):
+        heatball_profile(kern, 30.0)
 
 
 @pytest.mark.parametrize("r,message", [
