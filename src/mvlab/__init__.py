@@ -10,8 +10,8 @@ Li-Yau surface and volume averages of the reduced-distance kernel, the
 reduced volume, and the Gaussian density of the shrinking track.
 """
 
-from .errors import (CutLocusWarning, DomainError, NoRegionError,
-                     PreconditionError, ShootingError, UnsupportedError)
+from .errors import (DomainError, NoRegionError, PreconditionError,
+                     ShootingError, UnsupportedError)
 from .fields import TestField, make_field
 from .geometry import (FlowGeometry, SpaceTimePoint, curvature,
                        spacetime_christoffels, spacetime_divergence,

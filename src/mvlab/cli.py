@@ -19,8 +19,10 @@ and nothing on stdout.  Usage errors are
 * a ``--tol-scale`` that is not finite and positive;
 * a non-finite ``--rmin``, ``--rmax``, ``--taumin``, ``--taumax`` or ``--a``;
 * ``--steps`` below 1, or a sweep grid that is not strictly increasing;
-* a quantity the geometry does not carry (theta or ihat/jhat on an MCF
-  track, I/J on an evolving geometry).
+* a quantity the geometry does not carry: theta, ihat or jhat on a
+  geometry that is not a Ricci flow (an MCF track, or a static model whose
+  Ricci tensor is not its deformation tensor, such as hyperbolic3), and I/J
+  on an evolving geometry.
 
 All numeric output is formatted with 17 significant digits so identical
 invocations produce byte-identical files.  The wall time of ``verify`` is
@@ -45,7 +47,7 @@ from .kernels import (GreenKernel, McfShrinkingSphereTrack, SubGreenKernel,
                       SubHeatKernel)
 from .reduced import ReducedDistanceField
 from .suites import SUITES, SuiteReport, run_suite
-from .sweeps import SweepReport, check_grid
+from .sweeps import sweep
 
 QUANTITIES = ("I", "J", "ihat", "jhat", "ibar", "jbar", "theta")
 
@@ -172,15 +174,13 @@ def _sweep_grid(args):
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if args.quantity == "theta":
-        grid = np.linspace(args.taumin, args.taumax, args.steps)
-    else:
-        grid = np.linspace(args.rmin, args.rmax, args.steps)
-    check_grid(grid)
-    return grid
+        return np.linspace(args.taumin, args.taumax, args.steps)
+    return np.linspace(args.rmin, args.rmax, args.steps)
 
 
-def _sweep_rows(args, grid):
-    """Values, error estimates and declared direction over the grid."""
+def _sweep_quantity(args):
+    """The swept quantity p -> (value, err) and its declared direction,
+    refused before anything is computed if the geometry does not carry it."""
     geom_name = args.geometry
     if geom_name not in GEOMETRIES:
         raise ValueError(f"unknown geometry '{geom_name}'")
@@ -188,13 +188,18 @@ def _sweep_rows(args, grid):
     q = args.quantity
 
     is_track = isinstance(geom, McfShrinkingSphereTrack)
-    if q == "theta":
-        if is_track:
-            raise ValueError("theta needs a Ricci-flow geometry")
-        fld = ReducedDistanceField(geom)
-        pairs = [fld.reduced_volume(t) for t in grid]
-        direction = "non-increasing"
-    elif q in ("I", "J"):
+    if q in ("theta", "ihat", "jhat"):
+        # the reduced distance is Perelman's: the metric must move by -2 Ric
+        if is_track or geom.upsilon_eigenvalues(0.0) != geom.ricci_eigenvalues(0.0):
+            raise ValueError(f"quantity {q} needs a Ricci-flow geometry")
+        fld, cache = ReducedDistanceField(geom), {}
+        kern = SubHeatKernel(fld)
+        quantity = {"theta": fld.reduced_volume,
+                    "jhat": lambda r: mvp.jhat_quantity(kern, r),
+                    "ihat": lambda r: mvp.ihat_quantity(kern, args.a, r,
+                                                        _cache=cache)}[q]
+        return quantity, "non-increasing"
+    if q in ("I", "J"):
         if is_track or not geom.is_static:
             raise ValueError(f"quantity {q} needs a static geometry")
         if geom_name == "hyperbolic3":
@@ -203,37 +208,21 @@ def _sweep_rows(args, grid):
             kern = GreenKernel(geom)
         field = make_field(args.field, geom)
         fn = mve.i_quantity if q == "I" else mve.j_quantity
-        pairs = [fn(kern, field, r) for r in grid]
-        direction = mve.classical_direction(field)
-    elif q in ("ihat", "jhat"):
-        if is_track:
-            raise ValueError(f"quantity {q} needs a Ricci-flow geometry")
-        kern = SubHeatKernel(ReducedDistanceField(geom))
-        if q == "jhat":
-            pairs = [mvp.jhat_quantity(kern, r) for r in grid]
-        else:
-            cache = {}
-            pairs = [mvp.ihat_quantity(kern, args.a, r, _cache=cache)
-                     for r in grid]
-        direction = "non-increasing"
-    else:  # ibar, jbar
-        track = geom if is_track else McfShrinkingSphereTrack(geom.n)
-        if q == "jbar":
-            pairs = [mvp.jbar_quantity(track, r) for r in grid]
-        else:
-            pairs = [mvp.ibar_quantity(track, args.a, r) for r in grid]
-        direction = "non-decreasing"
-    return [v for v, _ in pairs], [e for _, e in pairs], direction
+        return (lambda r: fn(kern, field, r)), mve.classical_direction(field)
+    track = geom if is_track else McfShrinkingSphereTrack(geom.n)
+    if q == "jbar":
+        return (lambda r: mvp.jbar_quantity(track, r)), "non-decreasing"
+    return (lambda r: mvp.ibar_quantity(track, args.a, r)), "non-decreasing"
 
 
 def _cmd_sweep(args):
     _check_tol_scale(args)
     grid = _sweep_grid(args)
-    vals, errs, direction = _sweep_rows(args, grid)
-    report = SweepReport(name=args.quantity, grid=list(grid), values=vals,
-                         errors=errs, direction=direction,
-                         tol=1e-6 * args.tol_scale)
-    rows = list(zip(grid, vals, errs, [True] + report.verdicts))
+    quantity, direction = _sweep_quantity(args)
+    report = sweep(args.quantity, quantity, grid, direction,
+                   1e-6 * args.tol_scale)
+    rows = list(zip(report.grid, report.values, report.errors,
+                    [True] + report.verdicts))
 
     fmt = args.format or "csv"
     if fmt == "csv":

@@ -23,7 +23,3 @@ class ShootingError(RuntimeError):
     def __init__(self, message, exit_sigma=None):
         super().__init__(message)
         self.exit_sigma = exit_sigma
-
-
-class CutLocusWarning(UserWarning):
-    """Two distinct minimizing candidates were found for the same endpoint."""

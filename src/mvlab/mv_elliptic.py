@@ -31,7 +31,7 @@ from .errors import PreconditionError, UnsupportedError
 from .kernels import EXACT_GREEN, SUB_GREEN, SUP_GREEN
 from .quad import integrate_1d
 from .regions import ball_integrate, green_ball, sphere_integrate
-from .sweeps import SweepReport
+from .sweeps import sweep
 
 
 def _surface_term(kernel, region, field):
@@ -176,24 +176,10 @@ def elliptic_sweep(kernel, field, r_grid, direction=None, tol=1e-6,
     """
     if direction is None:
         direction = classical_direction(field)
-
-    ivals, ierrs, jvals, jerrs = [], [], [], []
-    for r in r_grid:
-        iv, ie = i_quantity(kernel, field, r)
-        jv, je = j_quantity(kernel, field, r)
-        ivals.append(iv)
-        ierrs.append(ie)
-        jvals.append(jv)
-        jerrs.append(je)
-
-    out = {
-        "I": SweepReport(name=f"I[{field.name}]", grid=list(r_grid),
-                         values=ivals, errors=ierrs, direction=direction,
-                         tol=tol),
-        "J": SweepReport(name=f"J[{field.name}]", grid=list(r_grid),
-                         values=jvals, errors=jerrs, direction=direction,
-                         tol=tol),
-    }
+    out = {name: sweep(f"{name}[{field.name}]",
+                       lambda r, fn=fn: fn(kernel, field, r), r_grid,
+                       direction, tol)
+           for name, fn in (("I", i_quantity), ("J", j_quantity))}
     if derivative_checks and len(r_grid) > 2:
         out["dJ"] = [j_derivative_residual(kernel, field, r)
                      for r in r_grid[1:-1]]

@@ -52,7 +52,7 @@ from .fields import make_field
 from .kernels import McfShrinkingSphereTrack, SubHeatKernel, liyau_expression
 from .quad import integrate_1d
 from .regions import ball_integrate, heatball_profile, sphere_integrate
-from .sweeps import SweepReport
+from .sweeps import sweep
 
 # quadrature settings of every region integral: all kernels are closed forms
 _EPS = {"epsabs": 1e-10, "epsrel": 1e-9}
@@ -179,13 +179,12 @@ def ihat_quantity(kernel, a, r, _cache=None):
         raise ValueError("need 0 <= a < r")
     n = kernel.n
 
+    cache = {} if _cache is None else _cache
+
     def V(radius):
-        if _cache is not None and radius in _cache:
-            return _cache[radius]
-        out = liyau_ball_integral(kernel, radius)
-        if _cache is not None:
-            _cache[radius] = out
-        return out
+        if radius not in cache:
+            cache[radius] = liyau_ball_integral(kernel, radius)
+        return cache[radius]
 
     vr, er = V(r)
     va, ea = V(a) if a > 0.0 else (0.0, 0.0)
@@ -215,29 +214,18 @@ def jhat_sweep(kernel, r_grid, a_fracs=(0.0, 0.5), tol=1e-6):
     non-increasing) and a list "pairs" of (a, r, ihat, ihat_err) for the
     ordering check Jhat(r) <= Ihat(a, r).
     """
-    cache = {}
-    jvals, jerrs = [], []
-    for r in r_grid:
-        v, e = jhat_quantity(kernel, r)
-        jvals.append(v)
-        jerrs.append(e)
+    cache, pairs = {}, []
 
-    ivals, ierrs, pairs = [], [], []
-    for r in r_grid:
-        for frac in a_fracs:
-            a = frac * r
-            iv, ie = ihat_quantity(kernel, a, r, _cache=cache)
-            if frac == 0.0:
-                ivals.append(iv)
-                ierrs.append(ie)
-            pairs.append((a, r, iv, ie))
+    def ihat0(r):
+        # the pairs at r and Ihat(0, r) share the cached ball integrals
+        for a in [frac * r for frac in a_fracs]:
+            pairs.append((a, r) + ihat_quantity(kernel, a, r, _cache=cache))
+        return ihat_quantity(kernel, 0.0, r, _cache=cache)
 
     return {
-        "jhat": SweepReport(name="jhat", grid=list(r_grid), values=jvals,
-                            errors=jerrs, direction="non-increasing", tol=tol),
-        "ihat0": SweepReport(name="ihat(0,r)", grid=list(r_grid),
-                             values=ivals, errors=ierrs,
-                             direction="non-increasing", tol=tol),
+        "jhat": sweep("jhat", lambda r: jhat_quantity(kernel, r), r_grid,
+                      "non-increasing", tol),
+        "ihat0": sweep("ihat(0,r)", ihat0, r_grid, "non-increasing", tol),
         "pairs": pairs,
     }
 
@@ -250,14 +238,8 @@ def forward_j_sweep(kernel, field, r_grid, tol=1e-6):
     """
     direction = "non-increasing" if (
         "supercaloric" in field.tags or "caloric" in field.tags) else "none"
-    vals, errs = [], []
-    for r in r_grid:
-        region = heatball_profile(kernel, r)
-        v, e = surface_weight_term(kernel, field, region)
-        vals.append(v)
-        errs.append(e)
-    return SweepReport(name=f"Jf[{field.name}]", grid=list(r_grid),
-                       values=vals, errors=errs, direction=direction, tol=tol)
+    return sweep(f"Jf[{field.name}]", lambda r: surface_weight_term(
+        kernel, field, heatball_profile(kernel, r)), r_grid, direction, tol)
 
 
 def surface_form_residual(kernel, r):
@@ -446,24 +428,18 @@ def ibar_quantity(track, a, r):
 def mcf_sweep(n, r_grid, tol=1e-6):
     """Sweep Jbar and Ibar on the shrinking-sphere track (non-decreasing)."""
     track = McfShrinkingSphereTrack(n)
-    jvals, jerrs, ivals, ierrs, pairs = [], [], [], [], []
-    for r in r_grid:
-        jv, je = jbar_quantity(track, r)
-        jvals.append(jv)
-        jerrs.append(je)
-        for frac in (0.0, 0.5):
-            a = frac * r
-            iv, ie = ibar_quantity(track, a, r)
-            if frac == 0.0:
-                ivals.append(iv)
-                ierrs.append(ie)
-            pairs.append((a, r, iv, ie))
+    pairs = []
+
+    def ibar0(r):
+        ball = ibar_quantity(track, 0.0, r)
+        half = ibar_quantity(track, 0.5 * r, r)
+        pairs.extend([(0.0, r) + ball, (0.5 * r, r) + half])
+        return ball
+
     return {
-        "jbar": SweepReport(name="jbar", grid=list(r_grid), values=jvals,
-                            errors=jerrs, direction="non-decreasing", tol=tol),
-        "ibar0": SweepReport(name="ibar(0,r)", grid=list(r_grid),
-                             values=ivals, errors=ierrs,
-                             direction="non-decreasing", tol=tol),
+        "jbar": sweep("jbar", lambda r: jbar_quantity(track, r), r_grid,
+                      "non-decreasing", tol),
+        "ibar0": sweep("ibar(0,r)", ibar0, r_grid, "non-decreasing", tol),
         "pairs": pairs,
         "density": gaussian_density(n),
     }

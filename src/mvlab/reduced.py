@@ -24,14 +24,12 @@ ell and geodesics here are its independent oracle.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from .errors import CutLocusWarning, DomainError, ShootingError
+from .errors import DomainError, ShootingError
 from .geometry import unit_sphere_area
 from .kernels import SubHeatKernel
 from .quad import integrate_1d
@@ -39,8 +37,8 @@ from .quad import integrate_1d
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
 TARGET_TOL = 1e-12
-V_MAX = 10.0          # largest initial speed of the bracketed fallback
-MULTI_STARTS = 8      # geometric speeds in (0, V_MAX] it brackets between
+MAX_SHOTS = 4         # a linear endpoint map lands in two, ODE error in three
+FD_STEP = 1e-4        # relative step of the endpoint-derivative differences
 
 
 @dataclass
@@ -157,58 +155,25 @@ class ReducedDistanceField:
     # shooting to a target
     # ------------------------------------------------------------------ #
     def _solve_velocity(self, x_target, tau):
-        """Initial speed whose geodesic ends at x_target at backward time tau:
-        proportional secant steps from the flat speed; the endpoint map of the
-        realized flows is linear in the speed, so the second shot lands."""
+        """Initial speed whose geodesic ends at x_target at backward time tau.
+
+        Radial minimizers of the homogeneous flows have constant momentum, so
+        the endpoint is linear in the speed: from the flat speed, rescaling by
+        x_target / x_end lands.  Raises ShootingError when a shot leaves the
+        domain or MAX_SHOTS shots do not land.
+        """
         sigma_bar = 2.0 * math.sqrt(tau)
         if x_target == 0.0:
             return 0.0, shoot_l_geodesic(self.flow, 0.0, sigma_bar)
 
         v = x_target / sigma_bar
-        for _ in range(60):
-            try:
-                geod = shoot_l_geodesic(self.flow, v, sigma_bar)
-            except ShootingError:
-                v *= 0.5
-                continue
+        for _ in range(MAX_SHOTS):
+            geod = shoot_l_geodesic(self.flow, v, sigma_bar)
             if abs(geod.x_end - x_target) <= TARGET_TOL * max(1.0, abs(x_target)):
                 return v, geod
-            if geod.x_end <= 0.0:
-                break
             v *= x_target / geod.x_end
-        return self._solve_velocity_bracketed(x_target, tau)
-
-    def _solve_velocity_bracketed(self, x_target, tau):
-        """Multi-start bracketing fallback over geometric speeds."""
-        sigma_bar = 2.0 * math.sqrt(tau)
-
-        def endpoint(v):
-            try:
-                return shoot_l_geodesic(self.flow, v, sigma_bar).x_end
-            except ShootingError:
-                return math.inf
-
-        speeds = np.concatenate(
-            ([0.0], np.geomspace(1e-3, V_MAX, MULTI_STARTS)))
-        ends = [endpoint(v) - x_target for v in speeds]
-        roots = []
-        for a, b, fa, fb in zip(speeds[:-1], speeds[1:], ends[:-1], ends[1:]):
-            if not (math.isfinite(fa) and math.isfinite(fb)) or fa * fb > 0:
-                continue
-            vr = brentq(lambda v: endpoint(v) - x_target, a, b,
-                        xtol=1e-14, rtol=1e-14)
-            roots.append(vr)
-        if not roots:
-            raise ShootingError(
-                f"no initial speed in [0, {V_MAX}] reaches x = {x_target}")
-        geods = [shoot_l_geodesic(self.flow, v, sigma_bar) for v in roots]
-        lengths = sorted(g.length for g in geods)
-        if len(lengths) > 1 and lengths[1] - lengths[0] > 1e-6:
-            warnings.warn(
-                "distinct shooting minima differ; target may be past the cut locus",
-                CutLocusWarning)
-        best = min(geods, key=lambda g: g.length)
-        return best.v, best
+        raise ShootingError(
+            f"{MAX_SHOTS} shots did not reach x = {x_target} at tau = {tau}")
 
     def geodesic_to(self, rho, tau, dense=False):
         """Minimizing geodesic from the center to geodesic radius rho at tau."""
@@ -250,7 +215,7 @@ class ReducedDistanceField:
             hi = 14.0 * math.sqrt(tau)  # integrand under 1e-18 beyond this
         return integrate_1d(f, 0.0, hi, epsabs=epsabs, epsrel=1e-8)
 
-    def first_order_residuals(self, rho, tau, h=1e-4):
+    def first_order_residuals(self, rho, tau):
         """Residuals of the endpoint-derivative identities of the energy.
 
         Returns (res_space, res_time, res_eikonal) where the first two compare
@@ -262,7 +227,7 @@ class ReducedDistanceField:
 
         and the third is the first-order equation
         -2 ell_tau - |grad ell|^2 + R - ell/tau evaluated by the same
-        differences.
+        differences.  Each stencil point is shot once and serves L and ell.
         """
         flow = self.flow
         x = flow.x_of_rho(rho, -tau)
@@ -271,27 +236,23 @@ class ReducedDistanceField:
         geod = self.geodesic_to(rho, tau)
         m2 = flow.m2(x, -tau)
         sm = math.sqrt(m2)
+        hx, ht = FD_STEP * max(1.0, x), FD_STEP * tau
+        ell_xp, ell_xm = self.ell_cm(x + hx, tau), self.ell_cm(x - hx, tau)
+        ell_tp, ell_tm = self.ell_cm(x, tau + ht), self.ell_cm(x, tau - ht)
 
-        hx = h * max(1.0, x)
-        dL_dx = (self.length_cm(x + hx, tau)
-                 - self.length_cm(x - hx, tau)) / (2.0 * hx)
-        grad_L = dL_dx / sm
-        rhs_space = 2.0 * sm * geod.u_end          # = 2 sqrt(tau) |X|
-        res_space = abs(grad_L - rhs_space)
+        rt = 2.0 * math.sqrt(tau)
+        grad_L = (rt * ell_xp - rt * ell_xm) / (2.0 * hx) / sm
+        res_space = abs(grad_L - 2.0 * sm * geod.u_end)  # = 2 sqrt(tau) |X|
 
-        ht = h * tau
-        dL_dtau = (self.length_cm(x, tau + ht)
-                   - self.length_cm(x, tau - ht)) / (2.0 * ht)
+        dL_dtau = (2.0 * math.sqrt(tau + ht) * ell_tp
+                   - 2.0 * math.sqrt(tau - ht) * ell_tm) / (2.0 * ht)
         X2 = m2 * geod.u_end ** 2 / tau
         R = flow.scalar_R(rho, -tau)
         res_time = abs(dL_dtau - math.sqrt(tau) * (R - X2))
 
-        ell0 = self.ell_cm(x, tau)
-        dell_dx = (self.ell_cm(x + hx, tau) - self.ell_cm(x - hx, tau)) / (2.0 * hx)
-        ht2 = 1e-4 * tau
-        dell_dtau = (self.ell_cm(x, tau + ht2)
-                     - self.ell_cm(x, tau - ht2)) / (2.0 * ht2)
-        grad_ell2 = (dell_dx / sm) ** 2
+        ell0 = geod.length / rt
+        grad_ell2 = ((ell_xp - ell_xm) / (2.0 * hx) / sm) ** 2
+        dell_dtau = (ell_tp - ell_tm) / (2.0 * ht)
         res_eik = abs(-2.0 * dell_dtau - grad_ell2 + R - ell0 / tau)
         return res_space, res_time, res_eik
 

@@ -1,5 +1,6 @@
 """Sweep reports: a quantity tabulated over a parameter grid with error
-estimates and a monotonicity verdict.
+estimates and a monotonicity verdict.  ``sweep`` is the one path that
+evaluates a quantity on a grid and judges it.
 
 A pairwise verdict accepts a step when the consecutive difference respects
 the declared direction within the two points' error estimates plus a fixed
@@ -34,11 +35,7 @@ class SweepReport:
 
     def __post_init__(self):
         check_grid(self.grid)
-        self._judge()
-
-    def _judge(self):
-        self.verdicts = []
-        worst = 0.0
+        self.verdicts, worst = [], 0.0
         for i in range(len(self.values) - 1):
             slack = self.errors[i] + self.errors[i + 1] + self.tol
             step = self.values[i + 1] - self.values[i]
@@ -52,20 +49,17 @@ class SweepReport:
                 violation = -np.inf
             self.verdicts.append(bool(violation <= 0.0))
             worst = max(worst, violation)
-        self.worst_violation = float(worst) if self.verdicts else 0.0
+        self.worst_violation = float(worst)
 
     @property
     def monotone_ok(self):
-        return all(self.verdicts) if self.verdicts else True
+        return all(self.verdicts)
 
-    def observed_direction(self, tol=None):
-        """Direction actually seen in the data, ignoring the declared one."""
-        tol = self.tol if tol is None else tol
-        d = np.diff(np.asarray(self.values, dtype=float))
-        if np.all(np.abs(d) <= tol):
-            return "constant"
-        if np.all(d <= tol):
-            return "non-increasing"
-        if np.all(d >= -tol):
-            return "non-decreasing"
-        return "none"
+
+def sweep(name, quantity, grid, direction, tol):
+    """Evaluate ``quantity(p) -> (value, err)`` once per point of a strictly
+    increasing grid, which is checked before the first evaluation."""
+    check_grid(grid)
+    pairs = [quantity(p) for p in grid]
+    return SweepReport(name, list(grid), [v for v, _ in pairs],
+                       [e for _, e in pairs], direction=direction, tol=tol)

@@ -174,6 +174,10 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert usage_error(j + ["--rmin", "2", "--rmax", "1"])
     assert usage_error(j + ["--rmin", "1", "--rmax", "1", "--steps", "3"])
     assert usage_error(theta + ["--taumin", "0.3", "--taumax", "0.1"])
+    # static H3 has Upsilon = 0 != Ric: not a Ricci flow, so no reduced geometry
+    for q in ("theta", "ihat", "jhat"):
+        assert usage_error(["sweep", "--quantity", q, "--geometry", "hyperbolic3"])
+        assert usage_error(["sweep", "--quantity", q, "--geometry", "mcf-sphere"])
     assert usage_error(j + ["--tol-scale", "-1"])
     assert usage_error(j + ["--tol-scale", "0"])
     assert usage_error(j + ["--tol-scale", "nan"])
@@ -237,6 +241,28 @@ def test_sweep_golden_json(capsys):
         + ",\n".join(row.format(p) for p in ("0.5", "1.0", "1.5")) + "\n"
         '  ]\n'
         '}\n')
+
+
+SWEEP_PINS = {
+    "jhat_gaussian": ["--quantity", "jhat", "--geometry", "gaussian",
+                      "--rmin", "0.2", "--rmax", "0.8", "--steps", "3"],
+    "ihat_a_gaussian": ["--quantity", "ihat", "--geometry", "gaussian",
+                        "--a", "0.1", "--rmin", "0.2", "--rmax", "0.8",
+                        "--steps", "3"],
+    "ibar_a_mcf_sphere": ["--quantity", "ibar", "--geometry", "mcf-sphere",
+                          "--a", "0.2", "--rmin", "0.5", "--rmax", "2.0",
+                          "--steps", "4"],
+    "theta_shrinking_s3": ["--quantity", "theta", "--geometry", "shrinking-s3",
+                           "--taumin", "0.05", "--taumax", "0.3", "--steps", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PINS))
+def test_sweep_golden_pins(name, capsys):
+    """Byte-exact CSV of the heat-ball, track and reduced-volume sweeps."""
+    assert run_cli(["sweep"] + SWEEP_PINS[name]) == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / f"sweep_{name}.csv").read_text(encoding="utf-8")
 
 
 def test_tol_scale_tightens_flat_checks(tmp_path):

@@ -3,6 +3,7 @@ and the monotone sweeps."""
 
 import math
 
+import numpy as np
 import pytest
 
 from mvlab.errors import PreconditionError, UnsupportedError
@@ -207,7 +208,8 @@ def test_supgreen_derivative_bound_and_observed_direction(sup3, h3):
         fd, rhs, _ = mve.j_derivative_residual(sup3, one, r)
         assert rhs == 0.0
         assert fd >= -1e-6
-    assert out["J"].observed_direction(tol=1e-9) == "non-decreasing"
+    steps = np.diff(out["J"].values)
+    assert np.all(steps >= -1e-9) and np.any(steps > 1e-9)  # non-decreasing
 
 
 def test_power_field_j_quantity(green3, e3):

@@ -2,12 +2,11 @@
 derivative identities, reduced volume and the curvature integral."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from mvlab.errors import CutLocusWarning, DomainError, ShootingError
+from mvlab.errors import DomainError, ShootingError
 from mvlab.quad import integrate_1d
 from mvlab.reduced import (LGeodesic, ReducedDistanceField, l_length,
                            shoot_l_geodesic)
@@ -155,7 +154,7 @@ def test_shooting_errors(s3, rd_s3):
     assert 0.0 < exc.value.exit_sigma < 1.5
 
     with pytest.raises(ShootingError):
-        rd_s3._solve_velocity_bracketed(3.0, 0.01)  # unreachable target
+        rd_s3.ell_cm(3.2, 0.01)  # past the antipode: the flat speed exits
 
     with pytest.raises(DomainError):
         shoot_l_geodesic(s3, 1.0, -1.0)
@@ -163,8 +162,33 @@ def test_shooting_errors(s3, rd_s3):
         rd_s3.ell(0.5, -0.1)
 
 
-def test_cut_locus_warning(monkeypatch, flat2):
-    """Distinct bracketed minima trigger the ambiguity warning."""
+def test_each_solve_lands_within_three_shots(monkeypatch, s2, s3, e2, h3):
+    """The endpoint map is linear in the speed, so the flat speed and one
+    rescale land, and a third shot at most absorbs the ODE error, up to
+    x = pi - 2e-9 on the spheres."""
+    import mvlab.reduced as reduced_mod
+
+    shots = []
+    real = reduced_mod.shoot_l_geodesic
+
+    def counted(flow, v, sigma_bar, dense=False):
+        shots.append(v)
+        return real(flow, v, sigma_bar, dense)
+
+    monkeypatch.setattr(reduced_mod, "shoot_l_geodesic", counted)
+    for flow in (s2, s3, e2, h3):
+        field = ReducedDistanceField(flow)
+        for x in (0.05, 0.7, 2.0, math.pi - 1e-3, math.pi - 2e-9):
+            for tau in (1e-6, 0.01, 0.3, 2.0):
+                shots.clear()
+                _, geod = field._solve_velocity(x, tau)
+                assert 1 <= len(shots) <= 3, (flow.kind, x, tau, len(shots))
+                assert abs(geod.x_end - x) <= 1e-12 * max(1.0, x)
+
+
+def test_bent_endpoint_map_raises(monkeypatch, flat2):
+    """An endpoint map that the rescaling cannot land on is a ShootingError,
+    not a silent answer."""
     import mvlab.reduced as reduced_mod
 
     field = ReducedDistanceField(flat2)
@@ -181,8 +205,8 @@ def test_cut_locus_warning(monkeypatch, flat2):
                          tau_bar=geod.tau_bar)
 
     monkeypatch.setattr(reduced_mod, "shoot_l_geodesic", fake)
-    with pytest.warns(CutLocusWarning):
-        field._solve_velocity_bracketed(0.35, 0.25)
+    with pytest.raises(ShootingError):
+        field.ell_cm(0.35, 0.25)
 
 
 def test_ell_upper_bound_by_comparison_curve(rd_s3):

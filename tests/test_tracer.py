@@ -1,0 +1,44 @@
+"""The benchmark's tracer installs on this package and puts every binding
+back: a refactor that drops a name the tracer patches fails here, not only
+in the benchmark's own selftests."""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import mvlab
+import mvlab.cli  # noqa: F401  (the tracer wraps cli.main)
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every attribute of every mvlab module and class, by identity."""
+    out = {}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "mvlab" or modname.startswith("mvlab."):
+            for attr, val in vars(mod).items():
+                out[modname, attr] = id(val)
+                if inspect.isclass(val):
+                    for cattr, cval in vars(val).items():
+                        out[modname, attr, cattr] = id(cval)
+    return out
+
+
+def test_tracer_install_uninstall_round_trip():
+    before = _bindings()
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install(mvlab)
+        assert _bindings() != before
+    finally:
+        tracer.uninstall()
+    assert _bindings() == before
