@@ -13,7 +13,6 @@ and nothing on stdout.  Usage errors are
 * an unknown command, flag, suite, quantity or sweep geometry, or a missing
   or malformed config or report file (a report field of the wrong type, or
   a stored ``pass`` that its value, expected and tol do not give);
-* a ``--jobs`` or ``MVLAB_JOBS`` that is not a positive integer;
 * a ``verify --geometry`` other than gaussian, gaussian-soliton or
   shrinking-s3;
 * a ``--tol-scale`` that is not finite and positive;
@@ -31,10 +30,10 @@ therefore kept out of the report: it goes to the summary line on stderr.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -84,14 +83,11 @@ def _load_config(path):
     return out
 
 
-def _jobs(text):
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"--jobs and MVLAB_JOBS take a positive integer, got {text!r}")
-    return int(text)
-
-
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by every call of
+    ``main``: it reads no environment, and argparse looks up ``sys.stderr``
+    only when it prints an error."""
     p = argparse.ArgumentParser(prog="mvlab",
                                 description="mean value identity verification lab")
     sub = p.add_subparsers(dest="command", required=True)
@@ -100,8 +96,6 @@ def _build_parser():
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default=None)
-    # argparse converts a string default too, so a bad MVLAB_JOBS is a usage error
-    common.add_argument("--jobs", type=_jobs, default=os.environ.get("MVLAB_JOBS", "1"))
 
     v = sub.add_parser("verify", parents=[common],
                        help="run a named verification suite")
@@ -149,7 +143,7 @@ def _report_csv(report):
 def _cmd_verify(args):
     _check_tol_scale(args)
     report = run_suite(args.suite, tol_scale=args.tol_scale,
-                       geometry=args.geometry, jobs=args.jobs)
+                       geometry=args.geometry)
     fmt = args.format or "json"
     text = report.to_json() + "\n" if fmt == "json" else _report_csv(report)
     _emit(text, args.out)

@@ -176,13 +176,16 @@ class ReducedDistanceField:
             f"{MAX_SHOTS} shots did not reach x = {x_target} at tau = {tau}")
 
     def geodesic_to(self, rho, tau, dense=False):
-        """Minimizing geodesic from the center to geodesic radius rho at tau."""
+        """Minimizing geodesic from the center to geodesic radius rho at tau;
+        only a dense solution needs the landed speed shot again."""
         if tau <= 0:
             raise DomainError("backward time tau must be positive")
         self.flow.check_point(rho, -tau)
         x_target = self.flow.x_of_rho(rho, -tau)
-        v, _ = self._solve_velocity(x_target, tau)
-        return shoot_l_geodesic(self.flow, v, 2.0 * math.sqrt(tau), dense=dense)
+        v, geod = self._solve_velocity(x_target, tau)
+        if not dense:
+            return geod
+        return shoot_l_geodesic(self.flow, v, 2.0 * math.sqrt(tau), dense=True)
 
     # ------------------------------------------------------------------ #
     # reduced distance and derived quantities

@@ -1,7 +1,10 @@
 """Command line interface: exit codes, report schema, determinism, config
 precedence."""
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -10,10 +13,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import mvlab
-from mvlab import suites
+from mvlab import cli, suites
 from mvlab.cli import main
 from mvlab.errors import DomainError
 
@@ -138,6 +143,9 @@ J_SWEEP = ["sweep", "--quantity", "J", "--geometry", "euclidean3"]
 
 
 def test_usage_errors(tmp_path, capsys, monkeypatch):
+    # the environment variable of the removed --jobs flag is ignored
+    monkeypatch.setenv("MVLAB_JOBS", "abc")
+    assert run_cli(["verify", "--suite", "mcf"]) == 0
     assert run_cli(["sweep", "--quantity", "nope"]) == 2
     assert run_cli(["sweep", "--quantity", "J", "--geometry", "mars"]) == 2
     assert run_cli(["sweep", "--quantity", "theta", "--geometry",
@@ -205,10 +213,8 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         out, err = capsys.readouterr()
         return code == 2 and out == "" and f"error: {flag}" in err
     assert argparse_error(j + ["--dimension", "3"], "unrecognized arguments: --dimension")
-    assert argparse_error(["verify", "--suite", "mcf", "--jobs", "-4"], "argument --jobs")
-    assert argparse_error(["verify", "--suite", "mcf", "--jobs", "two"], "argument --jobs")
-    monkeypatch.setenv("MVLAB_JOBS", "abc")
-    assert argparse_error(["verify", "--suite", "mcf"], "argument --jobs")
+    assert argparse_error(["verify", "--suite", "mcf", "--jobs", "2"],
+                          "unrecognized arguments: --jobs")
 
 
 def test_sweep_golden_csv(capsys):
@@ -274,28 +280,136 @@ def test_tol_scale_tightens_flat_checks(tmp_path):
     assert flat and all(c["pass"] for c in flat)
 
 
-def test_config_file_with_flag_override(tmp_path):
+def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "mvlab.cfg"
     cfg.write_text("quantity = J\ngeometry = euclidean3\n"
                    "field = harmonic-quadratic\nsteps = 3  # comment\n")
     out = tmp_path / "c.csv"
-    code = run_cli(["sweep", "--config", str(cfg), "--quantity", "J",
-                    "--steps", "4", "--out", str(out)])
-    assert code == 0
-    assert len(out.read_text().splitlines()) == 5  # flag wins over config
+    argv = ["sweep", "--config", str(cfg), "--quantity", "J", "--out", str(out)]
+    for _ in range(2):  # the shared parser keeps no flag between calls
+        assert run_cli(argv + ["--steps", "4"]) == 0
+        assert len(out.read_text().splitlines()) == 5  # flag wins over config
+        assert run_cli(argv) == 0
+        assert len(out.read_text().splitlines()) == 4  # the config value
+
+    cfg.write_text("jobs = 4\n")  # the removed flag is refused from a file too
+    assert run_cli(["verify", "--suite", "mcf", "--config", str(cfg)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "unrecognized arguments: --jobs 4" in err
 
 
-def test_console_script_installed():
+def test_console_script_installed(capsys):
     # the child imports the same mvlab as this process, installed or not
     src = os.path.dirname(os.path.dirname(mvlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "mvlab.cli", "sweep",
-                           "--quantity", "jbar", "--geometry", "mcf-circle",
-                           "--steps", "3"],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+
+    def child(argv):
+        return subprocess.run([sys.executable, "-m", "mvlab.cli"] + argv,
+                              capture_output=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+    argv = ["sweep", "--quantity", "jbar", "--geometry", "mcf-circle",
+            "--steps", "3"]
+    proc = child(argv)
     assert proc.returncode == 0
-    assert proc.stdout.startswith("parameter,value,error_estimate,monotone_ok")
+    assert proc.stdout.startswith(b"parameter,value,error_estimate,monotone_ok")
+    assert run_cli(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+    proc = child(["verify", "--jobs", "2"])
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"unrecognized arguments: --jobs 2" in proc.stderr
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    after = []
+    for _ in range(3):
+        assert run_cli(["sweep", "--quantity", "jbar", "--geometry",
+                        "mcf-circle", "--steps", "2"]) == 0
+        after.append(len(built))
+    assert after[0] > 0 and after == after[:1] * 3
+    assert capsys.readouterr().out.count("\n") == 3 * 3
+
+
+def test_cached_parser_errors_reach_the_current_stderr(capsys):
+    assert run_cli(J_SWEEP + ["--steps", "2"]) == 0  # builds the parser
+    capsys.readouterr()
+    assert run_cli(["sweep", "--quantity", "nope"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'nope'" in err
+    buf = io.StringIO()
+    with contextlib.redirect_stderr(buf):
+        assert run_cli(["verify", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in buf.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+
+def values(valid, refused=("nan", "-1", "x")):
+    """Mostly values the CLI accepts, now and then one it refuses."""
+    return st.sampled_from(list(valid) * 3 + list(refused))
+
+
+FORMATS = values(["csv", "json"], ["xml"])
+OPTIONAL_FLAGS = {
+    "sweep": {"--geometry": values(["euclidean2", "euclidean3", "hyperbolic3",
+                                    "mcf-circle", "mcf-sphere"],
+                                   ["gaussian", "mars"]),
+              "--field": values(["constant-1", "linear", "subharmonic",
+                                 "exp-radial"], ["power", "nope"]),
+              "--rmin": values(["0.2", "0.5"]), "--rmax": values(["1", "2"]),
+              "--steps": values(["1", "2", "3", "4"], ["0", "-1", "two"]),
+              "--a": values(["0", "0.1"], ["inf", "x"]),
+              "--tol-scale": values(["0.5", "1", "2"], ["0", "nan", "x"]),
+              "--format": FORMATS},
+    "verify": {"--geometry": values(["gaussian", "shrinking-s3"],
+                                    ["euclidean3"]),
+               "--tol-scale": values(["0.5", "1", "2"], ["0", "nan", "x"]),
+               "--format": FORMATS},
+    "report": {"--format": FORMATS},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """Cheap invocations: J/I/jbar/ibar sweeps of at most 4 steps, the mcf
+    suite and the re-rendering of a fixed report, with flags and values
+    drawn from the parser's own and a few it refuses."""
+    command = draw(st.sampled_from(["sweep", "sweep", "verify", "report"]))
+    head = {"sweep": ["--quantity", draw(st.sampled_from(["J", "I", "jbar", "ibar"]))],
+            "verify": ["--suite", "mcf"],
+            "report": ["--in", str(GOLDEN / "verify_mcf.json")]}[command]
+    flags = [[flag, draw(strategy)] for flag, strategy in OPTIONAL_FLAGS[command].items()
+             if draw(st.booleans())]
+    flags += draw(st.sampled_from([[], [], [], [["--jobs", "2"]], [["--bogus"]]]))
+    return [command] + head + sum(draw(st.permutations(flags)), [])
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(first=cli_argv(), other=cli_argv())
+def test_drawn_argv_exit_codes_and_repeatability(first, other):
+    """Every drawn argv exits 0, 1 or 2 without a traceback, a usage error
+    prints nothing on stdout, and an argv run again after another one
+    prints the same bytes: the shared parser keeps no state between calls."""
+    runs = [run_captured(argv) for argv in (first, other, first)]
+    for code, out, err in runs:
+        assert code in (0, 1, 2), (first, other)
+        assert "Traceback" not in err
+        assert code != 2 or out == ""
+    assert runs[2][:2] == runs[0][:2]
 
 
 def test_ricci_suite_geometry_filter(tmp_path):
@@ -321,11 +435,10 @@ def test_jhat_sweep_flat_equality(tmp_path):
         assert ok == "true"
 
 
-def test_jobs_parallel_suite(tmp_path, monkeypatch):
-    monkeypatch.setenv("MVLAB_JOBS", "4")
-    out = tmp_path / "p.json"
-    assert run_cli(["verify", "--suite", "mcf", "--out", str(out)]) == 0
-    data = json.loads(out.read_text())
-    assert [c["name"] for c in data["checks"]] == [
+def test_jobs_parallel_suite():
+    serial, parallel = suites.run_suite("mcf"), suites.run_suite("mcf", jobs=4)
+    assert [c.name for c in parallel.checks] == [
         "gaussian_density_n1", "jbar_ibar_equal_density", "mcf_monotone",
         "liyau_decomposition_circle"]
+    assert [(c.name, c.value, c.passed) for c in parallel.checks] == [
+        (c.name, c.value, c.passed) for c in serial.checks]

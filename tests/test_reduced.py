@@ -112,6 +112,29 @@ def test_gauss_identities_sphere(rd_s3):
         assert eik <= 1e-4
 
 
+def test_residuals_reuse_the_landed_geodesic(rd_s3, monkeypatch):
+    # the geodesic that _solve_velocity lands is the one a second shot at
+    # its speed would give: one shot for the endpoint and one per stencil
+    # point, and the same residuals bit for bit
+    from mvlab import reduced
+    calls, solve_ivp = [], reduced.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["dense_output"])
+        return solve_ivp(*args, **kwargs)
+    monkeypatch.setattr(reduced, "solve_ivp", counted)
+    residuals = rd_s3.first_order_residuals(0.8, 0.2)
+    assert len(calls) == 10 and not any(calls)
+
+    def shoot_again(self, rho, tau, dense=False):
+        v, _ = self._solve_velocity(self.flow.x_of_rho(rho, -tau), tau)
+        return shoot_l_geodesic(self.flow, v, 2.0 * math.sqrt(tau), dense=dense)
+    monkeypatch.setattr(ReducedDistanceField, "geodesic_to", shoot_again)
+    calls.clear()
+    assert rd_s3.first_order_residuals(0.8, 0.2) == residuals
+    assert len(calls) == 11
+
+
 def test_reduced_volume_flat(rd_flat2):
     for tau in (1e-2, 1e-3, 0.25):
         val, err = rd_flat2.reduced_volume(tau)
