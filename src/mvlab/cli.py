@@ -11,10 +11,12 @@ error.  A usage error is reported before any quantity is computed, as one
 and nothing on stdout.  Usage errors are
 
 * an unknown command, flag, suite, quantity or sweep geometry, or a missing
-  or malformed config or report file (a report field of the wrong type, or
-  a stored ``pass`` that its value, expected and tol do not give);
+  or malformed config or report file (a report field of the wrong type, a
+  suite or check name that is not a string, a stored check ``pass`` that its
+  value, expected and tol do not give, or a top-level ``pass`` that is not
+  the verdict of its checks);
 * a ``verify --geometry`` other than gaussian, gaussian-soliton or
-  shrinking-s3;
+  shrinking-s3, or with a suite other than ricci or all;
 * a ``--tol-scale`` that is not finite and positive;
 * a non-finite ``--rmin``, ``--rmax``, ``--taumin``, ``--taumax`` or ``--a``;
 * ``--steps`` below 1, or a sweep grid that is not strictly increasing;

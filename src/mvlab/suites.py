@@ -1,16 +1,23 @@
 """Named verification suites behind the command line interface.
 
-Each suite is a battery of checks; a check records its computed value, the
-expectation (a number, a sign condition or a monotonicity verdict), the
-tolerance after scaling, an error estimate and the pass flag.  Suites can
-run their independent checks concurrently; results keep definition order.
+A suite is a battery: rows ``(name, thunk, expected, tol)``.  ``thunk()``
+returns the checked value, or ``(value, err)`` where the engine gives an
+error estimate; ``expected`` is a number, ``"<=0"``, ``">=0"`` or
+``"monotone"``; ``tol`` is the tolerance at ``tol_scale`` 1 (a thunk that
+runs a sweep scales the sweep's own tolerance).  ``run_suite`` alone calls
+the thunks, scales ``tol``, judges and records each check under its row's
+name; a thunk that raises is recorded as a failed check with expected
+``"error"``, under the same name.  Checks may run concurrently; results keep
+row order.
 """
 
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -22,7 +29,7 @@ from .geometry import FlowGeometry
 from .kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                       SubGreenKernel, SubHeatKernel, SupGreenKernel)
 from .reduced import ReducedDistanceField
-from .regions import ball_integrate, green_ball, heatball_profile, sphere_integrate
+from .regions import green_ball, heatball_profile, sphere_integrate
 
 SUITES = ("elliptic", "parabolic", "reduced", "ricci", "mcf", "all")
 # geometries the ricci battery can be restricted to
@@ -77,19 +84,26 @@ class SuiteReport:
                                   passed=c["pass"], err=c.get("err", 0.0),
                                   error=c.get("error"))
                       for c in d["checks"]]
-            report = cls(suite=d["suite"], checks=checks)
+            report, stored = cls(suite=d["suite"], checks=checks), d["pass"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a suite report ({type(exc).__name__}: {exc})") from None
+        if not isinstance(report.suite, str):
+            raise ValueError(f"suite must be a string, got {report.suite!r}")
         for c in checks:  # numbers may be NaN or inf: a check that raised writes them
             numbers = (c.value, c.tol, c.err) + (
                 () if c.expected in _EXPECTED_WORDS else (c.expected,))
-            if not (isinstance(c.passed, bool) and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers)):
-                raise ValueError(f"check {c.name!r}: value, tol and err must be numbers, expected "
-                                 f"a number or one of {', '.join(_EXPECTED_WORDS)}, pass a bool")
+            if not (isinstance(c.name, str) and isinstance(c.passed, bool) and all(
+                    isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max
+                    for v in numbers)):
+                raise ValueError(f"check {c.name!r}: name must be a string, value, tol and err "
+                                 f"numbers, expected a number or one of "
+                                 f"{', '.join(_EXPECTED_WORDS)}, pass a bool")
             if c.passed != _judge(c.value, c.expected, c.tol):
                 raise ValueError(f"check {c.name!r}: stored pass disagrees with its value, "
                                  f"expected and tol")
+        if stored is not report.passed:
+            raise ValueError(f"stored top-level pass {json.dumps(stored)} is not the "
+                             f"verdict of its checks, {json.dumps(report.passed)}")
         return report
 
 
@@ -112,328 +126,196 @@ def _check(name, value, expected, tol, err=0.0):
 
 
 # --------------------------------------------------------------------------- #
-# batteries; each item is (name, thunk) with thunk() -> CheckResult
+# batteries: rows (name, thunk, expected, tol at tol_scale 1)
 # --------------------------------------------------------------------------- #
 def _elliptic_battery(ts):
-    e3 = FlowGeometry.euclidean(3)
-    g = GreenKernel(e3)
-    h3 = FlowGeometry.hyperbolic(3)
-    sub = SubGreenKernel(h3, k=1.0)
-    sup = SupGreenKernel(h3)
-
-    def flux(r):
-        def run():
-            reg = green_ball(g, r)
-            val, err = sphere_integrate(reg, g.grad_norm)
-            return _check(f"green_flux[r={r}]", val, 1.0, 1e-8 * ts, err)
-        return run
-
-    def mv_harmonic_quadratic():
-        hq = make_field("harmonic-quadratic", e3)
-        _, rhs, resid = mve.mv_identity(g, hq, 1.0, "sphere")
-        return _check("mv_sphere[harmonic-quadratic]", resid, 0.0, 1e-7 * ts)
-
-    def mv_superharmonic(form):
-        def run():
-            f = make_field("superharmonic", e3, C=10.0)
-            _, _, resid = mve.mv_identity(g, f, 1.0, form)
-            return _check(f"mv_{form}[10-|y|^2]", resid, 0.0, 1e-6 * ts)
-        return run
-
-    def dj_formula():
-        f = make_field("superharmonic", e3, C=10.0)
-        fd, rhs, _ = mve.j_derivative_residual(g, f, 1.0)
-        return _check("dJ/dr[10-|y|^2,r=1]", fd, -3.0 / (8.0 * math.pi ** 2),
-                      1e-4 * ts)
-
-    def relation():
-        f = make_field("superharmonic", e3, C=10.0)
-        resid = mve.sphere_ball_relation_residual(g, f, 1.0)
-        return _check("sphere_ball_relation", resid, 0.0, 1e-6 * ts)
-
-    def weight_identity():
-        resid = mve.iterated_weight_identity(g, lambda rho: 1.0, 1.0)
-        return _check("iterated_weight_identity[f=1]", resid, 0.0, 1e-6 * ts)
-
-    def sub_equality():
-        one = make_field("constant-1", h3)
-        d = mve.mv_inequality_deficit(sub, one, 1.0, "sphere")
-        return _check("subgreen_equality[v=1]", abs(d), 0.0, 1e-6 * ts)
-
-    def sub_sign():
-        er = make_field("exp-radial", h3)
-        d = mve.mv_inequality_deficit(sub, er, 0.5, "sphere")
-        return _check("subgreen_deficit[exp-radial]", d, ">=0", 1e-7 * ts)
-
-    def sup_sign():
-        one = make_field("constant-1", h3)
-        d = mve.mv_inequality_deficit(sup, one, 1.0, "sphere")
-        return _check("supgreen_deficit[v=1]", d, ">=0", 1e-7 * ts)
-
-    def j_constant():
-        hq = make_field("harmonic-quadratic", e3)
-        sweep = mve.elliptic_sweep(g, hq, [0.5, 0.75, 1.0, 1.25, 1.5],
-                                   direction="constant", tol=1e-7 * ts,
-                                   derivative_checks=False)
-        return _check("J_constant[harmonic]", sweep["J"].worst_violation,
-                      "monotone", 0.0)
-
-    def i_monotone():
-        f = make_field("superharmonic", e3, C=10.0)
-        sweep = mve.elliptic_sweep(g, f, [0.5, 0.75, 1.0, 1.25, 1.5],
-                                   tol=1e-6 * ts, derivative_checks=False)
-        return _check("I_noninc[superharmonic]", sweep["I"].worst_violation,
-                      "monotone", 0.0)
-
+    e3, h3 = FlowGeometry.euclidean(3), FlowGeometry.hyperbolic(3)
+    g, sub, sup = GreenKernel(e3), SubGreenKernel(h3, k=1.0), SupGreenKernel(h3)
+    hq = partial(make_field, "harmonic-quadratic", e3)
+    sh = partial(make_field, "superharmonic", e3, C=10.0)
+    one = partial(make_field, "constant-1", h3)
+    sweep = partial(mve.elliptic_sweep, g, r_grid=[0.5, 0.75, 1.0, 1.25, 1.5],
+                    derivative_checks=False)
     return [
-        ("green_flux_0.5", flux(0.5)),
-        ("green_flux_1", flux(1.0)),
-        ("green_flux_2", flux(2.0)),
-        ("mv_harmonic_quadratic", mv_harmonic_quadratic),
-        ("mv_sphere_superharmonic", mv_superharmonic("sphere")),
-        ("mv_ball_superharmonic", mv_superharmonic("ball")),
-        ("dj_formula", dj_formula),
-        ("sphere_ball_relation", relation),
-        ("iterated_weight_identity", weight_identity),
-        ("subgreen_equality", sub_equality),
-        ("subgreen_sign", sub_sign),
-        ("supgreen_sign", sup_sign),
-        ("j_constant_harmonic", j_constant),
-        ("i_monotone_superharmonic", i_monotone),
+        *[(f"green_flux[r={r}]", lambda r=r: sphere_integrate(green_ball(g, r), g.grad_norm),
+           1.0, 1e-8) for r in (0.5, 1.0, 2.0)],
+        ("mv_sphere[harmonic-quadratic]", lambda: mve.mv_identity(g, hq(), 1.0)[2], 0.0, 1e-7),
+        *[(f"mv_{form}[10-|y|^2]", lambda form=form: mve.mv_identity(g, sh(), 1.0, form)[2],
+           0.0, 1e-6) for form in ("sphere", "ball")],
+        ("dJ/dr[10-|y|^2,r=1]", lambda: mve.j_derivative_residual(g, sh(), 1.0)[0],
+         -3.0 / (8.0 * math.pi ** 2), 1e-4),
+        ("sphere_ball_relation", lambda: mve.sphere_ball_relation_residual(g, sh(), 1.0),
+         0.0, 1e-6),
+        ("iterated_weight_identity[f=1]",
+         lambda: mve.iterated_weight_identity(g, lambda rho: 1.0, 1.0), 0.0, 1e-6),
+        ("subgreen_equality[v=1]", lambda: abs(mve.mv_inequality_deficit(sub, one(), 1.0)),
+         0.0, 1e-6),
+        ("subgreen_deficit[exp-radial]",
+         lambda: mve.mv_inequality_deficit(sub, make_field("exp-radial", h3), 0.5), ">=0", 1e-7),
+        ("supgreen_deficit[v=1]", lambda: mve.mv_inequality_deficit(sup, one(), 1.0),
+         ">=0", 1e-7),
+        ("J_constant[harmonic]", lambda: sweep(
+            hq(), direction="constant", tol=1e-7 * ts)["J"].worst_violation, "monotone", 0.0),
+        ("I_noninc[superharmonic]",
+         lambda: sweep(sh(), tol=1e-6 * ts)["I"].worst_violation, "monotone", 0.0),
     ]
+
+
+def _profile_closed_form(kernel):
+    """Worst gap between the closed-form heat-ball profile and the Brent root."""
+    reg = heatball_profile(kernel, 1.0)
+    worst = 0.0
+    for u in np.linspace(0.02, 0.98, 25):
+        tau = u * reg.tau_max
+        value = kernel.at(tau).value
+        root = brentq(lambda x: value(x) - reg.level, 0.0, 10.0,
+                      xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
+        worst = max(worst, abs(reg.profile_rho(tau) - root))
+    return worst
+
+
+def _cap_drift(kernel, one):
+    """|mean - 1| of v = 1 at the finest cap; inf unless it shrinks with the cap."""
+    caps = mvp.truncation_convergence(kernel, one, 1.0, [1e-2, 1e-3, 1e-4])
+    drift = [abs(c - 1.0) for c in caps]
+    return drift[-1] if all(a >= b for a, b in zip(drift, drift[1:])) else math.inf
 
 
 def _parabolic_battery(ts):
-    e2 = FlowGeometry.euclidean(2)
-    h2 = HeatKernel(e2)
-    h3g = FlowGeometry.hyperbolic(3)
-    hk3 = HeatKernel(h3g)
-
-    def watson(r):
-        def run():
-            cq = make_field("caloric-quadratic", e2)
-            _, _, resid = mvp.mv_heat_ball(h2, cq, r)
-            return _check(f"watson[r={r}]", resid, 0.0, 1e-5 * ts)
-        return run
-
-    def sphere_unit():
-        one = make_field("constant-1", e2)
-        _, _, resid = mvp.mv_heat_sphere(h2, one, 1.0)
-        return _check("heat_sphere[v=1]", resid, 0.0, 1e-5 * ts)
-
-    def profile_closed_form():
-        # the closed-form profile against the Brent root of its level equation
-        reg = heatball_profile(h2, 1.0)
-        worst = 0.0
-        for u in np.linspace(0.02, 0.98, 25):
-            tau = u * reg.tau_max
-            value = h2.at(tau).value
-            root = brentq(lambda x: value(x) - reg.level, 0.0, 10.0,
-                          xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
-            worst = max(worst, abs(reg.profile_rho(tau) - root))
-        return _check("heatball_profile_closed_form", worst, 0.0, 1e-10 * ts)
-
-    def hyperbolic_sphere(field_name):
-        def run():
-            f = make_field(field_name, h3g)
-            _, _, resid = mvp.mv_heat_sphere(hk3, f, 1.0)
-            return _check(f"heat_sphere_h3[{field_name}]", resid, 0.0, 1e-4 * ts)
-        return run
-
-    def surface_forms():
-        jr, ir = mvp.surface_form_residual(h2, 1.0)
-        return _check("surface_form[euclid]", max(jr, ir), 0.0, 1e-6 * ts)
-
-    def forward_sweep():
-        f = make_field("superharmonic", e2, C=10.0)
-        rep = mvp.forward_j_sweep(h2, f, [0.5, 0.75, 1.0, 1.25],
-                                  tol=1e-6 * ts)
-        return _check("forward_J_noninc[supercaloric]", rep.worst_violation,
-                      "monotone", 0.0)
-
-    def truncation():
-        one = make_field("constant-1", e2)
-        caps = mvp.truncation_convergence(h2, one, 1.0, [1e-2, 1e-3, 1e-4])
-        drift = [abs(c - 1.0) for c in caps]
-        monotone = all(a >= b for a, b in zip(drift, drift[1:]))
-        return _check("cap_convergence", drift[-1] if monotone else math.inf,
-                      0.0, 0.05 * ts)
-
+    e2, h3 = FlowGeometry.euclidean(2), FlowGeometry.hyperbolic(3)
+    h2, hk3 = HeatKernel(e2), HeatKernel(h3)
+    one = partial(make_field, "constant-1", e2)
     return [
-        ("watson_0.5", watson(0.5)),
-        ("watson_1", watson(1.0)),
-        ("heat_sphere_unit", sphere_unit),
-        ("profile_closed_form", profile_closed_form),
-        ("heat_sphere_h3_const", hyperbolic_sphere("constant-1")),
-        ("heat_sphere_h3_exp", hyperbolic_sphere("exp-radial")),
-        ("surface_forms", surface_forms),
-        ("forward_sweep", forward_sweep),
-        ("cap_convergence", truncation),
+        *[(f"watson[r={r}]", lambda r=r: mvp.mv_heat_ball(
+            h2, make_field("caloric-quadratic", e2), r)[2], 0.0, 1e-5) for r in (0.5, 1.0)],
+        ("heat_sphere[v=1]", lambda: mvp.mv_heat_sphere(h2, one(), 1.0)[2], 0.0, 1e-5),
+        ("heatball_profile_closed_form", lambda: _profile_closed_form(h2), 0.0, 1e-10),
+        *[(f"heat_sphere_h3[{name}]", lambda name=name: mvp.mv_heat_sphere(
+            hk3, make_field(name, h3), 1.0)[2], 0.0, 1e-4)
+          for name in ("constant-1", "exp-radial")],
+        ("surface_form[euclid]", lambda: max(mvp.surface_form_residual(h2, 1.0)), 0.0, 1e-6),
+        ("forward_J_noninc[supercaloric]", lambda: mvp.forward_j_sweep(
+            h2, make_field("superharmonic", e2, C=10.0), [0.5, 0.75, 1.0, 1.25],
+            tol=1e-6 * ts).worst_violation, "monotone", 0.0),
+        ("cap_convergence", lambda: _cap_drift(h2, one()), 0.0, 0.05),
     ]
+
+
+def _theta_s3_noninc(fld):
+    """Largest rise of the reduced volume between neighbouring times."""
+    vals = [fld.reduced_volume(t)[0] for t in [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]]
+    return max(b - a for a, b in zip(vals, vals[1:]))
 
 
 def _reduced_battery(ts):
-    flat = FlowGeometry.gaussian_soliton(2)
-    sph = FlowGeometry.shrinking_sphere(3)
-
-    def flat_oracle():
-        fld = ReducedDistanceField(flat)
-        worst = max(abs(fld.ell(rho, tau) - rho * rho / (4.0 * tau))
-                    for rho in np.linspace(0.1, 2.0, 10)
-                    for tau in np.linspace(0.05, 1.0, 10))
-        return _check("ell_flat_oracle", worst, 0.0, 1e-8 * ts)
-
-    def theta_flat():
-        fld = ReducedDistanceField(flat)
-        val, err = fld.reduced_volume(0.3)
-        return _check("theta_flat", val, 1.0, 1e-6 * ts, err)
-
-    def endpoint_identities():
-        fld = ReducedDistanceField(flat)
-        rs, rt, eik = fld.first_order_residuals(1.0, 0.25)
-        return _check("endpoint_identities_flat", max(rs, rt, eik), 0.0,
-                      1e-6 * ts)
-
-    def sphere_identities():
-        fld = ReducedDistanceField(sph)
-        rs, rt, eik = fld.first_order_residuals(0.8, 0.2)
-        return _check("endpoint_identities_s3", max(rs, rt, eik), 0.0,
-                      1e-4 * ts)
-
-    def theta_s3_monotone():
-        fld = ReducedDistanceField(sph)
-        taus = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
-        vals = [fld.reduced_volume(t)[0] for t in taus]
-        worst = max(b - a for a, b in zip(vals, vals[1:]))
-        return _check("theta_s3_noninc", worst, "<=0", 1e-5 * ts)
-
+    flat = ReducedDistanceField(FlowGeometry.gaussian_soliton(2))
+    s3 = ReducedDistanceField(FlowGeometry.shrinking_sphere(3))
     return [
-        ("ell_flat_oracle", flat_oracle),
-        ("theta_flat", theta_flat),
-        ("endpoint_identities_flat", endpoint_identities),
-        ("endpoint_identities_s3", sphere_identities),
-        ("theta_s3_monotone", theta_s3_monotone),
+        ("ell_flat_oracle", lambda: max(abs(flat.ell(rho, tau) - rho * rho / (4.0 * tau))
+                                        for rho in np.linspace(0.1, 2.0, 10)
+                                        for tau in np.linspace(0.05, 1.0, 10)), 0.0, 1e-8),
+        ("theta_flat", lambda: flat.reduced_volume(0.3), 1.0, 1e-6),
+        ("endpoint_identities_flat", lambda: max(flat.first_order_residuals(1.0, 0.25)),
+         0.0, 1e-6),
+        ("endpoint_identities_s3", lambda: max(s3.first_order_residuals(0.8, 0.2)), 0.0, 1e-4),
+        ("theta_s3_noninc", lambda: _theta_s3_noninc(s3), "<=0", 1e-5),
     ]
 
 
+def _worst_gap(target, radii, *quantities):
+    """Worst distance from target of the values of quantities r -> (value, err)."""
+    worst = 0.0
+    for r in radii:
+        worst = max(worst, *(abs(q(r)[0] - target) for q in quantities))
+    return worst
+
+
+def _soliton_flat(fld):
+    """Worst of the four soliton residuals."""
+    chk = mvp.soliton_residuals(fld, [(0.5, 0.2), (1.0, 0.25), (1.5, 0.4)])
+    return max(chk.max_abs_conjugate_heat, chk.max_abs_first_order,
+               chk.max_abs_entropy, chk.max_abs_soliton_tensor)
+
+
+def _jhat_monotone_s3(kern):
+    """Worst rise of Jhat; at least 1 if Jhat, Ihat(0) or Jhat <= Ihat(a) fails."""
+    out = mvp.jhat_sweep(kern, [0.8, 1.1, 1.4, 1.7, 2.0, 2.3])
+    jhat = out["jhat"]
+    ok_pairs = all(jhat.values[jhat.grid.index(r)] <= iv + ie + jhat.errors[jhat.grid.index(r)]
+                   for (a, r, iv, ie) in out["pairs"])
+    if jhat.monotone_ok and out["ihat0"].monotone_ok and ok_pairs:
+        return jhat.worst_violation
+    return max(jhat.worst_violation, 1.0)
+
+
 def _ricci_battery(ts, geometry=None):
-    items = []
+    rows = []
     if geometry in (None, "gaussian", "gaussian-soliton"):
-        def flat_equalities():
-            fld = ReducedDistanceField(FlowGeometry.gaussian_soliton(2))
-            kern = SubHeatKernel(fld)
-            worst = 0.0
-            for r in (0.3, 0.5, 0.8):
-                jv, _ = mvp.jhat_quantity(kern, r)
-                iv, _ = mvp.ihat_quantity(kern, 0.0, r)
-                worst = max(worst, abs(jv - 1.0), abs(iv - 1.0))
-            return _check("jhat_ihat_flat", worst, 0.0, 1e-10 * ts)
-
-        def flat_soliton():
-            fld = ReducedDistanceField(FlowGeometry.gaussian_soliton(3))
-            chk = mvp.soliton_residuals(fld, [(0.5, 0.2), (1.0, 0.25), (1.5, 0.4)])
-            worst = max(chk.max_abs_conjugate_heat, chk.max_abs_first_order,
-                        chk.max_abs_entropy, chk.max_abs_soliton_tensor)
-            return _check("soliton_identities_flat", worst, 0.0, 1e-6 * ts)
-
-        items += [("jhat_ihat_flat", flat_equalities),
-                  ("soliton_identities_flat", flat_soliton)]
-
+        flat = ReducedDistanceField(FlowGeometry.gaussian_soliton(2))
+        flat3 = ReducedDistanceField(FlowGeometry.gaussian_soliton(3))
+        kern = SubHeatKernel(flat)
+        rows += [("jhat_ihat_flat", lambda: _worst_gap(
+                     1.0, (0.3, 0.5, 0.8), partial(mvp.jhat_quantity, kern),
+                     partial(mvp.ihat_quantity, kern, 0.0)), 0.0, 1e-10),
+                 ("soliton_identities_flat", lambda: _soliton_flat(flat3), 0.0, 1e-6)]
     if geometry in (None, "shrinking-s3"):
-        def s3_sweep():
-            fld = ReducedDistanceField(FlowGeometry.shrinking_sphere(3))
-            kern = SubHeatKernel(fld)
-            out = mvp.jhat_sweep(kern, [0.8, 1.1, 1.4, 1.7, 2.0, 2.3])
-            ok_pairs = all(
-                out["jhat"].values[out["jhat"].grid.index(r)]
-                <= iv + ie + out["jhat"].errors[out["jhat"].grid.index(r)]
-                for (a, r, iv, ie) in out["pairs"])
-            worst = out["jhat"].worst_violation
-            if not (out["jhat"].monotone_ok and out["ihat0"].monotone_ok
-                    and ok_pairs):
-                worst = max(worst, 1.0)
-            return _check("jhat_monotone_s3", worst, "monotone", 0.0)
-
-        def s3_first_order():
-            fld = ReducedDistanceField(FlowGeometry.shrinking_sphere(3))
-            chk = mvp.soliton_residuals(fld, [(0.5, 0.1), (0.8, 0.2), (1.0, 0.3)])
-            return _check("first_order_s3", chk.max_abs_first_order, 0.0, 1e-4 * ts)
-
-        def s3_ly():
-            fld = ReducedDistanceField(FlowGeometry.shrinking_sphere(3))
-            resid, _, _ = mvp.ly_ricci_residual(fld, 0.8, 0.2)
-            return _check("liyau_decomposition_s3", resid, 0.0, 1e-8 * ts)
-
-        items += [("jhat_monotone_s3", s3_sweep),
-                  ("first_order_s3", s3_first_order),
-                  ("liyau_decomposition_s3", s3_ly)]
-    return items
+        s3 = ReducedDistanceField(FlowGeometry.shrinking_sphere(3))
+        rows += [
+            ("jhat_monotone_s3", lambda: _jhat_monotone_s3(SubHeatKernel(s3)), "monotone", 0.0),
+            ("first_order_s3", lambda: mvp.soliton_residuals(
+                s3, [(0.5, 0.1), (0.8, 0.2), (1.0, 0.3)]).max_abs_first_order, 0.0, 1e-4),
+            ("liyau_decomposition_s3", lambda: mvp.ly_ricci_residual(s3, 0.8, 0.2)[0], 0.0, 1e-8)]
+    return rows
 
 
 def _mcf_battery(ts):
-    def density():
-        val = mvp.gaussian_density(1)
-        return _check("gaussian_density_n1", val,
-                      math.sqrt(2.0 * math.pi / math.e), 1e-5 * ts)
-
-    def track_constancy():
-        track = McfShrinkingSphereTrack(1)
-        theta = mvp.gaussian_density(1)
-        worst = 0.0
-        for r in (0.5, 1.0, 2.0):
-            worst = max(worst, abs(mvp.jbar_quantity(track, r)[0] - theta),
-                        abs(mvp.ibar_quantity(track, 0.0, r)[0] - theta))
-        return _check("jbar_ibar_equal_density", worst, 0.0, 1e-4 * ts)
-
-    def sweep():
-        out = mvp.mcf_sweep(2, [0.5, 1.0, 1.5, 2.0], tol=1e-6 * ts)
-        worst = max(out["jbar"].worst_violation, out["ibar0"].worst_violation)
-        return _check("mcf_monotone", worst, "monotone", 0.0)
-
-    def liyau():
-        resid, _, _ = mvp.ly_mcf_residual(McfShrinkingSphereTrack(1), 1.0)
-        return _check("liyau_decomposition_circle", resid, 0.0, 1e-8 * ts)
-
+    track = McfShrinkingSphereTrack(1)
     return [
-        ("gaussian_density", density),
-        ("track_constancy", track_constancy),
-        ("mcf_monotone", sweep),
-        ("liyau_circle", liyau),
+        ("gaussian_density_n1", lambda: mvp.gaussian_density(1),
+         math.sqrt(2.0 * math.pi / math.e), 1e-5),
+        ("jbar_ibar_equal_density", lambda: _worst_gap(
+            mvp.gaussian_density(1), (0.5, 1.0, 2.0), partial(mvp.jbar_quantity, track),
+            partial(mvp.ibar_quantity, track, 0.0)), 0.0, 1e-4),
+        ("mcf_monotone", lambda: max(
+            rep.worst_violation for key, rep in
+            mvp.mcf_sweep(2, [0.5, 1.0, 1.5, 2.0], tol=1e-6 * ts).items()
+            if key in ("jbar", "ibar0")), "monotone", 0.0),
+        ("liyau_decomposition_circle", lambda: mvp.ly_mcf_residual(track, 1.0)[0], 0.0, 1e-8),
     ]
 
 
 def build_battery(suite, tol_scale=1.0, geometry=None):
+    """The rows of a named suite.  ValueError on an unknown suite or geometry,
+    and on a geometry for a suite without ricci checks to restrict."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite '{suite}'")
     if geometry is not None and geometry not in RICCI_GEOMETRIES:
         raise ValueError(f"unknown geometry '{geometry}'; the ricci suite "
                          f"serves {', '.join(RICCI_GEOMETRIES)}")
-    ts = tol_scale
-    if suite == "elliptic":
-        return _elliptic_battery(ts)
-    if suite == "parabolic":
-        return _parabolic_battery(ts)
-    if suite == "reduced":
-        return _reduced_battery(ts)
-    if suite == "ricci":
-        return _ricci_battery(ts, geometry)
-    if suite == "mcf":
-        return _mcf_battery(ts)
+    if geometry is not None and suite not in ("ricci", "all"):
+        raise ValueError(f"a geometry restricts the ricci and all suites only, "
+                         f"not '{suite}'")
     if suite == "all":
-        out = []
-        for s in ("elliptic", "parabolic", "reduced", "ricci", "mcf"):
-            out += build_battery(s, ts, geometry if s == "ricci" else None)
-        return out
-    raise ValueError(f"unknown suite '{suite}'")
+        return [row for s in SUITES[:-1]
+                for row in build_battery(s, tol_scale, geometry if s == "ricci" else None)]
+    if suite == "ricci":
+        return _ricci_battery(tol_scale, geometry)
+    return {"elliptic": _elliptic_battery, "parabolic": _parabolic_battery,
+            "reduced": _reduced_battery, "mcf": _mcf_battery}[suite](tol_scale)
 
 
 def run_suite(suite, tol_scale=1.0, geometry=None, jobs=1):
-    """Execute a named battery; solver failures become failed checks."""
+    """Run a named battery and judge every row; a thunk that raises becomes a
+    failed check under its row's name, so the report always finishes."""
     battery = build_battery(suite, tol_scale, geometry)
     t0 = time.time()
 
-    def safe(item):
-        name, thunk = item
+    def run(row):
+        name, thunk, expected, tol = row
         try:
-            return thunk()
+            out = thunk()
+            value, err = out if isinstance(out, tuple) else (out, 0.0)
+            return _check(name, value, expected, tol * tol_scale, err)
         except Exception as exc:  # recorded, not raised: the report must finish
             return CheckResult(name=name, value=math.nan, expected="error",
                                tol=0.0, passed=False, err=math.inf,
@@ -441,8 +323,8 @@ def run_suite(suite, tol_scale=1.0, geometry=None, jobs=1):
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            checks = list(pool.map(safe, battery))
+            checks = list(pool.map(run, battery))
     else:
-        checks = [safe(item) for item in battery]
+        checks = [run(row) for row in battery]
     return SuiteReport(suite=suite, checks=checks,
                        wall_ms=1000.0 * (time.time() - t0))

@@ -6,9 +6,11 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +25,7 @@ from mvlab.cli import main
 from mvlab.errors import DomainError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_SUITES = ("elliptic", "parabolic", "reduced", "ricci", "mcf")
 
 
 def run_cli(args):
@@ -46,7 +49,7 @@ def test_verify_elliptic_report(tmp_path, capsys):
         assert check["pass"] is True
 
 
-@pytest.mark.parametrize("suite", ["elliptic", "parabolic", "reduced", "ricci", "mcf"])
+@pytest.mark.parametrize("suite", GOLDEN_SUITES)
 def test_verify_golden_report(suite, tmp_path, capsys):
     """Byte-exact verify reports: every number and the layout are pinned."""
     out = tmp_path / "report.json"
@@ -85,8 +88,8 @@ def test_failed_check_records_error(tmp_path, monkeypatch):
         raise DomainError("level parameter r must be positive and finite, got -1")
 
     monkeypatch.setattr(suites, "build_battery", lambda *args: [
-        ("raises", out_of_domain),
-        ("passes", lambda: suites._check("passes", 1.0, 1.0, 1e-12))])
+        ("raises", out_of_domain, 0.0, 1.0),
+        ("passes", lambda: 1.0, 1.0, 1e-12)])
     report = suites.run_suite("elliptic")
     failed, passed = report.to_dict()["checks"]
     assert failed["error"] == ("DomainError: level parameter r must be "
@@ -107,6 +110,24 @@ def test_failed_check_records_error(tmp_path, monkeypatch):
     rows = list(csv.DictReader(table.read_text().splitlines()))
     assert [row["error"] for row in rows] == [failed["error"], ""]
     assert rows[0]["pass"] == "false" and rows[1]["pass"] == "true"
+
+
+def test_battery_names_are_the_golden_names(monkeypatch):
+    """Each check has one name, the goldens' and in their order, whether its
+    thunk returns or raises."""
+    rows = suites.build_battery("all")
+    names = [name for name, _, _, _ in rows]
+    assert names == [c["name"] for s in GOLDEN_SUITES for c in json.loads(
+        (GOLDEN / f"verify_{s}.json").read_text())["checks"]]
+    assert len(set(names)) == len(names) == 37
+
+    def raises():
+        raise RuntimeError("no value")
+    monkeypatch.setattr(suites, "build_battery", lambda *args: [
+        (name, raises, expected, tol) for name, _, expected, tol in rows])
+    report = suites.run_suite("all")
+    assert [c.name for c in report.checks] == names
+    assert {c.error for c in report.checks} == {"RuntimeError: no value"}
 
 
 def test_sweep_deterministic(tmp_path):
@@ -193,16 +214,31 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert usage_error(["verify", "--suite", "mcf", "--tol-scale", "inf"])
     assert usage_error(["verify", "--suite", "ricci", "--geometry", "nonsense"])
     assert usage_error(["verify", "--suite", "all", "--geometry", "euclidean3"])
+    # only the ricci checks have a geometry to restrict to
+    for suite in ("elliptic", "parabolic", "reduced", "mcf"):
+        assert usage_error(["verify", "--suite", suite, "--geometry", "shrinking-s3"])
     # valid JSON that is not a suite report
     check = {"name": "c", "expected": 0.0, "tol": 1.0, "pass": True}
     # fields of the wrong type, and a stored verdict its numbers do not give
     mistyped = {"name": "c", "value": "x", "expected": 0, "tol": "y", "pass": "no"}
     stale = {"name": "c", "value": 0.5, "expected": 0.0, "tol": 0.1, "pass": True}
-    for i, doc in enumerate(({}, [1], None, {"suite": "s", "checks": 3},
-                             {"suite": "s", "checks": [1]},
-                             {"suite": "s", "checks": [check]},
-                             {"suite": "s", "checks": [mistyped]},
-                             {"suite": "s", "checks": [stale]})):
+    good = {"name": "c", "value": 0.5, "expected": 0.0, "tol": 1.0, "pass": True}
+    for i, doc in enumerate(({}, [1], None, {"suite": "s", "checks": 3, "pass": True},
+                             {"suite": "s", "checks": [1], "pass": True},
+                             {"suite": "s", "checks": [check], "pass": True},
+                             {"suite": "s", "checks": [mistyped], "pass": False},
+                             {"suite": "s", "checks": [stale], "pass": True},
+                             # names that are not strings, and a missing, mistyped
+                             # or stale top-level verdict
+                             {"suite": 5, "checks": [good], "pass": True},
+                             {"suite": "s", "checks": [{**good, "name": [1, 2]}],
+                              "pass": True},
+                             {"suite": "s", "checks": [good]},
+                             {"suite": "s", "checks": [good], "pass": 1},
+                             {"suite": "s", "checks": [good], "pass": False},
+                             # an integer no float can hold
+                             {"suite": "s", "checks": [{**good, "value": 10 ** 400}],
+                              "pass": True})):
         path = tmp_path / f"not_a_report_{i}.json"
         path.write_text(json.dumps(doc))
         assert usage_error(["report", "--in", str(path)]), doc
@@ -410,6 +446,62 @@ def test_drawn_argv_exit_codes_and_repeatability(first, other):
         assert "Traceback" not in err
         assert code != 2 or out == ""
     assert runs[2][:2] == runs[0][:2]
+
+
+CHECK_KEYS = ("name", "value", "expected", "tol", "pass", "err")
+OTHER_VALUES = st.sampled_from([None, True, False, 0, -1, 2.5, "x", "<=0", [], [1, 2],
+                                {}, {"a": 1}, 10 ** 400, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def report_documents(draw):
+    """A golden verify report after up to four drawn mutations: a key dropped,
+    a value of another type, NaN, inf or too large for a float, a flipped
+    pass, a suite or check name that is not a string."""
+    suite = draw(st.sampled_from(GOLDEN_SUITES))
+    doc = json.loads((GOLDEN / f"verify_{suite}.json").read_text())
+    mutations = draw(st.integers(0, 4))
+    for _ in range(mutations):
+        checks = doc.get("checks") if isinstance(doc.get("checks"), list) else []
+        target = draw(st.sampled_from([doc] + [c for c in checks if isinstance(c, dict)]))
+        keys = ("suite", "checks", "pass") if target is doc else CHECK_KEYS
+        action = draw(st.sampled_from(["drop", "swap", "flip", "name"]))
+        if action == "drop":
+            target.pop(draw(st.sampled_from(keys)), None)
+        elif action == "swap":
+            target[draw(st.sampled_from(keys))] = draw(OTHER_VALUES)
+        elif action == "flip":
+            target["pass"] = not target.get("pass")
+        else:
+            target["suite" if target is doc else "name"] = draw(
+                st.sampled_from([5, None, [1, 2], {"n": "c"}, 1.5]))
+    return suite, mutations, doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn=report_documents(), fmt=st.sampled_from(["json", "csv"]))
+def test_drawn_report_documents(drawn, fmt):
+    """``report --in`` on a drawn document exits 0, 1 or 2 without a
+    traceback and prints nothing on stdout when it exits 2; an unmutated
+    golden re-renders as JSON byte for byte."""
+    suite, mutations, doc = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, err = run_captured(["report", "--in", path, "--format", fmt])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert code != 2 or out == ""
+    if mutations == 0 and fmt == "json":
+        assert (code, out) == (0, (GOLDEN / f"verify_{suite}.json").read_text())
+
+
+def test_golden_reports_rerender_byte_for_byte(tmp_path):
+    for suite in GOLDEN_SUITES:
+        out = tmp_path / f"{suite}.json"
+        assert run_cli(["report", "--in", str(GOLDEN / f"verify_{suite}.json"),
+                        "--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"verify_{suite}.json").read_bytes()
 
 
 def test_ricci_suite_geometry_filter(tmp_path):

@@ -42,3 +42,18 @@ def test_tracer_install_uninstall_round_trip():
     finally:
         tracer.uninstall()
     assert _bindings() == before
+
+
+def test_traced_verify_prints_the_untraced_bytes(capsys):
+    """The tracer wraps `run_suite` and `build_battery` by name: a traced
+    `verify` prints the same report and times the suites layer."""
+    assert mvlab.cli.main(["verify", "--suite", "mcf"]) == 0
+    untraced = capsys.readouterr().out
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install(mvlab)
+        assert mvlab.cli.main(["verify", "--suite", "mcf"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == untraced
+    assert tracer.self_s["suites"] > 0.0
