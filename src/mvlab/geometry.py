@@ -172,9 +172,10 @@ class FlowGeometry:
         return 0.0, 0.0
 
     def scalar_R(self, rho, t=0.0):
-        """Trace g^{ij} Upsilon_{ij}; n(n-1)/c(t) on the shrinking sphere."""
-        rad, tan = self.upsilon_eigenvalues(rho, t)
-        return rad + (self.n - 1) * tan
+        """Trace g^{ij} Upsilon_{ij}, summed over the eigenvalues of Upsilon = Ric
+        on the shrinking sphere (n(n-1)/c(t)) and 0 on static models."""
+        v = (self.n - 1) / self.scale(t) if self.kind == SHRINKING_SPHERE else 0.0
+        return v + (self.n - 1) * v
 
     def dR_dt(self, rho, t=0.0):
         if self.kind != SHRINKING_SPHERE:

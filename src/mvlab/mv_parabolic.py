@@ -282,23 +282,23 @@ class SolitonCheck:
 
     @property
     def max_abs_conjugate_heat(self):
-        return max(abs(v) for v in self.conjugate_heat)
+        return np.max(np.abs(self.conjugate_heat))
 
     @property
     def min_conjugate_heat(self):
-        return min(self.conjugate_heat)
+        return np.min(self.conjugate_heat)
 
     @property
     def max_abs_first_order(self):
-        return max(abs(v) for v in self.first_order)
+        return np.max(np.abs(self.first_order))
 
     @property
     def max_abs_entropy(self):
-        return max(abs(v) for v in self.entropy_v)
+        return np.max(np.abs(self.entropy_v))
 
     @property
     def max_abs_soliton_tensor(self):
-        return max(abs(v) for v in self.soliton_tensor)
+        return np.max(np.abs(self.soliton_tensor))
 
 
 def soliton_residuals(rd_field, samples):

@@ -63,18 +63,22 @@ class LGeodesic:
         return float(self.us[-1])
 
 
-def _rhs(flow, sigma, state):
-    x, u = state[0], state[1]
-    tau = 0.25 * sigma * sigma
-    t = -tau
-    m2 = flow.m2(x, t)
-    dm2_dtau = -flow.dm2_dt(x, t)
-    rho = flow.rho_of_x(abs(x), t)
-    R = flow.scalar_R(rho, t)
-    # all realized models are homogeneous in x: d_x(m^2) = d_x R = 0
-    du = -sigma * u * dm2_dtau / (2.0 * m2)
-    dL = m2 * u * u + 0.25 * sigma * sigma * R
-    return (u, du, dL)
+def _rhs(flow):
+    """The sigma-form ODE in (x, u, L), the flow's coefficients bound once per shot."""
+    m2_of, dm2_dt, scalar_R = flow.m2, flow.dm2_dt, flow.scalar_R
+
+    def rhs(sigma, state):
+        x, u = state[0], state[1]
+        tau = 0.25 * sigma * sigma
+        t = -tau
+        m2 = m2_of(x, t)
+        dm2_dtau = -dm2_dt(x, t)
+        R = scalar_R(0.0, t)  # constant in space
+        # all realized models are homogeneous in x: d_x(m^2) = d_x R = 0
+        du = -sigma * u * dm2_dtau / (2.0 * m2)
+        dL = m2 * u * u + 0.25 * sigma * sigma * R
+        return (u, du, dL)
+    return rhs
 
 
 def shoot_l_geodesic(flow, v, sigma_bar, dense=False):
@@ -82,7 +86,8 @@ def shoot_l_geodesic(flow, v, sigma_bar, dense=False):
 
     Returns an LGeodesic sampled at the solver's accepted steps; raises
     ShootingError (carrying the exit parameter) if the trajectory leaves the
-    domain before sigma_bar.
+    domain before sigma_bar.  x is monotone on the homogeneous models, so the
+    last sample decides an exit, and the samples bracketing the cap locate it.
     """
     if sigma_bar <= 0:
         raise DomainError("sigma_bar must be positive")
@@ -90,24 +95,16 @@ def shoot_l_geodesic(flow, v, sigma_bar, dense=False):
         raise DomainError("initial speed must be finite")
     flow.check_time(-0.25 * sigma_bar ** 2)
 
-    x_cap = flow.x_max(0.0)
-    events = None
-    if math.isfinite(x_cap):
-        def exit_event(sigma, state):
-            return state[0] - (x_cap - 1e-9)
-        exit_event.terminal = True
-        exit_event.direction = 1.0
-        events = exit_event
-
-    sol = solve_ivp(lambda s, y: _rhs(flow, s, y), (0.0, sigma_bar),
-                    (0.0, float(v), 0.0), method="RK45",
-                    rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=dense,
-                    events=events)
-    if not sol.success or sol.t[-1] < sigma_bar * (1.0 - 1e-12):
-        exit_sigma = sol.t_events[0][0] if events and len(sol.t_events[0]) else sol.t[-1]
+    sol = solve_ivp(_rhs(flow), (0.0, sigma_bar), (0.0, float(v), 0.0),
+                    method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL,
+                    dense_output=dense)
+    x_cap = flow.x_max(0.0) - 1e-9
+    exited = sol.y[0, -1] >= x_cap
+    if exited or not sol.success:
+        exit_sigma = float(np.interp(x_cap, sol.y[0], sol.t) if exited else sol.t[-1])
         raise ShootingError(
             f"geodesic left the domain at sigma = {exit_sigma:.6g}",
-            exit_sigma=float(exit_sigma))
+            exit_sigma=exit_sigma)
     return LGeodesic(v=float(v), sigma_bar=float(sigma_bar), sigmas=sol.t,
                      xs=sol.y[0], us=sol.y[1], length=float(sol.y[2, -1]),
                      tau_bar=0.25 * sigma_bar ** 2,

@@ -107,6 +107,11 @@ class SuiteReport:
         return report
 
 
+def _worst(values):
+    """Largest value, NaN if any is NaN (the builtin max drops a later NaN)."""
+    return np.max(list(values))
+
+
 def _judge(value, expected, tol):
     if expected == "error":
         return False
@@ -164,14 +169,14 @@ def _elliptic_battery(ts):
 def _profile_closed_form(kernel):
     """Worst gap between the closed-form heat-ball profile and the Brent root."""
     reg = heatball_profile(kernel, 1.0)
-    worst = 0.0
+    gaps = []
     for u in np.linspace(0.02, 0.98, 25):
         tau = u * reg.tau_max
         value = kernel.at(tau).value
         root = brentq(lambda x: value(x) - reg.level, 0.0, 10.0,
                       xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
-        worst = max(worst, abs(reg.profile_rho(tau) - root))
-    return worst
+        gaps.append(abs(reg.profile_rho(tau) - root))
+    return _worst(gaps)
 
 
 def _cap_drift(kernel, one):
@@ -193,7 +198,7 @@ def _parabolic_battery(ts):
         *[(f"heat_sphere_h3[{name}]", lambda name=name: mvp.mv_heat_sphere(
             hk3, make_field(name, h3), 1.0)[2], 0.0, 1e-4)
           for name in ("constant-1", "exp-radial")],
-        ("surface_form[euclid]", lambda: max(mvp.surface_form_residual(h2, 1.0)), 0.0, 1e-6),
+        ("surface_form[euclid]", lambda: _worst(mvp.surface_form_residual(h2, 1.0)), 0.0, 1e-6),
         ("forward_J_noninc[supercaloric]", lambda: mvp.forward_j_sweep(
             h2, make_field("superharmonic", e2, C=10.0), [0.5, 0.75, 1.0, 1.25],
             tol=1e-6 * ts).worst_violation, "monotone", 0.0),
@@ -204,37 +209,34 @@ def _parabolic_battery(ts):
 def _theta_s3_noninc(fld):
     """Largest rise of the reduced volume between neighbouring times."""
     vals = [fld.reduced_volume(t)[0] for t in [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]]
-    return max(b - a for a, b in zip(vals, vals[1:]))
+    return _worst(np.diff(vals))
 
 
 def _reduced_battery(ts):
     flat = ReducedDistanceField(FlowGeometry.gaussian_soliton(2))
     s3 = ReducedDistanceField(FlowGeometry.shrinking_sphere(3))
     return [
-        ("ell_flat_oracle", lambda: max(abs(flat.ell(rho, tau) - rho * rho / (4.0 * tau))
-                                        for rho in np.linspace(0.1, 2.0, 10)
-                                        for tau in np.linspace(0.05, 1.0, 10)), 0.0, 1e-8),
+        ("ell_flat_oracle", lambda: _worst(abs(flat.ell(rho, tau) - rho * rho / (4.0 * tau))
+                                           for rho in np.linspace(0.1, 2.0, 10)
+                                           for tau in np.linspace(0.05, 1.0, 10)), 0.0, 1e-8),
         ("theta_flat", lambda: flat.reduced_volume(0.3), 1.0, 1e-6),
-        ("endpoint_identities_flat", lambda: max(flat.first_order_residuals(1.0, 0.25)),
+        ("endpoint_identities_flat", lambda: _worst(flat.first_order_residuals(1.0, 0.25)),
          0.0, 1e-6),
-        ("endpoint_identities_s3", lambda: max(s3.first_order_residuals(0.8, 0.2)), 0.0, 1e-4),
+        ("endpoint_identities_s3", lambda: _worst(s3.first_order_residuals(0.8, 0.2)), 0.0, 1e-4),
         ("theta_s3_noninc", lambda: _theta_s3_noninc(s3), "<=0", 1e-5),
     ]
 
 
 def _worst_gap(target, radii, *quantities):
     """Worst distance from target of the values of quantities r -> (value, err)."""
-    worst = 0.0
-    for r in radii:
-        worst = max(worst, *(abs(q(r)[0] - target) for q in quantities))
-    return worst
+    return _worst(abs(q(r)[0] - target) for r in radii for q in quantities)
 
 
 def _soliton_flat(fld):
     """Worst of the four soliton residuals."""
     chk = mvp.soliton_residuals(fld, [(0.5, 0.2), (1.0, 0.25), (1.5, 0.4)])
-    return max(chk.max_abs_conjugate_heat, chk.max_abs_first_order,
-               chk.max_abs_entropy, chk.max_abs_soliton_tensor)
+    return _worst((chk.max_abs_conjugate_heat, chk.max_abs_first_order,
+                   chk.max_abs_entropy, chk.max_abs_soliton_tensor))
 
 
 def _jhat_monotone_s3(kern):
@@ -276,7 +278,7 @@ def _mcf_battery(ts):
         ("jbar_ibar_equal_density", lambda: _worst_gap(
             mvp.gaussian_density(1), (0.5, 1.0, 2.0), partial(mvp.jbar_quantity, track),
             partial(mvp.ibar_quantity, track, 0.0)), 0.0, 1e-4),
-        ("mcf_monotone", lambda: max(
+        ("mcf_monotone", lambda: _worst(
             rep.worst_violation for key, rep in
             mvp.mcf_sweep(2, [0.5, 1.0, 1.5, 2.0], tol=1e-6 * ts).items()
             if key in ("jbar", "ibar0")), "monotone", 0.0),

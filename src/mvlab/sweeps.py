@@ -35,7 +35,7 @@ class SweepReport:
 
     def __post_init__(self):
         check_grid(self.grid)
-        self.verdicts, worst = [], 0.0
+        self.verdicts, violations = [], [0.0]
         for i in range(len(self.values) - 1):
             slack = self.errors[i] + self.errors[i + 1] + self.tol
             step = self.values[i + 1] - self.values[i]
@@ -48,8 +48,8 @@ class SweepReport:
             else:
                 violation = -np.inf
             self.verdicts.append(bool(violation <= 0.0))
-            worst = max(worst, violation)
-        self.worst_violation = float(worst)
+            violations.append(violation)
+        self.worst_violation = float(np.max(violations))  # NaN if any is NaN
 
     @property
     def monotone_ok(self):

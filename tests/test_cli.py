@@ -15,7 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -110,6 +110,31 @@ def test_failed_check_records_error(tmp_path, monkeypatch):
     rows = list(csv.DictReader(table.read_text().splitlines()))
     assert [row["error"] for row in rows] == [failed["error"], ""]
     assert rows[0]["pass"] == "false" and rows[1]["pass"] == "true"
+
+
+def test_nan_quantity_fails_its_checks(monkeypatch):
+    """A NaN quantity makes its check fail with value NaN: a running maximum
+    that dropped it would report the other values and pass."""
+    from mvlab import mv_parabolic
+    monkeypatch.setattr(mv_parabolic, "ibar_quantity", lambda *args: (math.nan, 0.0))
+    checks = {c.name: c for c in suites.run_suite("mcf").checks}
+    for name in ("jbar_ibar_equal_density", "mcf_monotone"):
+        assert math.isnan(checks[name].value) and not checks[name].passed, name
+    assert checks["gaussian_density_n1"].passed
+    assert checks["liyau_decomposition_circle"].passed
+
+    # NaN in any place of a worst-of, finite values unchanged
+    for values in ([math.nan, 1.0], [1.0, math.nan], [0.0, 2.0, math.nan, 1.0]):
+        assert math.isnan(suites._worst(values))
+        assert math.isnan(suites._worst_gap(0.0, values, lambda r: (r, 0.0)))
+    assert suites._worst(iter([0.5, 2.0, 1.0])) == 2.0
+    assert math.isnan(mv_parabolic.SolitonCheck(
+        None, [], first_order=[1e-9, math.nan]).max_abs_first_order)
+
+    class Field:
+        def reduced_volume(self, tau):
+            return (math.nan if tau == 0.2 else 1.0 - tau), 0.0
+    assert math.isnan(suites._theta_s3_noninc(Field()))
 
 
 def test_battery_names_are_the_golden_names(monkeypatch):
@@ -415,11 +440,12 @@ OPTIONAL_FLAGS = {
 @st.composite
 def cli_argv(draw):
     """Cheap invocations: J/I/jbar/ibar sweeps of at most 4 steps, the mcf
-    suite and the re-rendering of a fixed report, with flags and values
-    drawn from the parser's own and a few it refuses."""
+    and ricci suites (a geometry restricts ricci and is refused by mcf) and
+    the re-rendering of a fixed report, with flags and values drawn from the
+    parser's own and a few it refuses."""
     command = draw(st.sampled_from(["sweep", "sweep", "verify", "report"]))
     head = {"sweep": ["--quantity", draw(st.sampled_from(["J", "I", "jbar", "ibar"]))],
-            "verify": ["--suite", "mcf"],
+            "verify": ["--suite", draw(st.sampled_from(["mcf", "ricci"]))],
             "report": ["--in", str(GOLDEN / "verify_mcf.json")]}[command]
     flags = [[flag, draw(strategy)] for flag, strategy in OPTIONAL_FLAGS[command].items()
              if draw(st.booleans())]
@@ -436,15 +462,20 @@ def run_captured(argv):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(first=cli_argv(), other=cli_argv())
+@example(first=["verify", "--suite", "ricci", "--geometry", "gaussian"],
+         other=["verify", "--suite", "mcf", "--geometry", "shrinking-s3"])
 def test_drawn_argv_exit_codes_and_repeatability(first, other):
     """Every drawn argv exits 0, 1 or 2 without a traceback, a usage error
     prints nothing on stdout, and an argv run again after another one
-    prints the same bytes: the shared parser keeps no state between calls."""
+    prints the same bytes: the shared parser keeps no state between calls.
+    A geometry given to the mcf suite is always a usage error."""
     runs = [run_captured(argv) for argv in (first, other, first)]
-    for code, out, err in runs:
+    for argv, (code, out, err) in zip((first, other, first), runs):
         assert code in (0, 1, 2), (first, other)
         assert "Traceback" not in err
         assert code != 2 or out == ""
+        if argv[:3] == ["verify", "--suite", "mcf"] and "--geometry" in argv:
+            assert code == 2, argv
     assert runs[2][:2] == runs[0][:2]
 
 

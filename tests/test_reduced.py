@@ -170,11 +170,50 @@ def test_k_curvature_center_oracle(rd_s3, s3):
     assert val == pytest.approx(expect, rel=1e-8)
 
 
+# (flow, x, tau, shot ell_cm): the bits of the RK45 shots at
+# ODE_RTOL/ODE_ATOL, flat-speed start and rescale; these 12 points take 18
+# solve_ivp calls with 1,698 right-hand side evaluations in all
+SHOT_ELL_PINS = (
+    ("s2", 0.3, 0.05, 0.49608560240128635),
+    ("s2", 1.7, 0.2, 4.1597078086043275),
+    ("s2", 3.1405926535897932, 0.01, 248.22485349960633),
+    ("s3", 0.7, 0.2, 1.026950769026804),
+    ("s3", 2.0, 0.1, 11.377383706878515),
+    ("s3", 0.05, 1e-06, 625.0008353324394),
+    ("e2", 0.5, 0.3, 0.20833333333333334),
+    ("e2", 2.0, 2.0, 0.4999999999999998),
+    ("e2", 0.05, 0.01, 0.06249999999999999),
+    ("h3", 0.7, 0.25, 0.48999999999999994),
+    ("h3", 2.0, 0.3, 3.333333333333334),
+    ("h3", 0.4, 1.0, 0.04),
+)
+
+
+def test_shot_ell_bits_and_work_are_pinned(monkeypatch, s2, s3, e2, h3):
+    """A change to the shot (its right-hand side, its exit test) must take
+    the same steps and give the same bits."""
+    from mvlab import reduced
+    nfev, solve_ivp = [], reduced.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+    monkeypatch.setattr(reduced, "solve_ivp", counted)
+    flows = {"s2": s2, "s3": s3, "e2": e2, "h3": h3}
+    got = [(name, x, tau, ReducedDistanceField(flows[name]).ell_cm(x, tau))
+           for name, x, tau, _ in SHOT_ELL_PINS]
+    assert got == list(SHOT_ELL_PINS)  # float == on these values is bit equality
+    assert (len(nfev), sum(nfev)) == (18, 1698)
+
+
 def test_shooting_errors(s3, rd_s3):
     with pytest.raises(ShootingError) as exc:
         shoot_l_geodesic(s3, 8.0, 1.5)  # crosses the antipode
-    assert exc.value.exit_sigma is not None
-    assert 0.0 < exc.value.exit_sigma < 1.5
+    # on S3 u = v / (1 + sigma^2), so x = v arctan(sigma) reaches the cap
+    # pi - 1e-9 at sigma = tan((pi - 1e-9) / v); the samples locate it
+    exact = math.tan((math.pi - 1e-9) / 8.0)
+    assert exc.value.exit_sigma == pytest.approx(exact, rel=1e-3)
 
     with pytest.raises(ShootingError):
         rd_s3.ell_cm(3.2, 0.01)  # past the antipode: the flat speed exits

@@ -31,3 +31,11 @@ def test_sweep_evaluates_each_point_once_and_judges():
         "q", [0.1, 0.2, 0.3], [1.0, 1.0, 2.0], [0.1, 0.1, 0.1])
     assert rep.verdicts == [True, False] and not rep.monotone_ok
     assert rep.worst_violation == pytest.approx(1.0 - 0.2 - 1e-6)
+
+
+def test_nan_step_is_the_worst_violation():
+    # a NaN value fails its steps and is not dropped from the running worst
+    values = {0.1: 1.0, 0.2: float("nan"), 0.3: 0.5, 0.4: 0.4}
+    rep = sweep("q", lambda p: (values[p], 0.0), sorted(values), "non-increasing", 1e-6)
+    assert rep.verdicts == [False, False, True] and not rep.monotone_ok
+    assert rep.worst_violation != rep.worst_violation

@@ -57,3 +57,29 @@ def test_traced_verify_prints_the_untraced_bytes(capsys):
         tracer.uninstall()
     assert capsys.readouterr().out == untraced
     assert tracer.self_s["suites"] > 0.0
+
+
+def test_traced_shot_counts_every_solve(monkeypatch):
+    """The tracer counts shots by wrapping `mvlab.reduced.solve_ivp`: an
+    S3 `ell_cm` lands in two shots, and the tracer sees both and their
+    right-hand side evaluations."""
+    from mvlab.geometry import FlowGeometry
+    field = mvlab.reduced.ReducedDistanceField(FlowGeometry.shrinking_sphere(3))
+    nfev, solve_ivp = [], mvlab.reduced.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+    with monkeypatch.context() as patch:
+        patch.setattr(mvlab.reduced, "solve_ivp", counted)
+        untraced = field.ell_cm(0.7, 0.2)
+    assert len(nfev) == 2
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install(mvlab)
+        assert field.ell_cm(0.7, 0.2) == untraced
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["reduced.shots"] == 2
+    assert tracer.counts["reduced.rhs_evals"] == sum(nfev) > 0
