@@ -18,7 +18,7 @@ from .geometry import (FlowGeometry, SpaceTimePoint, curvature,
                        unit_sphere_area)
 from .kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                       SubGreenKernel, SubHeatKernel, SupGreenKernel,
-                      liyau_expression, mcf_sup_heat_kernel)
+                      liyau_expression)
 from .reduced import LGeodesic, ReducedDistanceField, l_length, shoot_l_geodesic
 from .regions import (GreenBallRegion, HeatBallRegion, ball_integrate,
                       cap_integral, green_ball, heatball_profile,

@@ -434,14 +434,6 @@ class SubHeatKernel(ParabolicKernel):
         return x if x.ndim else float(x)
 
 
-def mcf_sup_heat_kernel(x0, y, tau, n):
-    """Ambient Gaussian with intrinsic normalization n at backward time tau."""
-    if tau <= 0:
-        raise DomainError("backward time tau must be positive")
-    d2 = sum((float(a) - float(b)) ** 2 for a, b in zip(x0, y))
-    return (4.0 * math.pi * tau) ** (-n / 2.0) * math.exp(-d2 / (4.0 * tau))
-
-
 class McfShrinkingSphereTrack:
     """Space-time track of the shrinking round n-sphere in R^(n+1).
 
@@ -478,10 +470,6 @@ class McfShrinkingSphereTrack:
 
     def grad_tangential(self, tau):
         return 0.0
-
-    def mean_curvature_sq(self, tau):
-        # |H|^2 = (n / radius)^2 = n / (2 tau)
-        return self.n / (2.0 * tau)
 
     def tau_max(self, r):
         # value(tau) = r^(-n)  <=>  4 pi tau = r^2 / e

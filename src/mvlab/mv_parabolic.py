@@ -285,10 +285,6 @@ class SolitonCheck:
         return np.max(np.abs(self.conjugate_heat))
 
     @property
-    def min_conjugate_heat(self):
-        return np.min(self.conjugate_heat)
-
-    @property
     def max_abs_first_order(self):
         return np.max(np.abs(self.first_order))
 

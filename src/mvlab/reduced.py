@@ -20,14 +20,16 @@ spatial integral of (4 pi tau)^(-n/2) exp(-ell).
 
 On both realized flows ell has a closed form, `kernels.ReducedSlice`, which
 the reduced volume, Jhat, Ihat and the Li-Yau expression evaluate; the shot
-ell and geodesics here are its independent oracle.
+ell and geodesics here are its independent oracle.  A shot runs `solve_ivp`
+below: scipy's RK45 steps and bits without scipy's per-call wrapping.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
 
 from .errors import DomainError, ShootingError
 from .geometry import unit_sphere_area
@@ -39,6 +41,63 @@ ODE_ATOL = 1e-12
 TARGET_TOL = 1e-12
 MAX_SHOTS = 4         # a linear endpoint map lands in two, ODE error in three
 FD_STEP = 1e-4        # relative step of the endpoint-derivative differences
+_EXP = 1 / (RK45.error_estimator_order + 1)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10   # scipy's step-size controller
+_STAGES = tuple(enumerate(zip(RK45.C[1:], RK45.A[1:]), start=1))
+
+
+def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6,
+              dense_output=False):
+    """scipy.integrate.solve_ivp(method="RK45") on an increasing span, its steps and bits,
+    with ``fun`` called on a list of floats; returns t, y, nfev, success and sol."""
+    t, t_bound = map(float, t_span)
+    if method != "RK45" or not t < t_bound:
+        raise ValueError("solve_ivp runs RK45 on an increasing span only")
+    y = np.asarray(y0, dtype=float)
+    K, root_n = np.empty((RK45.n_stages + 1, y.size)), y.size ** 0.5
+    stages, KB, KT = [(s, c, K[:s].T, a[:s]) for s, (c, a) in _STAGES], K[:-1].T, K.T
+
+    def norm(z):  # np.linalg.norm(z) / sqrt(size), scipy's RMS norm
+        return math.sqrt(z.dot(z)) / root_n
+    f = np.asarray(fun(t, y.tolist()))   # scipy's initial step
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = norm(y / scale), norm(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
+    d2 = norm((np.asarray(fun(t + h0, (y + h0 * f).tolist())) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** _EXP
+    h_abs, nfev, ts, ys, Qs = min(100 * h0, h1, t_bound - t), 2, [t], [y], []
+    while t < t_bound:
+        min_step, cap, K[0] = 10 * (math.nextafter(t, math.inf) - t), MAX_FACTOR, f
+        h_abs = max(h_abs, min_step)
+        while h_abs >= min_step:  # try a step; after a rejection never grow
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            for s, c, Ks, a in stages:
+                K[s] = fun(t + c * h, (y + Ks.dot(a) * h).tolist())
+            y_new = y + h * KB.dot(RK45.B)
+            K[-1] = f_new = fun(t + h, y_new.tolist())
+            nfev += RK45.n_stages
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = norm(KT.dot(RK45.E) * h / scale)
+            factor = MAX_FACTOR if err == 0 else SAFETY * err ** -_EXP
+            if err < 1:
+                h_abs *= min(cap, factor)
+                break
+            h_abs, cap = h_abs * max(MIN_FACTOR, factor), 1
+        else:
+            break  # the step fell below scipy's minimum: success is False
+        if dense_output:
+            Qs.append(KT.dot(RK45.P))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+
+    def sol(sigma):  # scipy's OdeSolution segment and RkDenseOutput at a scalar
+        i = min(max(int(np.searchsorted(ts, sigma, side="left")) - 1, 0), len(Qs) - 1)
+        h = ts[i + 1] - ts[i]
+        return h * Qs[i].dot(np.cumprod(np.tile((sigma - ts[i]) / h, 4))) + ys[i]
+    return SimpleNamespace(t=np.array(ts), y=np.array(ys).T, nfev=nfev, success=t == t_bound,
+                           sol=sol if dense_output else None)
 
 
 @dataclass
@@ -68,16 +127,11 @@ def _rhs(flow):
     m2_of, dm2_dt, scalar_R = flow.m2, flow.dm2_dt, flow.scalar_R
 
     def rhs(sigma, state):
-        x, u = state[0], state[1]
+        x, u, _ = state
         tau = 0.25 * sigma * sigma
-        t = -tau
-        m2 = m2_of(x, t)
-        dm2_dtau = -dm2_dt(x, t)
-        R = scalar_R(0.0, t)  # constant in space
+        m2, dm2_dtau = m2_of(x, -tau), -dm2_dt(x, -tau)
         # all realized models are homogeneous in x: d_x(m^2) = d_x R = 0
-        du = -sigma * u * dm2_dtau / (2.0 * m2)
-        dL = m2 * u * u + 0.25 * sigma * sigma * R
-        return (u, du, dL)
+        return (u, -sigma * u * dm2_dtau / (2.0 * m2), m2 * u * u + tau * scalar_R(0.0, -tau))
     return rhs
 
 
@@ -268,7 +322,7 @@ class ReducedDistanceField:
 
         def integrand(tau):
             sigma = 2.0 * math.sqrt(tau)
-            x, u = geod.sol(sigma)[0], geod.sol(sigma)[1]
+            x, u, _ = geod.sol(sigma)
             t = -tau
             r = flow.rho_of_x(abs(x), t)
             R = flow.scalar_R(r, t)

@@ -98,6 +98,8 @@ class SuiteReport:
                 raise ValueError(f"check {c.name!r}: name must be a string, value, tol and err "
                                  f"numbers, expected a number or one of "
                                  f"{', '.join(_EXPECTED_WORDS)}, pass a bool")
+            if c.err < 0:  # False for NaN
+                raise ValueError(f"check {c.name!r}: err must not be negative, got {c.err}")
             if c.passed != _judge(c.value, c.expected, c.tol):
                 raise ValueError(f"check {c.name!r}: stored pass disagrees with its value, "
                                  f"expected and tol")

@@ -35,13 +35,14 @@ def report(num, title, ok, detail):
 def test_criterion_01_watson(e2):
     kern = HeatKernel(e2)
     cq = make_field("caloric-quadratic", e2)
-    worst, worst_time = 0.0, 0.0
+    resids, worst_time = [], 0.0
     for r in (0.5, 1.0):
         t0 = time.time()
         lhs, _, resid = mvp.mv_heat_ball(kern, cq, r)
         worst_time = max(worst_time, time.time() - t0)
         assert lhs == 0.0
-        worst = max(worst, resid)
+        resids.append(resid)
+    worst = np.max(resids)  # NaN-propagating, unlike the builtin max
     report(1, "Watson identity", worst <= 1e-5 and worst_time <= 5.0,
            f"max residual {worst:.2e}, max per-case time {worst_time:.2f}s")
 
@@ -120,11 +121,12 @@ def test_criterion_07_reduced_flat_oracle(rd_flat2):
 
 def test_criterion_08_flat_equality_case(khat_flat2):
     t0 = time.time()
-    worst = 0.0
+    devs = []
     for r in (0.3, 0.5, 0.8):
         jv, _ = mvp.jhat_quantity(khat_flat2, r)
         iv, _ = mvp.ihat_quantity(khat_flat2, 0.0, r)
-        worst = max(worst, abs(jv - 1.0), abs(iv - 1.0))
+        devs += [abs(jv - 1.0), abs(iv - 1.0)]
+    worst = np.max(devs)
     elapsed = time.time() - t0
     report(8, "flat equality case", worst <= 1e-10 and elapsed <= 60.0,
            f"max |Jhat,Ihat - 1| = {worst:.2e}, total {elapsed:.1f}s")
@@ -187,13 +189,12 @@ def test_criterion_12_gaussian_density():
 
 
 def test_criterion_13_spacetime_lemmas(e2, e3, h3, s2, s3, flat2, rng):
-    worst_conn, worst_div = 0.0, 0.0
+    conns, divs = [], []
     for geom in (e2, e3, h3, s2, s3, flat2):
         t = 0.03 if not geom.is_static else 0.0
         p = SpaceTimePoint(0.7, t)
-        conn = np.max(np.abs(spacetime_christoffels(geom, p)
-                             - spacetime_christoffels_fd(geom, p, h=1e-4)))
-        worst_conn = max(worst_conn, conn)
+        conns.append(np.max(np.abs(spacetime_christoffels(geom, p)
+                                   - spacetime_christoffels_fd(geom, p, h=1e-4))))
         m = geom.n + 1
         for _ in range(10):
             C = rng.uniform(-0.25, 0.25, size=(m, m))
@@ -202,9 +203,38 @@ def test_criterion_13_spacetime_lemmas(e2, e3, h3, s2, s3, flat2, rng):
             def fld(c, C=C, D=D):
                 return C @ c + np.einsum("ajk,j,k->a", D, c, c)
 
-            dv = abs(spacetime_divergence(geom, fld, p, h=1e-4)
-                     - spacetime_divergence_fd(geom, fld, p, h=1e-4))
-            worst_div = max(worst_div, dv)
+            divs.append(abs(spacetime_divergence(geom, fld, p, h=1e-4)
+                            - spacetime_divergence_fd(geom, fld, p, h=1e-4)))
+    worst_conn, worst_div = np.max(conns), np.max(divs)
     report(13, "space-time lemmas", worst_conn <= 1e-6 and worst_div <= 1e-6,
            f"connection residual {worst_conn:.2e}, divergence residual "
            f"{worst_div:.2e}")
+
+
+def test_nan_quantities_fail_criteria_01_08_13(monkeypatch, e2, e3, h3, s2, s3,
+                                               flat2, khat_flat2, rng):
+    """A NaN residual must fail its criterion: each criterion folds its
+    residuals through np.max, which keeps a NaN wherever it sits."""
+    nan = float("nan")
+    with monkeypatch.context() as patch:
+        patch.setattr(mvp, "mv_heat_ball", lambda kern, field, r: (
+            0.0, 0.0, nan if r == 1.0 else 0.0))
+        with pytest.raises(AssertionError, match="criterion  1.*FAIL"):
+            test_criterion_01_watson(e2)
+    with monkeypatch.context() as patch:
+        patch.setattr(mvp, "jhat_quantity", lambda kern, r: (1.0, 0.0))
+        patch.setattr(mvp, "ihat_quantity", lambda kern, a, r: (
+            nan if r == 0.5 else 1.0, 0.0))
+        with pytest.raises(AssertionError, match="criterion  8.*FAIL"):
+            test_criterion_08_flat_equality_case(khat_flat2)
+    for name, fake in (
+            ("spacetime_christoffels",
+             lambda geom, p: spacetime_christoffels_fd(geom, p, h=1e-4) * (
+                 nan if geom is s2 else 1.0)),
+            ("spacetime_divergence",
+             lambda geom, fld, p, h: nan if geom is h3 else
+             spacetime_divergence_fd(geom, fld, p, h=h))):
+        with monkeypatch.context() as patch:
+            patch.setitem(globals(), name, fake)
+            with pytest.raises(AssertionError, match="criterion 13.*FAIL"):
+                test_criterion_13_spacetime_lemmas(e2, e3, h3, s2, s3, flat2, rng)

