@@ -13,9 +13,7 @@ reduced volume, and the Gaussian density of the shrinking track.
 from .errors import (DomainError, NoRegionError, PreconditionError,
                      ShootingError, UnsupportedError)
 from .fields import TestField, make_field
-from .geometry import (FlowGeometry, SpaceTimePoint, curvature,
-                       spacetime_christoffels, spacetime_divergence,
-                       unit_sphere_area)
+from .geometry import FlowGeometry, unit_sphere_area
 from .kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                       SubGreenKernel, SubHeatKernel, SupGreenKernel,
                       liyau_expression)

@@ -1,12 +1,11 @@
 """Rotationally symmetric model geometries and flows.
 
 Every model is a warped product ``g(t) = d rho^2 + phi(rho, t)^2 g_{S^{n-1}}``
-around a distinguished center, together with the product space-time metric
-``gtilde = g(t) + dt^2``.  The metric may evolve by ``dg/dt = -2 Upsilon``;
-the realized deformations are ``Upsilon = 0`` (static models) and
-``Upsilon = Ric`` (round shrinking sphere).  ``R`` always denotes the trace
-``g^{ij} Upsilon_{ij}`` of the deformation tensor, so it vanishes identically
-on static models.
+around a distinguished center.  The metric may evolve by
+``dg/dt = -2 Upsilon``; the realized deformations are ``Upsilon = 0`` (static
+models) and ``Upsilon = Ric`` (round shrinking sphere).  ``R`` always denotes
+the trace ``g^{ij} Upsilon_{ij}`` of the deformation tensor, so it vanishes
+identically on static models.
 
 Two radial coordinates are used.  The geodesic radius ``rho`` is the
 user-facing coordinate (arclength from the center at each fixed time).  The
@@ -22,7 +21,7 @@ the Euclidean model itself: ``FlowGeometry.gaussian_soliton(n)`` returns
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,18 +39,6 @@ _SING_GUARD = 1e-3  # margin kept away from the shrinking-sphere singular time
 def unit_sphere_area(n):
     """Area of the unit (n-1)-sphere in R^n; equals 2 for n = 1."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """A point given by geodesic radius, time and an optional unit direction.
-
-    ``omega`` matters only for non-radial integrands; ``None`` means the
-    point is taken on the first coordinate axis.
-    """
-    rho: float
-    t: float = 0.0
-    omega: tuple = None
 
 
 @dataclass(frozen=True)
@@ -223,150 +210,3 @@ class FlowGeometry:
         if self.kind == SHRINKING_SPHERE:
             return math.sqrt(self.scale(t)) * math.cos(x)
         return self.warp_dr(x, t)
-
-    # ------------------------------------------------------------------ #
-    # full coordinate chart used by the finite-difference oracles
-    # ------------------------------------------------------------------ #
-    # Chart: coords = (t, x, theta_1, ..., theta_{n-1}); the space-time
-    # metric is diagonal with
-    #   h_0 = 1,  h_1 = m2(x,t),  h_{1+a} = w(x,t)^2 * prod_{b<a} sin^2 theta_b.
-    def metric_diag(self, coords):
-        t, x = coords[0], coords[1]
-        h = np.empty(self.n + 1)
-        h[0] = 1.0
-        h[1] = self.m2(x, t)
-        acc = self.warp_cm(x, t) ** 2
-        for a in range(2, self.n + 1):
-            h[a] = acc
-            if a < self.n:
-                acc *= math.sin(coords[a]) ** 2
-        return h
-
-    def metric_diag_grad(self, coords):
-        """Analytic partials dh[A][B] = d h_B / d coord_A of the diagonal."""
-        n = self.n
-        t, x = coords[0], coords[1]
-        dh = np.zeros((n + 1, n + 1))
-        # time derivatives
-        dh[0, 1] = self.dm2_dt(x, t)
-        if self.kind == SHRINKING_SPHERE:
-            dw2_dt = -2.0 * (n - 1) * math.sin(x) ** 2
-        else:
-            dw2_dt = 0.0
-        # radial derivatives of the angular block
-        w = self.warp_cm(x, t)
-        dw2_dx = 2.0 * w * self.dwarp_cm_dx(x, t)
-        ang = 1.0
-        for a in range(2, n + 1):
-            dh[0, a] = dw2_dt * ang
-            dh[1, a] = dw2_dx * ang
-            if a < n:
-                ang *= math.sin(coords[a]) ** 2
-        # angular derivatives: h_b for b > a carries sin^2(theta_a)
-        h = self.metric_diag(coords)
-        for a in range(2, n + 1):
-            th = coords[a]
-            for b in range(a + 1, n + 1):
-                dh[a, b] = 2.0 * h[b] / math.tan(th)
-        return dh
-
-    def log_sqrt_det(self, coords):
-        t, x = coords[0], coords[1]
-        val = 0.5 * math.log(self.m2(x, t))
-        val += (self.n - 1) * math.log(self.warp_cm(x, t))
-        for a in range(2, self.n + 1):
-            mult = self.n - a
-            if mult > 0:
-                val += mult * math.log(abs(math.sin(coords[a])))
-        return val
-
-
-def curvature(geom, p):
-    """(trace of Upsilon, radial Ricci eigenvalue, tangential Ricci eigenvalue)."""
-    geom.check_point(p.rho, p.t)
-    rad, tan = geom.ricci_eigenvalues(p.rho, p.t)
-    return geom.scalar_R(p.rho, p.t), rad, tan
-
-
-def _christoffel_from_diag(h, dh):
-    """Christoffels of a diagonal metric from its components and partials."""
-    m = len(h)
-    gamma = np.zeros((m, m, m))
-    for c in range(m):
-        for a in range(m):
-            # Gamma^c_{ac} = d_a h_c / (2 h_c)
-            gamma[c, a, c] = gamma[c, c, a] = dh[a, c] / (2.0 * h[c])
-        for b in range(m):
-            if b != c:
-                # Gamma^c_{bb} = -d_c h_b / (2 h_c)
-                gamma[c, b, b] = -dh[c, b] / (2.0 * h[c])
-    return gamma
-
-
-def spacetime_christoffels(geom, p):
-    """All Christoffel symbols of gtilde = g(t) + dt^2 in the comoving chart.
-
-    Index 0 is time; index 1 the comoving radius; the rest are hyperspherical
-    angles, evaluated at interior angles pi/2 + small offsets so the chart is
-    regular.  Returns an (n+1, n+1, n+1) array ``gamma[c, a, b]``.
-
-    The time-mixed components are assembled from the deformation tensor:
-    ``gamma[0, i, j] = Upsilon_ij``, ``gamma[i, 0, j] = -Upsilon^i_j`` and
-    ``gamma[0, 0, :] = 0``; the purely spatial block consists of the
-    Christoffels of g(t).
-    """
-    geom.check_point(p.rho, p.t)
-    coords = chart_coords(geom, p)
-    n = geom.n
-    h = geom.metric_diag(coords)
-    dh = geom.metric_diag_grad(coords)
-    dh_spatial = dh.copy()
-    dh_spatial[0, :] = 0.0  # spatial connection: freeze time
-    gamma = _christoffel_from_diag(h, dh_spatial)
-    up_rad, up_tan = geom.upsilon_eigenvalues(p.rho, p.t)
-    eig = np.array([0.0, up_rad] + [up_tan] * (n - 1))
-    for i in range(1, n + 1):
-        gamma[0, i, i] = eig[i] * h[i]          # Upsilon_ij (diagonal)
-        gamma[i, 0, i] = gamma[i, i, 0] = -eig[i]  # -Upsilon^i_j
-    gamma[0, 0, :] = gamma[0, :, 0] = 0.0
-    return gamma
-
-
-def chart_coords(geom, p):
-    """Comoving chart coordinates of a point, angles placed in the interior."""
-    coords = [p.t, geom.x_of_rho(p.rho, p.t)]
-    for a in range(geom.n - 1):
-        coords.append(math.pi / 2.0 + 0.1 * (a + 1))
-    return np.array(coords)
-
-
-def spacetime_divergence(geom, field, p, h=1e-4):
-    """Divergence of a space-time vector field via the product-metric formula.
-
-    ``field(coords) -> (n+1,) components`` in the comoving chart (index 0 is
-    the time component X^0).  Returns ``div_g(X) - X^0 R + dX^0/dt``, with the
-    spatial divergence taken at frozen time.  The tests hold it to the direct
-    g-tilde divergence by finite differences.
-    """
-    geom.check_point(p.rho, p.t)
-    coords = chart_coords(geom, p)
-    m = geom.n + 1
-    comp = np.asarray(field(coords), dtype=float)
-    if comp.shape != (m,):
-        raise DomainError(f"field must return {m} components")
-
-    div_spatial = 0.0
-    for a in range(1, m):
-        cp, cm = coords.copy(), coords.copy()
-        cp[a] += h
-        cm[a] -= h
-        dXa = (field(cp)[a] - field(cm)[a]) / (2.0 * h)
-        dlog = (geom.log_sqrt_det(cp) - geom.log_sqrt_det(cm)) / (2.0 * h)
-        div_spatial += dXa + comp[a] * dlog
-
-    cp, cm = coords.copy(), coords.copy()
-    cp[0] += h
-    cm[0] -= h
-    dX0_dt = (field(cp)[0] - field(cm)[0]) / (2.0 * h)
-    R = geom.scalar_R(p.rho, p.t)
-    return div_spatial - comp[0] * R + dX0_dt

@@ -7,14 +7,14 @@ module tests.
 """
 
 import math
+import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mvlab.fields import make_field
-from mvlab.geometry import (SpaceTimePoint, spacetime_christoffels,
-                            spacetime_divergence)
 from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                            SubGreenKernel, SubHeatKernel, SupGreenKernel,
                            unit_sphere_area)
@@ -22,7 +22,9 @@ from mvlab.quad import integrate_1d
 from mvlab import mv_elliptic as mve
 from mvlab import mv_parabolic as mvp
 
-from geometry_oracles import spacetime_christoffels_fd, spacetime_divergence_fd
+from geometry_oracles import (SpaceTimePoint, spacetime_christoffels,
+                              spacetime_christoffels_fd, spacetime_divergence,
+                              spacetime_divergence_fd)
 
 
 def report(num, title, ok, detail):
@@ -50,11 +52,12 @@ def test_criterion_01_watson(e2):
 def test_criterion_02_green_flux_and_spherical_mean(e3):
     from mvlab.regions import green_ball, sphere_integrate
     g = GreenKernel(e3)
-    worst_flux = max(abs(sphere_integrate(green_ball(g, r), g.grad_norm)[0] - 1.0)
-                     for r in (0.5, 1.0, 2.0))
+    worst_flux = np.max([
+        abs(sphere_integrate(green_ball(g, r), g.grad_norm)[0] - 1.0)
+        for r in (0.5, 1.0, 2.0)])
     hq = make_field("harmonic-quadratic", e3)
-    worst_j = max(abs(mve.j_quantity(g, hq, r)[0])
-                  for r in (0.5, 0.75, 1.0, 1.5, 2.0))
+    worst_j = np.max([abs(mve.j_quantity(g, hq, r)[0])
+                      for r in (0.5, 0.75, 1.0, 1.5, 2.0)])
     report(2, "Green flux & spherical mean",
            worst_flux <= 1e-8 and worst_j <= 1e-7,
            f"flux dev {worst_flux:.2e}, harmonic J dev {worst_j:.2e}")
@@ -87,10 +90,10 @@ def test_criterion_05_comparison_inequalities(h3):
     sup = SupGreenKernel(h3)
     one = make_field("constant-1", h3)
     er = make_field("exp-radial", h3)
-    eq_dev = max(abs(mve.mv_inequality_deficit(sub, f, 1.0, form))
-                 for f in (one, er) for form in ("sphere", "ball"))
-    sgn_sub = min(mve.mv_inequality_deficit(sub, er, r, "sphere")
-                  for r in (0.3, 0.6))
+    eq_dev = np.max([abs(mve.mv_inequality_deficit(sub, f, 1.0, form))
+                     for f in (one, er) for form in ("sphere", "ball")])
+    sgn_sub = np.min([mve.mv_inequality_deficit(sub, er, r, "sphere")
+                      for r in (0.3, 0.6)])
     sgn_sup = mve.mv_inequality_deficit(sup, one, 1.0, "sphere")
     ok = eq_dev <= 1e-6 and sgn_sub >= -1e-7 and sgn_sup >= -1e-7
     report(5, "sub/sup-Green inequalities", ok,
@@ -100,19 +103,19 @@ def test_criterion_05_comparison_inequalities(h3):
 
 def test_criterion_06_heat_sphere_curved(h3):
     kern = HeatKernel(h3)
-    worst = max(mvp.mv_heat_sphere(kern, make_field(name, h3), 1.0)[2]
-                for name in ("constant-1", "exp-radial"))
+    worst = np.max([mvp.mv_heat_sphere(kern, make_field(name, h3), 1.0)[2]
+                    for name in ("constant-1", "exp-radial")])
     report(6, "heat-sphere theorem on H3", worst <= 1e-4,
            f"max residual {worst:.2e}")
 
 
 def test_criterion_07_reduced_flat_oracle(rd_flat2):
-    worst_ell = max(abs(rd_flat2.ell(rho, tau) - rho * rho / (4.0 * tau))
-                    for rho in np.linspace(0.1, 2.0, 10)
-                    for tau in np.linspace(0.05, 1.0, 10))
+    worst_ell = np.max([abs(rd_flat2.ell(rho, tau) - rho * rho / (4.0 * tau))
+                        for rho in np.linspace(0.1, 2.0, 10)
+                        for tau in np.linspace(0.05, 1.0, 10)])
     theta, _ = rd_flat2.reduced_volume(0.3)
-    worst_per = max(max(rd_flat2.first_order_residuals(rho, tau)[:2])
-                    for rho, tau in ((1.0, 0.25), (2.0, 1.0), (0.5, 0.1)))
+    worst_per = np.max([rd_flat2.first_order_residuals(rho, tau)[:2]
+                        for rho, tau in ((1.0, 0.25), (2.0, 1.0), (0.5, 0.1))])
     ok = worst_ell <= 1e-8 and abs(theta - 1.0) <= 1e-6 and worst_per <= 1e-6
     report(7, "reduced geometry flat oracle", ok,
            f"|ell - rho^2/4tau| {worst_ell:.2e}, theta dev "
@@ -151,8 +154,8 @@ def test_criterion_09_s3_monotonicity(s3_ricci_sweep, rd_s3):
 def test_criterion_10_soliton_identities(rd_flat3, rd_s3):
     flat = mvp.soliton_residuals(rd_flat3,
                                  [(0.5, 0.2), (1.0, 0.25), (1.5, 0.4)])
-    worst_flat = max(flat.max_abs_conjugate_heat, flat.max_abs_first_order,
-                     flat.max_abs_entropy)
+    worst_flat = np.max([flat.max_abs_conjugate_heat, flat.max_abs_first_order,
+                         flat.max_abs_entropy])
     sphere = mvp.soliton_residuals(rd_s3, [(0.5, 0.1), (0.8, 0.2), (1.0, 0.3)])
     ok = worst_flat <= 1e-6 and sphere.max_abs_first_order <= 1e-4
     report(10, "soliton identities", ok,
@@ -161,8 +164,8 @@ def test_criterion_10_soliton_identities(rd_flat3, rd_s3):
 
 
 def test_criterion_11_liyau_decompositions(rd_s3):
-    worst_rf = max(mvp.ly_ricci_residual(rd_s3, rho, tau)[0]
-                   for rho, tau in ((0.8, 0.2), (1.2, 0.3)))
+    worst_rf = np.max([mvp.ly_ricci_residual(rd_s3, rho, tau)[0]
+                       for rho, tau in ((0.8, 0.2), (1.2, 0.3))])
     mcf_resid, _, _ = mvp.ly_mcf_residual(McfShrinkingSphereTrack(1), 1.0)
     report(11, "Li-Yau decompositions",
            worst_rf <= 1e-8 and mcf_resid <= 1e-8,
@@ -179,10 +182,10 @@ def test_criterion_12_gaussian_density():
     target = math.sqrt(2.0 * math.pi / math.e)
     dev_theta = abs(val - target)
 
-    worst_track = max(
-        max(abs(mvp.jbar_quantity(track, r)[0] - target),
-            abs(mvp.ibar_quantity(track, 0.0, r)[0] - target))
-        for r in (0.5, 1.0, 2.0))
+    worst_track = np.max([
+        [abs(mvp.jbar_quantity(track, r)[0] - target),
+         abs(mvp.ibar_quantity(track, 0.0, r)[0] - target)]
+        for r in (0.5, 1.0, 2.0)])
     report(12, "MCF Gaussian density",
            dev_theta <= 1e-5 and worst_track <= 1e-4,
            f"Theta dev {dev_theta:.2e}, Jbar/Ibar dev {worst_track:.2e}")
@@ -211,30 +214,74 @@ def test_criterion_13_spacetime_lemmas(e2, e3, h3, s2, s3, flat2, rng):
            f"{worst_div:.2e}")
 
 
-def test_nan_quantities_fail_criteria_01_08_13(monkeypatch, e2, e3, h3, s2, s3,
-                                               flat2, khat_flat2, rng):
-    """A NaN residual must fail its criterion: each criterion folds its
-    residuals through np.max, which keeps a NaN wherever it sits."""
+def test_nan_quantities_fail_every_criterion(
+        monkeypatch, e2, e3, h3, s2, s3, flat2, khat_flat2, khat_s3, rd_flat2,
+        rd_flat3, rd_s3, s3_ricci_sweep, rng):
+    """A NaN quantity must fail its criterion.  Each criterion folds its
+    values through np.max / np.min, which keep a NaN wherever it sits, or
+    compares the value itself; every NaN below sits after the first value
+    of its fold (and of the inner fold, for 07 and 12)."""
     nan = float("nan")
-    with monkeypatch.context() as patch:
-        patch.setattr(mvp, "mv_heat_ball", lambda kern, field, r: (
-            0.0, 0.0, nan if r == 1.0 else 0.0))
-        with pytest.raises(AssertionError, match="criterion  1.*FAIL"):
-            test_criterion_01_watson(e2)
-    with monkeypatch.context() as patch:
-        patch.setattr(mvp, "jhat_quantity", lambda kern, r: (1.0, 0.0))
-        patch.setattr(mvp, "ihat_quantity", lambda kern, a, r: (
-            nan if r == 0.5 else 1.0, 0.0))
-        with pytest.raises(AssertionError, match="criterion  8.*FAIL"):
-            test_criterion_08_flat_equality_case(khat_flat2)
-    for name, fake in (
-            ("spacetime_christoffels",
-             lambda geom, p: spacetime_christoffels_fd(geom, p, h=1e-4) * (
-                 nan if geom is s2 else 1.0)),
-            ("spacetime_divergence",
-             lambda geom, fld, p, h: nan if geom is h3 else
-             spacetime_divergence_fd(geom, fld, p, h=h))):
+    here = sys.modules[__name__]
+    target = math.sqrt(2.0 * math.pi / math.e)
+    cases = (
+        (1, lambda: test_criterion_01_watson(e2),
+         [(mvp, "mv_heat_ball", lambda kern, field, r: (
+             0.0, 0.0, nan if r == 1.0 else 0.0))]),
+        (2, lambda: test_criterion_02_green_flux_and_spherical_mean(e3),
+         [(mve, "j_quantity", lambda kern, field, r: (
+             nan if r == 1.0 else 0.0, 0.0))]),
+        (3, lambda: test_criterion_03_derivative_formula(e3),
+         [(mve, "j_derivative_residual", lambda kern, field, r: (
+             nan, 0.0, 0.0))]),
+        (4, lambda: test_criterion_04_sphere_ball_relation(
+            e3, khat_flat2, khat_s3),
+         [(mvp, "sphere_ball_chain_residual", lambda kern, r: (
+             nan if kern is khat_s3 else 0.0))]),
+        (5, lambda: test_criterion_05_comparison_inequalities(h3),
+         [(mve, "mv_inequality_deficit", lambda kern, field, r, form: (
+             nan if form == "ball" else 0.0))]),
+        (5, lambda: test_criterion_05_comparison_inequalities(h3),
+         [(mve, "mv_inequality_deficit", lambda kern, field, r, form: (
+             nan if r == 0.6 else 0.0))]),
+        (6, lambda: test_criterion_06_heat_sphere_curved(h3),
+         [(mvp, "mv_heat_sphere", lambda kern, field, r: (
+             0.0, 0.0, nan if field.name == "exp-radial" else 0.0))]),
+        (7, lambda: test_criterion_07_reduced_flat_oracle(rd_flat2),
+         [(type(rd_flat2), "first_order_residuals", lambda self, rho, tau: (
+             0.0, nan if rho == 2.0 else 0.0, 0.0))]),
+        (8, lambda: test_criterion_08_flat_equality_case(khat_flat2),
+         [(mvp, "jhat_quantity", lambda kern, r: (1.0, 0.0)),
+          (mvp, "ihat_quantity", lambda kern, a, r: (
+              nan if r == 0.5 else 1.0, 0.0))]),
+        (9, lambda: test_criterion_09_s3_monotonicity(s3_ricci_sweep, rd_s3),
+         [(type(rd_s3), "reduced_volume", lambda self, tau: (
+             nan if tau == 0.2 else 1.0, 0.0))]),
+        (10, lambda: test_criterion_10_soliton_identities(rd_flat3, rd_s3),
+         [(mvp, "soliton_residuals", lambda rd, samples: SimpleNamespace(
+             max_abs_conjugate_heat=0.0, max_abs_first_order=0.0,
+             max_abs_entropy=nan if rd is rd_flat3 else 0.0))]),
+        (11, lambda: test_criterion_11_liyau_decompositions(rd_s3),
+         [(mvp, "ly_ricci_residual", lambda rd, rho, tau: (
+             nan if rho == 1.2 else 0.0, 0.0, 0.0))]),
+        (12, test_criterion_12_gaussian_density,
+         [(mvp, "ibar_quantity", lambda track, a, r: (
+             nan if r == 1.0 else target, 0.0))]),
+        (13, lambda: test_criterion_13_spacetime_lemmas(
+            e2, e3, h3, s2, s3, flat2, rng),
+         [(here, "spacetime_christoffels", lambda geom, p: (
+             spacetime_christoffels_fd(geom, p, h=1e-4)
+             * (nan if geom is s2 else 1.0)))]),
+        (13, lambda: test_criterion_13_spacetime_lemmas(
+            e2, e3, h3, s2, s3, flat2, rng),
+         [(here, "spacetime_divergence", lambda geom, fld, p, h: (
+             nan if geom is h3
+             else spacetime_divergence_fd(geom, fld, p, h=h)))]),
+    )
+    for num, run, patches in cases:
         with monkeypatch.context() as patch:
-            patch.setitem(globals(), name, fake)
-            with pytest.raises(AssertionError, match="criterion 13.*FAIL"):
-                test_criterion_13_spacetime_lemmas(e2, e3, h3, s2, s3, flat2, rng)
+            for owner, name, fake in patches:
+                patch.setattr(owner, name, fake)
+            with pytest.raises(AssertionError,
+                               match=f"criterion {num:2d}.*FAIL"):
+                run()

@@ -29,17 +29,13 @@ _SIGN_CHECKS = {
 def classification_check(field, samples):
     """Max violation of the field's sign tags over the given sample points.
 
-    Samples are (rho, t, omega) triples or SpaceTimePoint-like objects.
+    Samples are (rho, t, omega) triples.
     Returns 0.0 when every tag's sign condition holds everywhere.
     """
     if not samples:
         raise ValueError("need at least one sample")
     worst = 0.0
-    for s in samples:
-        if hasattr(s, "rho"):
-            rho, t, omega = s.rho, s.t, getattr(s, "omega", None)
-        else:
-            rho, t, omega = (tuple(s) + (None,))[:3]
+    for rho, t, omega in samples:
         lap = field.laplacian(rho, t, omega)
         heat = field.dt(rho, t, omega) - lap
         for tag in field.tags:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from mvlab.errors import DomainError
-from mvlab.geometry import (FlowGeometry, SpaceTimePoint, curvature,
-                            spacetime_christoffels, spacetime_divergence)
+from mvlab.geometry import FlowGeometry
 
-from geometry_oracles import (flow_residual, spacetime_christoffels_fd,
+from geometry_oracles import (SpaceTimePoint, flow_residual,
+                              spacetime_christoffels,
+                              spacetime_christoffels_fd, spacetime_divergence,
                               spacetime_divergence_fd, sphere_area)
 
 
@@ -34,29 +35,28 @@ def test_gaussian_soliton_is_the_euclidean_model():
 
 def test_curvature_shrinking_s2():
     g = FlowGeometry.shrinking_sphere(2)
-    R, rad, tan = curvature(g, SpaceTimePoint(0.3, 0.0))
-    assert R == pytest.approx(2.0, abs=1e-14)
+    rad, tan = g.ricci_eigenvalues(0.3, 0.0)
+    assert g.scalar_R(0.3, 0.0) == pytest.approx(2.0, abs=1e-14)
     assert rad == pytest.approx(1.0, abs=1e-14)
     assert tan == pytest.approx(1.0, abs=1e-14)
-    R2, _, _ = curvature(g, SpaceTimePoint(0.3, 0.2))
-    assert R2 == pytest.approx(2.0 / 0.6, rel=1e-14)
+    assert g.scalar_R(0.3, 0.2) == pytest.approx(2.0 / 0.6, rel=1e-14)
 
 
 def test_curvature_static_kinds():
     e3 = FlowGeometry.euclidean(3)
-    assert curvature(e3, SpaceTimePoint(1.0))[0] == 0.0
+    assert e3.scalar_R(1.0) == 0.0
     h3 = FlowGeometry.hyperbolic(3)
-    R, rad, tan = curvature(h3, SpaceTimePoint(1.0))
-    assert R == 0.0               # trace of the deformation tensor
-    assert rad == tan == -2.0     # Ricci eigenvalues of the metric
+    rad, tan = h3.ricci_eigenvalues(1.0)
+    assert h3.scalar_R(1.0) == 0.0  # trace of the deformation tensor
+    assert rad == tan == -2.0       # Ricci eigenvalues of the metric
 
 
 def test_curvature_domain_error():
     g = FlowGeometry.shrinking_sphere(2)
     with pytest.raises(DomainError):
-        curvature(g, SpaceTimePoint(10.0, 0.0))
+        g.check_point(10.0, 0.0)
     with pytest.raises(DomainError):
-        curvature(g, SpaceTimePoint(0.3, 0.9))  # past the singular time
+        g.check_point(0.3, 0.9)  # past the singular time
 
 
 def test_flow_residual_shrinking_s3():
