@@ -12,9 +12,10 @@ and nothing on stdout.  Usage errors are
 
 * an unknown command, flag, suite, quantity or sweep geometry, or a missing
   or malformed config or report file (a report field of the wrong type, a
-  suite or check name that is not a string, a stored check ``pass`` that its
-  value, expected and tol do not give, or a top-level ``pass`` that is not
-  the verdict of its checks);
+  suite or check name that is not a string, a negative check ``err``, a
+  check ``tol`` that is not finite and nonnegative, a stored check ``pass``
+  that its value, expected and tol do not give, or a top-level ``pass``
+  that is not the verdict of its checks);
 * a ``verify --geometry`` other than gaussian, gaussian-soliton or
   shrinking-s3, or with a suite other than ricci or all;
 * a ``--tol-scale`` that is not finite and positive;
@@ -186,7 +187,7 @@ def _sweep_quantity(args):
     is_track = isinstance(geom, McfShrinkingSphereTrack)
     if q in ("theta", "ihat", "jhat"):
         # the reduced distance is Perelman's: the metric must move by -2 Ric
-        if is_track or geom.upsilon_eigenvalues(0.0) != geom.ricci_eigenvalues(0.0):
+        if is_track or geom.upsilon() != geom.ricci():
             raise ValueError(f"quantity {q} needs a Ricci-flow geometry")
         fld, cache = ReducedDistanceField(geom), {}
         kern = SubHeatKernel(fld)

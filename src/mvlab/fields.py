@@ -11,7 +11,7 @@ Catalog names: ``constant-1``, ``linear``, ``harmonic-quadratic``, ``power``,
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -51,7 +51,6 @@ class TestField:
     mean_laplacian: callable
     mean_heat_op: callable
     tags: tuple
-    params: dict = dc_field(default_factory=dict)
     mean_value_np: callable = None
 
     def __post_init__(self):  # a missing array form is the scalar form
@@ -197,8 +196,7 @@ def make_field(name, geom, **params):
             mean_value=lambda rho, t=0.0: C - rho * rho,
             mean_laplacian=lambda rho, t=0.0: -2.0 * n,
             mean_heat_op=lambda rho, t=0.0: 2.0 * n,
-            tags=(SUPERHARMONIC, SUPERCALORIC),
-            params={"C": C})
+            tags=(SUPERHARMONIC, SUPERCALORIC))
 
     if name == "caloric-quadratic":
         # |y|^2 + 2 n t solves the forward heat equation on flat space.
@@ -254,7 +252,7 @@ def make_field(name, geom, **params):
             mean_value=mean, mean_laplacian=mean_dt,
             mean_heat_op=lambda rho, t=0.0: 0.0,
             mean_value_np=lambda rho, t=0.0: mean(rho, t, m=np),
-            tags=(CALORIC,), params={"a": a, "s0": s0})
+            tags=(CALORIC,))
 
     if name == "exp-radial":
         # exp(-d): superharmonic on hyperbolic models with (n-1) k >= 1.

@@ -5,7 +5,8 @@ around a distinguished center.  The metric may evolve by
 ``dg/dt = -2 Upsilon``; the realized deformations are ``Upsilon = 0`` (static
 models) and ``Upsilon = Ric`` (round shrinking sphere).  ``R`` always denotes
 the trace ``g^{ij} Upsilon_{ij}`` of the deformation tensor, so it vanishes
-identically on static models.
+identically on static models.  Every model is homogeneous, so Ric and
+Upsilon each have one eigenvalue, and all curvature is a function of time.
 
 Two radial coordinates are used.  The geodesic radius ``rho`` is the
 user-facing coordinate (arclength from the center at each fixed time).  The
@@ -43,7 +44,8 @@ def unit_sphere_area(n):
 
 @dataclass(frozen=True)
 class FlowGeometry:
-    """One of the closed-form model flows; immutable and reentrant."""
+    """One of the closed-form model flows; immutable and reentrant.  Its
+    curvature and comoving metric factor ``m2`` depend on time alone."""
 
     kind: str
     n: int
@@ -141,36 +143,26 @@ class FlowGeometry:
             return math.cosh(self.k * rho)
         return math.cos(rho / math.sqrt(self.scale(t)))
 
-    def ricci_eigenvalues(self, rho, t=0.0):
-        """(radial, tangential) eigenvalues of Ric(g(t)) in the orthonormal frame."""
-        n = self.n
-        if self.is_flat:
-            return 0.0, 0.0
-        if self.kind == HYPERBOLIC:
-            v = -(n - 1) * self.k ** 2
-            return v, v
-        v = (n - 1) / self.scale(t)
-        return v, v
+    def upsilon(self, t=0.0):
+        """The one eigenvalue of the deformation tensor Upsilon: Ric on the
+        shrinking sphere, 0 on static models."""
+        return (self.n - 1) / self.scale(t) if self.kind == SHRINKING_SPHERE else 0.0
 
-    def upsilon_eigenvalues(self, rho, t=0.0):
-        """Eigenvalues of the deformation tensor Upsilon (0 unless Ricci flow)."""
-        if self.kind == SHRINKING_SPHERE:
-            return self.ricci_eigenvalues(rho, t)
-        return 0.0, 0.0
+    def ricci(self, t=0.0):
+        """The one eigenvalue of Ric(g(t)); Upsilon's except on hyperbolic space."""
+        return -(self.n - 1) * self.k ** 2 if self.kind == HYPERBOLIC else self.upsilon(t)
 
-    def scalar_R(self, rho, t=0.0):
-        """Trace g^{ij} Upsilon_{ij}, summed over the eigenvalues of Upsilon = Ric
-        on the shrinking sphere (n(n-1)/c(t)) and 0 on static models."""
+    def scalar_R(self, t=0.0):
+        """Trace g^{ij} Upsilon_{ij}: n(n-1)/c(t) on the shrinking sphere, 0 on
+        static models (upsilon inlined: the shot's right-hand side calls it)."""
         v = (self.n - 1) / self.scale(t) if self.kind == SHRINKING_SPHERE else 0.0
         return v + (self.n - 1) * v
 
-    def dR_dt(self, rho, t=0.0):
+    def dR_dt(self, t=0.0):
         if self.kind != SHRINKING_SPHERE:
             return 0.0
-        n = self.n
-        c = self.scale(t)
-        # R = n(n-1)/c, dc/dt = -2(n-1)
-        return 2.0 * n * (n - 1) ** 2 / c ** 2
+        n = self.n  # R = n(n-1)/c, dc/dt = -2(n-1)
+        return 2.0 * n * (n - 1) ** 2 / self.scale(t) ** 2
 
     # ------------------------------------------------------------------ #
     # comoving description (fixed manifold points across time)
@@ -185,17 +177,17 @@ class FlowGeometry:
             return x * math.sqrt(self.scale(t))
         return x
 
-    def x_max(self, t=0.0):
+    def x_max(self):
+        """Comoving domain radius, the same at every time."""
         return math.pi if self.kind == SHRINKING_SPHERE else math.inf
 
-    def m2(self, x, t=0.0):
-        """Radial metric coefficient g_xx in comoving coordinates."""
-        return self.scale(t) if self.kind == SHRINKING_SPHERE else 1.0
+    def m2(self, t=0.0):
+        """Radial metric coefficient g_xx in comoving coordinates, c(t)."""
+        return self.scale(t)
 
-    def dm2_dt(self, x, t=0.0):
-        if self.kind == SHRINKING_SPHERE:
-            return -2.0 * (self.n - 1)
-        return 0.0
+    def dm2_dt(self):
+        """d g_xx / dt, the same at every time."""
+        return -2.0 * (self.n - 1) if self.kind == SHRINKING_SPHERE else 0.0
 
     def warp_cm(self, x, t=0.0):
         """Orbit warp w(x, t) in numpy: the sphere through x has area A * w^(n-1)

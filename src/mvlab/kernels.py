@@ -19,9 +19,9 @@ kernel's.  One class serves every shape of tau, in numpy: a float,
 a column of times with a matrix of radii, one row per slice (the batched
 quadrature of `regions`), or a 1-d array with one radius per slice.
 
-Kernels invert ``kernel = r^(-n)`` (``level_radius``, ``tau_max``, ``profile_x``)
-where they can (closed forms; Newton for the H3 heat profile) and return
-None where `regions` must solve for it.
+Kernels invert ``kernel = r^(-n)``: every parabolic kernel its profile
+(``profile_x``; closed forms, Newton on H3), and ``level_radius`` and
+``tau_max`` where they can, returning None where `regions` must solve.
 """
 
 import math
@@ -33,7 +33,7 @@ from .errors import DomainError, UnsupportedError
 from .geometry import HYPERBOLIC, SHRINKING_SPHERE, unit_sphere_area
 from .quad import integrate_1d
 
-_NEWTON_STEPS = 8  # Newton steps of the H3 profile before a time goes to Brent
+_NEWTON_STEPS = 8  # Newton steps of the H3 profile; roundoff takes at most 5
 
 EXACT_GREEN = "exact-green"
 SUB_GREEN = "sub-green"
@@ -203,7 +203,7 @@ class KernelSlice:
     def __init__(self, kern, tau):
         kern._check_tau(tau)
         self.kern, self.tau, self.t = kern, tau, -tau
-        self.sm = np.sqrt(kern.geom.m2(0.0, -tau))
+        self.sm = np.sqrt(kern.geom.m2(-tau))
 
     def rho(self, x):
         return self.sm * x
@@ -235,8 +235,9 @@ class ParabolicKernel:
     """Common behavior of parabolic kernels (backward time tau > 0).
 
     A subclass gives ``slice_class``, a `KernelSlice` subclass with
-    ``value``, ``dlog`` and ``dtau_log``, and may invert its level sets
-    (``tau_max``, ``profile_x``).
+    ``value``, ``dlog`` and ``dtau_log``, and ``profile_x(r, tau)``, the
+    comoving radius of {kernel >= r^(-n)} at tau; it may give the top time
+    ``tau_max(r)`` of that set in closed form.
     """
 
     parabolic = True
@@ -260,9 +261,6 @@ class ParabolicKernel:
 
     def tau_max(self, r):
         return None  # top time of {kernel > r^(-n)}: no closed form
-
-    def profile_x(self, r, tau):
-        return None  # its comoving radius at tau: no closed form
 
 
 def _coth_cf(u2):
@@ -359,7 +357,8 @@ class HeatKernel(ParabolicKernel):
         Flat: x^2 = 2 n tau log(r^2 / (4 pi tau)).  H3: Newton in y = x^2 on
         F(y) = log H - log r^(-n), decreasing and convex in y, from below the
         root (the flat profile with the -k^2 y / 6 of log(u / sinh u)) until
-        |F| is at roundoff; times still short of it come back NaN.
+        |F| is at roundoff, which no time has taken more than 5 steps to
+        reach; RuntimeError if a time is still short of it.
         """
         tau = np.asarray(tau, dtype=float)
         if self._k == 0.0:
@@ -378,7 +377,9 @@ class HeatKernel(ParabolicKernel):
             # dF/dy = d log H/dx / (2x) = -(1 / (4 tau) + k^2 (u coth u - 1) / (2 u^2))
             step = f / (1.0 / sl.four_tau + 0.5 * k2 * sl._cothc(u))
             y = np.where(done, y, np.maximum(y + step, 0.0))
-        x = np.where(done, np.sqrt(y), np.nan)
+        if not done.all():
+            raise RuntimeError(f"Newton did not converge on the H3 heat profile (r = {r})")
+        x = np.sqrt(y)
         return x if x.ndim else float(x)
 
 
@@ -394,8 +395,8 @@ class ReducedSlice(KernelSlice):
     def __init__(self, kern, tau):
         super().__init__(kern, tau)
         n, geom, s = kern.n, kern.geom, 2.0 * np.sqrt(tau)
-        m2 = geom.m2(0.0, -tau)
-        beta = math.sqrt(-geom.dm2_dt(0.0, 0.0) / 4.0)
+        m2 = geom.m2(-tau)
+        beta = math.sqrt(-geom.dm2_dt() / 4.0)
         a = np.arctan(beta * s) / beta if beta else s
         # the ufunc, not **: a float's ** takes libm's pow, an array's numpy's
         self.pref = np.power(4.0 * math.pi * tau, -n / 2.0)

@@ -58,7 +58,7 @@ from .sweeps import sweep
 _EPS = {"epsabs": 1e-10, "epsrel": 1e-9}
 
 
-def surface_weight_term(kernel, field, region):
+def surface_weight_term(field, region):
     """int over dE_r of v |grad K|^2 / sqrt(|grad K|^2 + K_tau^2) dA~."""
     def f(s):
         return (field.mean_value_np(s.rho, -s.tau) * s.grad ** 2
@@ -67,7 +67,7 @@ def surface_weight_term(kernel, field, region):
     return sphere_integrate(region, f, **_EPS)
 
 
-def _heat_op_ball_term(kernel, field, region, weight):
+def _heat_op_ball_term(field, region, weight):
     """int over E_r of weight(K) * (d/dt - Delta)v dmu dt."""
     if "caloric" in field.tags:
         return 0.0, 0.0
@@ -79,35 +79,32 @@ def _heat_op_ball_term(kernel, field, region, weight):
     return ball_integrate(region, f, **_EPS)
 
 
-def _scalar_R_ball_term(kernel, field, region):
+def _scalar_R_ball_term(field, region):
     """int over E_r of R v dmu dt; zero on static models."""
-    geom = kernel.geom
+    geom = region.kernel.geom
     if geom.is_static:
         return 0.0, 0.0
 
     def f(sl):
         rho, t = sl.rho, sl.t
-
-        def g(x):
-            r = rho(x)
-            return geom.scalar_R(r, t) * field.mean_value_np(r, t)
-        return g
+        return lambda x: geom.scalar_R(t) * field.mean_value_np(rho(x), t)
 
     return ball_integrate(region, f, **_EPS)
 
 
-def _j_term(kernel, field, region):
+def _j_term(field, region):
     """J_v over the region: surface weight plus (1/r^n) int R v."""
-    scale = region.r ** kernel.n
-    surf, e1 = surface_weight_term(kernel, field, region)
-    rv, e2 = _scalar_R_ball_term(kernel, field, region)
+    scale = region.r ** region.kernel.n
+    surf, e1 = surface_weight_term(field, region)
+    rv, e2 = _scalar_R_ball_term(field, region)
     return surf + rv / scale, e1 + e2 / scale
 
 
-def _i_density(kernel, field, region, correction=False):
+def _i_density(field, region, correction=False):
     """Integrand of r^n I_v, (|grad log K|^2 + R log(K r^n)) v; with
     ``correction`` plus the Fubini-collapsed heat-ball correction
     (e^psi - 1 - psi) (d/dt - Delta) v, where e^psi = K r^n."""
+    kernel = region.kernel
     geom = kernel.geom
     scale = region.r ** kernel.n
     logr_n = kernel.n * math.log(region.r)
@@ -118,7 +115,7 @@ def _i_density(kernel, field, region, correction=False):
             rho, val = sl.rho(x), sl.value(x)
             out = (sl.grad(x, val) / val) ** 2
             if not static:
-                out = out + geom.scalar_R(rho, sl.t) * (np.log(val) + logr_n)
+                out = out + geom.scalar_R(sl.t) * (np.log(val) + logr_n)
             out = out * field.mean_value_np(rho, sl.t)
             if correction:  # e^psi - 1 - psi with e^psi = q = K r^n
                 q = val * scale
@@ -129,10 +126,10 @@ def _i_density(kernel, field, region, correction=False):
     return f
 
 
-def _i_term(kernel, field, region):
+def _i_term(field, region):
     """I_v over the region: (1/r^n) int (|grad log K|^2 + R log(K r^n)) v."""
-    scale = region.r ** kernel.n
-    val, err = ball_integrate(region, _i_density(kernel, field, region), **_EPS)
+    scale = region.r ** region.kernel.n
+    val, err = ball_integrate(region, _i_density(field, region), **_EPS)
     return val / scale, err / scale
 
 
@@ -140,9 +137,9 @@ def mv_heat_sphere(kernel, field, r):
     """Heat-sphere mean value theorem; returns (lhs, rhs, residual)."""
     region = heatball_profile(kernel, r)
     lhs = field.center_value(0.0)
-    jv, _ = _j_term(kernel, field, region)
+    jv, _ = _j_term(field, region)
     level = region.level
-    corr, _ = _heat_op_ball_term(kernel, field, region, lambda k: k - level)
+    corr, _ = _heat_op_ball_term(field, region, lambda k: k - level)
     rhs = jv + corr
     return lhs, rhs, abs(lhs - rhs)
 
@@ -152,7 +149,7 @@ def mv_heat_ball(kernel, field, r):
     region = heatball_profile(kernel, r)
     lhs = field.center_value(0.0)
     # I_v and its correction in one pass over the region
-    density = _i_density(kernel, field, region, "caloric" not in field.tags)
+    density = _i_density(field, region, "caloric" not in field.tags)
     rhs = ball_integrate(region, density, **_EPS)[0] / r ** kernel.n
     return lhs, rhs, abs(lhs - rhs)
 
@@ -239,7 +236,7 @@ def forward_j_sweep(kernel, field, r_grid, tol=1e-6):
     direction = "non-increasing" if (
         "supercaloric" in field.tags or "caloric" in field.tags) else "none"
     return sweep(f"Jf[{field.name}]", lambda r: surface_weight_term(
-        kernel, field, heatball_profile(kernel, r)), r_grid, direction, tol)
+        field, heatball_profile(kernel, r)), r_grid, direction, tol)
 
 
 def surface_form_residual(kernel, r):
@@ -252,9 +249,9 @@ def surface_form_residual(kernel, r):
     """
     one = make_field("constant-1", kernel.geom)
     region = heatball_profile(kernel, r)
-    j_orig, _ = _j_term(kernel, one, region)
+    j_orig, _ = _j_term(one, region)
     j_new, _ = jhat_quantity(kernel, r)
-    i_orig, _ = _i_term(kernel, one, region)
+    i_orig, _ = _i_term(one, region)
     i_new = liyau_ball_integral(kernel, r)[0] / r ** kernel.n
     return abs(j_orig - j_new), abs(i_orig - i_new)
 
@@ -315,7 +312,7 @@ def soliton_residuals(rd_field, samples):
     for rho, tau in samples:
         t = -tau
         x = flow.x_of_rho(rho, t)
-        m2 = flow.m2(x, t)
+        m2 = flow.m2(t)
         hx = 1e-3 * max(1.0, x)
         if x < 2.0 * hx:
             raise ValueError("samples must sit away from the center")
@@ -334,10 +331,8 @@ def soliton_residuals(rd_field, samples):
         hess_rad = ell_xx / m2
         hess_tan = wx / (w * m2) * ell_x
         lap = hess_rad + (n - 1) * hess_tan
-        R = flow.scalar_R(rho, t)
-        ric_rad, ric_tan = flow.ricci_eigenvalues(rho, t)
-        if flow.is_static:
-            ric_rad = ric_tan = 0.0  # deformation tensor, not metric Ricci
+        R = flow.scalar_R(t)
+        ups = flow.upsilon(t)  # deformation tensor, not metric Ricci
 
         check.conjugate_heat.append(ell_tau - lap + grad2 - R + n / (2.0 * tau))
         check.first_order.append(-2.0 * ell_tau - grad2 + R - l0 / tau)
@@ -346,7 +341,7 @@ def soliton_residuals(rd_field, samples):
             (tau * (2.0 * lap - grad2 + R) + l0 - n) * khat)
         half = 1.0 / (2.0 * tau)
         check.soliton_tensor.append(max(
-            abs(ric_rad + hess_rad - half), abs(ric_tan + hess_tan - half)))
+            abs(ups + hess_rad - half), abs(ups + hess_tan - half)))
     return check
 
 

@@ -124,14 +124,14 @@ class LGeodesic:
 
 def _rhs(flow):
     """The sigma-form ODE in (x, u, L), the flow's coefficients bound once per shot."""
-    m2_of, dm2_dt, scalar_R = flow.m2, flow.dm2_dt, flow.scalar_R
+    m2_of, dm2_dtau, scalar_R = flow.m2, -flow.dm2_dt(), flow.scalar_R
 
     def rhs(sigma, state):
         x, u, _ = state
         tau = 0.25 * sigma * sigma
-        m2, dm2_dtau = m2_of(x, -tau), -dm2_dt(x, -tau)
+        m2 = m2_of(-tau)
         # all realized models are homogeneous in x: d_x(m^2) = d_x R = 0
-        return (u, -sigma * u * dm2_dtau / (2.0 * m2), m2 * u * u + tau * scalar_R(0.0, -tau))
+        return (u, -sigma * u * dm2_dtau / (2.0 * m2), m2 * u * u + tau * scalar_R(-tau))
     return rhs
 
 
@@ -152,7 +152,7 @@ def shoot_l_geodesic(flow, v, sigma_bar, dense=False):
     sol = solve_ivp(_rhs(flow), (0.0, sigma_bar), (0.0, float(v), 0.0),
                     method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL,
                     dense_output=dense)
-    x_cap = flow.x_max(0.0) - 1e-9
+    x_cap = flow.x_max() - 1e-9
     exited = sol.y[0, -1] >= x_cap
     if exited or not sol.success:
         exit_sigma = float(np.interp(x_cap, sol.y[0], sol.t) if exited else sol.t[-1])
@@ -189,7 +189,7 @@ def l_length(flow, path, sigma_bar, path_dot=None):
         if rho >= flow.rho_max(t):
             raise DomainError(f"path leaves the domain at sigma = {s}")
         u = dot(s)
-        return flow.m2(x, t) * u * u + 0.25 * s * s * flow.scalar_R(rho, t)
+        return flow.m2(t) * u * u + 0.25 * s * s * flow.scalar_R(t)
 
     return integrate_1d(integrand, 0.0, sigma_bar, epsabs=1e-12, epsrel=1e-10)
 
@@ -255,7 +255,7 @@ class ReducedDistanceField:
     def length_cm(self, x, tau):
         return 2.0 * math.sqrt(tau) * self.ell_cm(x, tau)
 
-    def reduced_volume(self, tau, epsabs=1e-9):
+    def reduced_volume(self, tau):
         """Spatial integral of the closed-form kernel (4 pi tau)^(-n/2)
         exp(-ell) on its slice at backward time tau."""
         sl = SubHeatKernel(self).at(tau)
@@ -264,10 +264,10 @@ class ReducedDistanceField:
         def f(x):
             return float(sl.value(x) * area * sl.warp(x) ** (n - 1) * sl.sm)
 
-        hi = self.flow.x_max(-tau)
+        hi = self.flow.x_max()
         if math.isinf(hi):
             hi = 14.0 * math.sqrt(tau)  # integrand under 1e-18 beyond this
-        return integrate_1d(f, 0.0, hi, epsabs=epsabs, epsrel=1e-8)
+        return integrate_1d(f, 0.0, hi, epsabs=1e-9, epsrel=1e-8)
 
     def first_order_residuals(self, rho, tau):
         """Residuals of the endpoint-derivative identities of the energy.
@@ -288,7 +288,7 @@ class ReducedDistanceField:
         if x <= 0:
             raise DomainError("residuals need a point off the center")
         geod = self.geodesic_to(rho, tau)
-        m2 = flow.m2(x, -tau)
+        m2 = flow.m2(-tau)
         sm = math.sqrt(m2)
         hx, ht = FD_STEP * max(1.0, x), FD_STEP * tau
         ell_xp, ell_xm = self.ell_cm(x + hx, tau), self.ell_cm(x - hx, tau)
@@ -301,7 +301,7 @@ class ReducedDistanceField:
         dL_dtau = (2.0 * math.sqrt(tau + ht) * ell_tp
                    - 2.0 * math.sqrt(tau - ht) * ell_tm) / (2.0 * ht)
         X2 = m2 * geod.u_end ** 2 / tau
-        R = flow.scalar_R(rho, -tau)
+        R = flow.scalar_R(-tau)
         res_time = abs(dL_dtau - math.sqrt(tau) * (R - X2))
 
         ell0 = geod.length / rt
@@ -322,14 +322,12 @@ class ReducedDistanceField:
 
         def integrand(tau):
             sigma = 2.0 * math.sqrt(tau)
-            x, u, _ = geod.sol(sigma)
+            _, u, _ = geod.sol(sigma)
             t = -tau
-            r = flow.rho_of_x(abs(x), t)
-            R = flow.scalar_R(r, t)
-            dR_dtau = -flow.dR_dt(r, t)
-            ric_rad, _ = flow.ricci_eigenvalues(r, t)
-            X2 = flow.m2(x, t) * u * u / tau
-            H = -dR_dtau - R / tau + 2.0 * ric_rad * X2
+            R = flow.scalar_R(t)
+            dR_dtau = -flow.dR_dt(t)
+            X2 = flow.m2(t) * u * u / tau
+            H = -dR_dtau - R / tau + 2.0 * flow.ricci(t) * X2
             return tau ** 1.5 * H
 
         return integrate_1d(integrand, 0.0, tau_bar, epsabs=1e-11, epsrel=1e-9)

@@ -4,10 +4,11 @@ Every kernel in the catalog is radial and strictly decreasing away from the
 center, so level sets are radial graphs.  Elliptic regions are balls of
 radius ``rho_star(r)`` solving ``kernel = r^(-n)``.  Parabolic regions live in
 backward time: the top time ``tau_max`` solves the on-center equation and the
-profile ``x(tau)`` is the per-slice root.  Each of these is the kernel's own
-inverse where it has one (closed forms; batched Newton for the H3 heat
-profile); bracketed Brent iteration serves the rest: the reduced-distance
-top time, H3 profile times Newton leaves short, hyperbolic Green radii (n != 3).
+profile ``x(tau)`` is the per-slice root.  Every parabolic kernel inverts
+its own profile (closed forms; batched Newton for the H3 heat profile);
+radii and top times are closed forms where the kernel has them, and
+bracketed Brent iteration serves the two equations that have none: the
+reduced-distance top time and hyperbolic Green radii (n != 3).
 
 A parabolic region is foliated by time slices: every quadrature node,
 profile root and surface sample lives at one backward time tau, and a
@@ -138,42 +139,15 @@ class HeatBallRegion:
         return self.r ** (-self.kernel.n)
 
     def profile_x(self, tau):
-        """Profile radius at tau (a float or an array of times): the kernel's
-        own inverse where it returns one, else Brent; NoRegionError where it
-        does not close inside the domain."""
+        """Profile radius at tau (a float or an array of times), the kernel's
+        own inverse; NoRegionError where it does not close inside the domain."""
         taus = np.atleast_1d(np.asarray(tau, dtype=float))
         if not np.all((taus > 0.0) & (taus < self.tau_max)):
             raise DomainError(f"tau must lie in (0, {self.tau_max})")
         x = self.kernel.profile_x(self.r, taus)
-        x = np.full(taus.shape, np.nan) if x is None else x
-        for i in np.flatnonzero(np.isnan(x)):
-            x[i] = self._brent_x(float(taus[i]))
-        if np.any(x >= self.kernel.geom.x_max(0.0)):
+        if np.any(x >= self.kernel.geom.x_max()):
             raise NoRegionError("profile does not close inside the domain")
         return x if np.ndim(tau) else float(x[0])
-
-    def _brent_x(self, tau):
-        kern, level = self.kernel, self.level
-        value = kern.at(tau).value
-
-        def f(s):
-            return value(s) - level
-
-        def bracket():
-            x_cap = kern.geom.x_max(-tau)
-            if math.isinf(x_cap):
-                x_cap = 1e6
-            # the flat Gaussian's profile at this level bounds the H3 profile;
-            # sqrt(tau) / 10 keeps the bracket open
-            gauss = -4.0 * tau * math.log(level * (4.0 * math.pi * tau) ** (kern.n / 2.0))
-            hi = min(math.sqrt(max(gauss, 0.0)) + 0.1 * math.sqrt(tau), x_cap * (1.0 - 1e-9))
-            while f(hi) > 0.0:
-                hi = 0.5 * (hi + x_cap)
-                if x_cap - hi < 1e-9:
-                    raise NoRegionError("profile does not close inside the domain")
-            return 0.0, hi
-
-        return _level_set(None, f, bracket)
 
     def profile_rho(self, tau):
         return self.kernel.at(tau).rho(self.profile_x(tau))
@@ -184,7 +158,7 @@ class HeatBallRegion:
         x = self.profile_x(tau)
         sl, geom = self.kernel.at(tau), self.kernel.geom
         dx_dtau = -sl.dtau_log(x) / sl.dlog(x)
-        return sl.sm * dx_dtau - x * geom.dm2_dt(x, sl.t) / (2.0 * sl.sm)
+        return sl.sm * dx_dtau - x * geom.dm2_dt() / (2.0 * sl.sm)
 
 
 def heatball_profile(kernel, r):
@@ -214,7 +188,7 @@ def heatball_profile(kernel, r):
     tau_max = _level_set(kernel.tau_max(r), center, bracket)
     region = HeatBallRegion(kernel=kernel, r=r, tau_max=tau_max)
 
-    x_max = kernel.geom.x_max(0.0)  # the same at every time
+    x_max = kernel.geom.x_max()
     if math.isfinite(x_max):
         taus = np.linspace(0.05, 0.95, 9) * tau_max
         try:

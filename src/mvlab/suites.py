@@ -100,6 +100,9 @@ class SuiteReport:
                                  f"{', '.join(_EXPECTED_WORDS)}, pass a bool")
             if c.err < 0:  # False for NaN
                 raise ValueError(f"check {c.name!r}: err must not be negative, got {c.err}")
+            if not 0.0 <= c.tol < math.inf:
+                raise ValueError(f"check {c.name!r}: tol must be finite and not negative, "
+                                 f"got {c.tol}")
             if c.passed != _judge(c.value, c.expected, c.tol):
                 raise ValueError(f"check {c.name!r}: stored pass disagrees with its value, "
                                  f"expected and tol")
@@ -241,9 +244,9 @@ def _soliton_flat(fld):
                    chk.max_abs_entropy, chk.max_abs_soliton_tensor))
 
 
-def _jhat_monotone_s3(kern):
+def _jhat_monotone_s3(kern, tol):
     """Worst rise of Jhat; at least 1 if Jhat, Ihat(0) or Jhat <= Ihat(a) fails."""
-    out = mvp.jhat_sweep(kern, [0.8, 1.1, 1.4, 1.7, 2.0, 2.3])
+    out = mvp.jhat_sweep(kern, [0.8, 1.1, 1.4, 1.7, 2.0, 2.3], tol=tol)
     jhat = out["jhat"]
     ok_pairs = all(jhat.values[jhat.grid.index(r)] <= iv + ie + jhat.errors[jhat.grid.index(r)]
                    for (a, r, iv, ie) in out["pairs"])
@@ -265,7 +268,8 @@ def _ricci_battery(ts, geometry=None):
     if geometry in (None, "shrinking-s3"):
         s3 = ReducedDistanceField(FlowGeometry.shrinking_sphere(3))
         rows += [
-            ("jhat_monotone_s3", lambda: _jhat_monotone_s3(SubHeatKernel(s3)), "monotone", 0.0),
+            ("jhat_monotone_s3", lambda: _jhat_monotone_s3(SubHeatKernel(s3), 1e-6 * ts),
+             "monotone", 0.0),
             ("first_order_s3", lambda: mvp.soliton_residuals(
                 s3, [(0.5, 0.1), (0.8, 0.2), (1.0, 0.3)]).max_abs_first_order, 0.0, 1e-4),
             ("liyau_decomposition_s3", lambda: mvp.ly_ricci_residual(s3, 0.8, 0.2)[0], 0.0, 1e-8)]

@@ -4,8 +4,9 @@ evaluates a quantity on a grid and judges it.
 
 A pairwise verdict accepts a step when the consecutive difference respects
 the declared direction within the two points' error estimates plus a fixed
-slack; the report keeps the worst signed violation so near-misses are
-visible.
+slack.  The report keeps the worst violation floored at 0.0: it reads
+exactly 0.0 when every step passes, however near a miss, and the amount of
+the worst failure (or NaN) otherwise.
 """
 
 from dataclasses import dataclass, field

@@ -48,12 +48,12 @@ def flow_residual(geom, samples, h=1e-4):
         if not (lo < p.t - h and p.t + h < hi):
             raise DomainError(f"sample time {p.t} too close to the boundary")
         x = geom.x_of_rho(p.rho, p.t)
-        up_rad, up_tan = geom.upsilon_eigenvalues(p.rho, p.t)
-        dm2 = (geom.m2(x, p.t + h) - geom.m2(x, p.t - h)) / (2.0 * h)
+        up = geom.upsilon(p.t)
+        dm2 = (geom.m2(p.t + h) - geom.m2(p.t - h)) / (2.0 * h)
         dw2 = (geom.warp_cm(x, p.t + h) ** 2
                - geom.warp_cm(x, p.t - h) ** 2) / (2.0 * h)
-        ups_rad = up_rad * geom.m2(x, p.t)
-        ups_tan = up_tan * geom.warp_cm(x, p.t) ** 2
+        ups_rad = up * geom.m2(p.t)
+        ups_tan = up * geom.warp_cm(x, p.t) ** 2
         worst = max(worst, abs(dm2 + 2.0 * ups_rad), abs(dw2 + 2.0 * ups_tan))
     return worst
 
@@ -73,7 +73,7 @@ def metric_diag(geom, coords):
     t, x = coords[0], coords[1]
     h = np.empty(geom.n + 1)
     h[0] = 1.0
-    h[1] = geom.m2(x, t)
+    h[1] = geom.m2(t)
     acc = geom.warp_cm(x, t) ** 2
     for a in range(2, geom.n + 1):
         h[a] = acc
@@ -88,7 +88,7 @@ def metric_diag_grad(geom, coords):
     t, x = coords[0], coords[1]
     dh = np.zeros((n + 1, n + 1))
     # time derivatives
-    dh[0, 1] = geom.dm2_dt(x, t)
+    dh[0, 1] = geom.dm2_dt()
     if geom.kind == SHRINKING_SPHERE:
         dw2_dt = -2.0 * (n - 1) * math.sin(x) ** 2
     else:
@@ -113,7 +113,7 @@ def metric_diag_grad(geom, coords):
 
 def log_sqrt_det(geom, coords):
     t, x = coords[0], coords[1]
-    val = 0.5 * math.log(geom.m2(x, t))
+    val = 0.5 * math.log(geom.m2(t))
     val += (geom.n - 1) * math.log(geom.warp_cm(x, t))
     for a in range(2, geom.n + 1):
         mult = geom.n - a
@@ -157,8 +157,8 @@ def spacetime_christoffels(geom, p):
     dh_spatial = dh.copy()
     dh_spatial[0, :] = 0.0  # spatial connection: freeze time
     gamma = _christoffel_from_diag(h, dh_spatial)
-    up_rad, up_tan = geom.upsilon_eigenvalues(p.rho, p.t)
-    eig = np.array([0.0, up_rad] + [up_tan] * (n - 1))
+    up = geom.upsilon(p.t)
+    eig = np.array([0.0] + [up] * n)
     for i in range(1, n + 1):
         gamma[0, i, i] = eig[i] * h[i]          # Upsilon_ij (diagonal)
         gamma[i, 0, i] = gamma[i, i, 0] = -eig[i]  # -Upsilon^i_j
@@ -194,7 +194,7 @@ def spacetime_divergence(geom, field, p, h=1e-4):
     cp[0] += h
     cm[0] -= h
     dX0_dt = (field(cp)[0] - field(cm)[0]) / (2.0 * h)
-    R = geom.scalar_R(p.rho, p.t)
+    R = geom.scalar_R(p.t)
     return div_spatial - comp[0] * R + dX0_dt
 
 

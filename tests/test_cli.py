@@ -163,6 +163,21 @@ def test_battery_names_are_the_golden_names(monkeypatch):
     assert {c.error for c in report.checks} == {"RuntimeError: no value"}
 
 
+@pytest.mark.parametrize("scale", [0.1, 3.0])
+def test_sweep_rows_scale_the_sweep_tolerance(scale, monkeypatch):
+    """A row whose thunk runs a sweep hands the sweep its tolerance times
+    tol_scale: jhat_monotone_s3 runs jhat_sweep at 1e-6 * scale."""
+    from mvlab import mv_parabolic
+    seen, sweep = [], mv_parabolic.jhat_sweep
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return sweep(*args, **kwargs)
+    monkeypatch.setattr(mv_parabolic, "jhat_sweep", spy)
+    report = suites.run_suite("ricci", tol_scale=scale, geometry="shrinking-s3")
+    assert seen == [1e-6 * scale] and report.passed
+
+
 def test_sweep_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--quantity", "J", "--geometry", "euclidean3",
@@ -275,7 +290,17 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                              # a negative error estimate
                              {"suite": "s", "checks": [{**good, "err": -1.0}], "pass": True},
                              {"suite": "s", "checks": [{**good, "err": -math.inf}],
-                              "pass": True})):
+                              "pass": True},
+                             # a tolerance that is negative or not finite, each
+                             # with the verdict its numbers give
+                             {"suite": "s", "checks": [{**good, "expected": "<=0",
+                                                        "tol": -1.0, "value": -2.0}],
+                              "pass": True},
+                             {"suite": "s", "checks": [{**good, "tol": math.inf}],
+                              "pass": True},
+                             {"suite": "s", "checks": [{**good, "tol": math.nan,
+                                                        "pass": False}],
+                              "pass": False})):
         path = tmp_path / f"not_a_report_{i}.json"
         path.write_text(json.dumps(doc))
         assert usage_error(["report", "--in", str(path)]), doc

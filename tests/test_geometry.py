@@ -35,20 +35,46 @@ def test_gaussian_soliton_is_the_euclidean_model():
 
 def test_curvature_shrinking_s2():
     g = FlowGeometry.shrinking_sphere(2)
-    rad, tan = g.ricci_eigenvalues(0.3, 0.0)
-    assert g.scalar_R(0.3, 0.0) == pytest.approx(2.0, abs=1e-14)
-    assert rad == pytest.approx(1.0, abs=1e-14)
-    assert tan == pytest.approx(1.0, abs=1e-14)
-    assert g.scalar_R(0.3, 0.2) == pytest.approx(2.0 / 0.6, rel=1e-14)
+    assert g.scalar_R(0.0) == pytest.approx(2.0, abs=1e-14)
+    assert g.ricci(0.0) == pytest.approx(1.0, abs=1e-14)
+    assert g.scalar_R(0.2) == pytest.approx(2.0 / 0.6, rel=1e-14)
 
 
 def test_curvature_static_kinds():
     e3 = FlowGeometry.euclidean(3)
-    assert e3.scalar_R(1.0) == 0.0
+    assert e3.scalar_R(1.0) == e3.ricci(1.0) == e3.upsilon(1.0) == 0.0
     h3 = FlowGeometry.hyperbolic(3)
-    rad, tan = h3.ricci_eigenvalues(1.0)
     assert h3.scalar_R(1.0) == 0.0  # trace of the deformation tensor
-    assert rad == tan == -2.0       # Ricci eigenvalues of the metric
+    assert h3.upsilon(1.0) == 0.0
+    assert h3.ricci(1.0) == -2.0    # the Ricci eigenvalue of the metric
+
+
+# (ricci, upsilon, scalar_R) at t as the curvature took (rho, t) before it
+# became a function of time: one eigenvalue, each radial and tangential pair
+# equal, and R = v + (n - 1) v summed in that order
+SEED_CURVATURE = {
+    "shrinking-s2": lambda t: (1 / (1.0 - 2.0 * t), 1 / (1.0 - 2.0 * t),
+                               1 / (1.0 - 2.0 * t) + 1 / (1.0 - 2.0 * t)),
+    "euclidean3": lambda t: (0.0, 0.0, 0.0 + 2 * 0.0),
+    "hyperbolic3": lambda t: (-2 * 1.0 ** 2, 0.0, 0.0 + 2 * 0.0),
+}
+CURVATURE_GEOMETRIES = {"shrinking-s2": FlowGeometry.shrinking_sphere(2),
+                        "euclidean3": FlowGeometry.euclidean(3),
+                        "hyperbolic3": FlowGeometry.hyperbolic(3)}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_CURVATURE))
+def test_curvature_is_a_function_of_time(name):
+    g = CURVATURE_GEOMETRIES[name]
+    ts = [-3.0, -0.5, 0.0, 0.1, 0.2, 0.4]
+    for t in ts:
+        assert (g.ricci(t), g.upsilon(t), g.scalar_R(t)) == SEED_CURVATURE[name](t)
+    # a column of times, as the heat-ball volume integrands pass them
+    col = np.array(ts)[:, None]
+    for got, want in zip((g.ricci(col), g.upsilon(col), g.scalar_R(col)),
+                         zip(*(SEED_CURVATURE[name](t) for t in ts))):
+        assert np.shape(got) in ((), (len(ts), 1))
+        assert np.array_equal(np.broadcast_to(got, col.shape).ravel(), want)
 
 
 def test_curvature_domain_error():

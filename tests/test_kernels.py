@@ -191,7 +191,7 @@ def _per_point_heat(kern, x, tau):
         else:
             cothc = (kx / math.tanh(kx) - 1.0) / (kx * kx)
         dlog = -x * (k ** 2 * cothc + 1.0 / (2.0 * tau))
-    grad = abs(value * dlog) / math.sqrt(kern.geom.m2(x, -tau))
+    grad = abs(value * dlog) / math.sqrt(kern.geom.m2(-tau))
     dtau_log = -n / (2.0 * tau) + x * x / (4.0 * tau * tau) - k ** 2
     dtau = value * (-n / (2.0 * tau) + x * x / (4.0 * tau * tau) - k ** 2)
     if k != 0.0:
@@ -399,7 +399,7 @@ def kernel_mass(kern, tau):
     def f(x):
         return sl.value(x) * area * sl.warp(x) ** (kern.n - 1) * sl.sm
 
-    hi = kern.geom.x_max(-tau)
+    hi = kern.geom.x_max()
     if math.isinf(hi):
         hi = 2.0 * math.sqrt(4.0 * tau * 745.0)  # exp underflow horizon
     val, _ = integrate_1d(f, 0.0, hi, epsabs=1e-10, epsrel=1e-9)

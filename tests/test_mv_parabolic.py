@@ -92,8 +92,7 @@ def nested_eta_correction(kernel, field, r):
 
     def eta_term(eta):
         sub = heatball_profile(kernel, eta)
-        inner, _ = mvp._heat_op_ball_term(kernel, field, sub,
-                                          lambda k: k - sub.level)
+        inner, _ = mvp._heat_op_ball_term(field, sub, lambda k: k - sub.level)
         return eta ** (n - 1) * inner
 
     iterated, _ = integrate_1d(eta_term, 0.0, r, epsabs=1e-11, epsrel=1e-8,
@@ -111,7 +110,7 @@ def test_heat_ball_fubini_matches_nested_eta(model, name, r, request):
     f = make_field(name, geom, **({"C": 10.0} if name == "superharmonic" else {}))
     assert "caloric" not in f.tags
     _, rhs, _ = mvp.mv_heat_ball(kern, f, r)
-    i_v, _ = mvp._i_term(kern, f, heatball_profile(kern, r))
+    i_v, _ = mvp._i_term(f, heatball_profile(kern, r))
     assert abs(rhs - (i_v + nested_eta_correction(kern, f, r))) <= 1e-9
 
 

@@ -366,7 +366,7 @@ def test_rk45_loop_is_scipy_bit_for_bit():
                              reduced.ODE_ATOL)
         steps = len(ref.t) - 1
         seen.append((ref.nfev > 6 * steps + 2,
-                     ref.y[0, -1] >= flow.x_max(0.0) - 1e-9))
+                     ref.y[0, -1] >= flow.x_max() - 1e-9))
     shot()
     rejected, exited = (sum(col) for col in zip(*seen))
     assert rejected >= 1 and exited >= 1, (rejected, exited, len(seen))

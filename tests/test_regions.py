@@ -18,8 +18,7 @@ from mvlab import mv_parabolic as mvp
 from mvlab.errors import DomainError, NoRegionError
 from mvlab.fields import make_field
 from mvlab.geometry import FlowGeometry, unit_sphere_area
-from mvlab.kernels import (GreenKernel, HeatKernel, KernelSlice,
-                           McfShrinkingSphereTrack, ParabolicKernel,
+from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                            SubGreenKernel, SubHeatKernel, SupGreenKernel)
 from mvlab.quad import integrate_1d, integrate_de
 from mvlab.reduced import ReducedDistanceField
@@ -232,40 +231,46 @@ def test_closed_forms_solve_no_roots(brent_calls, h3, khat_s3):
     assert len(brent_calls) == 1
 
 
-def test_h3_newton_falls_back_to_brent(h3, brent_calls, monkeypatch):
-    # one Newton step leaves most times short of roundoff: Brent solves those
+# H3 heat profiles on a grid of curvatures, level radii and times from
+# 1e-18 tau_max to within 1e-13 of tau_max
+H3_CURVATURES = (0.5, 1.0, 2.0, 5.0)
+H3_RADII = np.geomspace(0.01, 20.0, 40)
+H3_TIMES = np.concatenate([np.geomspace(1e-18, 0.5, 85),
+                           1.0 - np.geomspace(0.5, 1e-13, 86)[1:]])
+
+
+def test_h3_newton_profile_needs_no_root_solve(brent_calls):
+    # Newton reaches roundoff at every time of the grid; Brent's roots of
+    # kernel = level agree to 1e-12 wherever they are well conditioned (the
+    # kernel is flat in x next to tau_max: tests/test_kernels.py holds those
+    # times to 40-digit roots)
+    for k in H3_CURVATURES:
+        kern = HeatKernel(FlowGeometry.hyperbolic(3, k))
+        for i, r in enumerate(H3_RADII):
+            reg = heatball_profile(kern, r)
+            taus = reg.tau_max * H3_TIMES
+            x = reg.profile_x(taus)
+            assert np.all(np.isfinite(x) & (x >= 0.0))
+            if i % 4:
+                continue
+            for tau, got in zip(taus[H3_TIMES <= 0.99], x[H3_TIMES <= 0.99]):
+                value = kern.at(tau).value
+                want = brent_root(lambda s: value(s) - reg.level, 0.0, 2.0 * got + 1.0)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert brent_calls == []
+
+
+def test_h3_newton_short_of_roundoff_raises(h3, monkeypatch):
+    # one Newton step leaves most times short of roundoff: an error, and not
+    # NoRegionError, which would read as a profile that does not close
     kern = HeatKernel(h3)
     reg = heatball_profile(kern, 1.0)
     taus = reg.tau_max * np.array([1e-6, 0.1, 0.5, 0.9])
-    newton = reg.profile_x(taus)
-    assert brent_calls == []
     monkeypatch.setattr(kernels, "_NEWTON_STEPS", 1)
-    assert np.isnan(kern.profile_x(1.0, taus)).any()
-    fallback = reg.profile_x(taus)
-    assert 0 < len(brent_calls) <= len(taus)
-    assert np.allclose(fallback, newton, rtol=1e-12, atol=0.0)
-
-
-def test_brent_profile_one_root_solve_per_new_slice(s3, brent_calls):
-    # the top time and the nine domain checks of the build are Brent roots;
-    # then each slice asked for is one root, on a float or in an array
-    reg = heatball_profile(ComovingGauss(s3), 0.5)
-    assert len(brent_calls) == 10
-    taus = [u * reg.tau_max for u in (0.15, 0.45, 0.85)]
-    for i, tau in enumerate(taus):
-        reg.profile_x(tau)
-        assert len(brent_calls) == 11 + i
-    reg.profile_x(np.array(taus))
-    assert len(brent_calls) == 13 + len(taus)
-
-
-def test_brent_profile_independent_of_query_order(s3):
-    fwd = heatball_profile(ComovingGauss(s3), 0.5)
-    rev = heatball_profile(ComovingGauss(s3), 0.5)
-    us = (0.1, 0.3, 0.5, 0.7, 0.9)
-    forward = [fwd.profile_x(u * fwd.tau_max) for u in us]
-    backward = [rev.profile_x(u * rev.tau_max) for u in reversed(us)]
-    assert forward == backward[::-1]
+    for call in (lambda: kern.profile_x(1.0, taus), lambda: reg.profile_x(taus),
+                 lambda: reg.profile_x(float(taus[1]))):
+        with pytest.raises(RuntimeError, match="Newton did not converge"):
+            call()
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -333,7 +338,7 @@ def slice_densities(geom, region):
     field = make_field(name, geom)
     out = [lambda sl: lambda x: sl.value(x) * field.mean_heat_op(sl.rho(x), sl.t)]
     if geom.is_flat:
-        out.append(mvp._i_density(region.kernel, field, region, correction=True))
+        out.append(mvp._i_density(field, region, correction=True))
     return out
 
 
@@ -406,7 +411,7 @@ def test_heat_ball_error_is_true_and_informative(r, model):
     if geom.is_flat:
         value, err = mvp.ihat_quantity(kern, 0.0, r)
     else:
-        value, err = mvp._i_term(kern, make_field("constant-1", geom),
+        value, err = mvp._i_term(make_field("constant-1", geom),
                                  heatball_profile(kern, r))
     eps, scale = mvp._EPS, r ** kern.n
     tol = (eps["epsabs"] + eps["epsrel"] * scale) / scale
@@ -426,28 +431,8 @@ def test_green_ball_error_is_true_and_informative(r, case):
     assert abs(value - field.center_value()) <= err <= 1e-8
 
 
-class ComovingGaussSlice(KernelSlice):
-    def value(self, x):
-        return (4.0 * math.pi * self.tau) ** (-self.kern.n / 2.0) * math.exp(
-            -x * x / (4.0 * self.tau))
-
-    def dlog(self, x):
-        return -x / (2.0 * self.tau)
-
-    def dtau_log(self, x):
-        return -self.kern.n / (2.0 * self.tau) + x * x / (4.0 * self.tau * self.tau)
-
-
-class ComovingGauss(ParabolicKernel):
-    """The flat Gaussian in the comoving angle of an evolving model: a kernel
-    defined by its slice class alone, whose profile moves with the metric
-    scale, at the cost of one Brent root per slice."""
-
-    slice_class = ComovingGaussSlice
-
-
-def test_profile_slope_shrinking_sphere(s3):
-    reg = heatball_profile(ComovingGauss(s3), 0.5)
+def test_profile_slope_shrinking_sphere(khat_s3):
+    reg = heatball_profile(khat_s3, 0.8)
     for u in (0.2, 0.5, 0.8):
         tau = u * reg.tau_max
         eps = 1e-6 * tau
@@ -510,7 +495,7 @@ def test_batched_sphere_matches_per_node(model, request):
     for r in (0.5, 1.0, 1.5):
         region = heatball_profile(kern, r)
         pairs = [(mvp.jhat_quantity(kern, r)[0], jhat_density),
-                 (mvp.surface_weight_term(kern, field, region)[0], weight)]
+                 (mvp.surface_weight_term(field, region)[0], weight)]
         for got, density in pairs:
             want, _ = per_node_sphere_integrate(region, density, **mvp._EPS)
             assert abs(got - want) <= 1e-13 * abs(want)
@@ -536,7 +521,7 @@ def test_heat_sphere_error_is_true_and_informative(r, model):
     if geom.is_flat:
         value, err = mvp.jhat_quantity(kern, r)
     else:
-        value, err = mvp.surface_weight_term(kern, make_field("constant-1", geom),
+        value, err = mvp.surface_weight_term(make_field("constant-1", geom),
                                              heatball_profile(kern, r))
     eps = mvp._EPS
     assert abs(value - 1.0) <= err <= eps["epsabs"] + eps["epsrel"] * abs(value)
@@ -571,15 +556,16 @@ def test_compactness_rejection(rd_s3):
 
 
 @pytest.mark.parametrize("r,message", [
-    (7.0, "reaches 90% of the domain radius at tau = 1.072"),
-    (8.0, "reaches 90% of the domain radius at tau = 0.8276"),
-    (9.0, "does not close inside the domain")])
-def test_rejection_names_the_first_time_that_fails(s3, r, message):
-    # the domain check solves its 9 times at once; at r = 8 a later time's
-    # profile does not close, and the wide time before it is still the one
-    # reported, as a check of one time after the other would
+    (15.0, "reaches 90% of the domain radius at tau = 1.363"),
+    (18.0, "does not close inside the domain"),
+    (20.0, "reaches 90% of the domain radius at tau = 0.7088")])
+def test_rejection_names_the_first_time_that_fails(khat_s3, r, message):
+    # the domain check solves its 9 times at once; at r = 18 the first time
+    # that fails does not close, and at r = 20 a later time's profile does
+    # not close, and the wide time before it is still the one reported, as
+    # a check of one time after the other would
     with pytest.raises(NoRegionError, match=message):
-        heatball_profile(ComovingGauss(s3), r)
+        heatball_profile(khat_s3, r)
 
 
 def test_heatball_domain_errors(e2):
