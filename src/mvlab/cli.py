@@ -21,6 +21,8 @@ and nothing on stdout.  Usage errors are
 * a ``--tol-scale`` that is not finite and positive;
 * a non-finite ``--rmin``, ``--rmax``, ``--taumin``, ``--taumax`` or ``--a``;
 * ``--steps`` below 1, or a sweep grid that is not strictly increasing;
+* a sweep point whose value or error is not finite, or whose level r^(-n)
+  overflows (refused after the sweep, before anything is written);
 * a quantity the geometry does not carry: theta, ihat or jhat on a
   geometry that is not a Ricci flow (an MCF track, or a static model whose
   Ricci tensor is not its deformation tensor, such as hyperbolic3), and I/J
@@ -216,10 +218,15 @@ def _cmd_sweep(args):
     _check_tol_scale(args)
     grid = _sweep_grid(args)
     quantity, direction = _sweep_quantity(args)
-    report = sweep(args.quantity, quantity, grid, direction,
-                   1e-6 * args.tol_scale)
+    with np.errstate(all="ignore"):  # a non-finite point is refused below instead
+        report = sweep(args.quantity, quantity, grid, direction,
+                       1e-6 * args.tol_scale)
     rows = list(zip(report.grid, report.values, report.errors,
                     [True] + report.verdicts))
+    for p, v, e, _ in rows:
+        if not (math.isfinite(v) and math.isfinite(e)):
+            raise ValueError(f"{args.quantity} at {'tau' if args.quantity == 'theta' else 'r'}"
+                             f" = {_fmt(float(p))} is not finite (value {v}, error {e})")
 
     fmt = args.format or "csv"
     if fmt == "csv":

@@ -92,15 +92,9 @@ class FlowGeometry:
 
     @property
     def time_interval(self):
-        if self.kind == SHRINKING_SPHERE:
-            return (-_BIG_TIME, self.singular_time - _SING_GUARD)
+        if self.kind == SHRINKING_SPHERE:  # c(t) = 1 - 2(n-1) t vanishes at 1 / (2(n-1))
+            return (-_BIG_TIME, 1.0 / (2.0 * (self.n - 1)) - _SING_GUARD)
         return (-_BIG_TIME, _BIG_TIME)
-
-    @property
-    def singular_time(self):
-        if self.kind != SHRINKING_SPHERE:
-            return _BIG_TIME
-        return 1.0 / (2.0 * (self.n - 1))
 
     def check_time(self, t):
         lo, hi = self.time_interval
@@ -153,9 +147,8 @@ class FlowGeometry:
         return -(self.n - 1) * self.k ** 2 if self.kind == HYPERBOLIC else self.upsilon(t)
 
     def scalar_R(self, t=0.0):
-        """Trace g^{ij} Upsilon_{ij}: n(n-1)/c(t) on the shrinking sphere, 0 on
-        static models (upsilon inlined: the shot's right-hand side calls it)."""
-        v = (self.n - 1) / self.scale(t) if self.kind == SHRINKING_SPHERE else 0.0
+        """Trace g^{ij} Upsilon_{ij}: n(n-1)/c(t) on the shrinking sphere, 0 on static models."""
+        v = self.upsilon(t)
         return v + (self.n - 1) * v
 
     def dR_dt(self, t=0.0):

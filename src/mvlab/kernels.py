@@ -38,9 +38,6 @@ _NEWTON_STEPS = 8  # Newton steps of the H3 profile; roundoff takes at most 5
 EXACT_GREEN = "exact-green"
 SUB_GREEN = "sub-green"
 SUP_GREEN = "sup-green"
-HEAT = "heat"
-SUB_HEAT = "sub-heat"
-MCF_SUP_HEAT = "sup-heat"
 
 
 def _spaceform_green_value(n, k, d):
@@ -328,7 +325,6 @@ class HeatKernel(ParabolicKernel):
     equation d/dtau = Delta on the static model and integrates to unit mass.
     """
 
-    kind = HEAT
     slice_class = HeatSlice
 
     def __init__(self, geom):
@@ -420,7 +416,6 @@ class SubHeatKernel(ParabolicKernel):
     """Reduced-distance kernel (4 pi tau)^(-n/2) exp(-ell) of the
     ReducedDistanceField ``field``, on `ReducedSlice`s."""
 
-    kind = SUB_HEAT
     slice_class = ReducedSlice
 
     def __init__(self, field):
@@ -444,7 +439,6 @@ class McfShrinkingSphereTrack:
     derivatives are material (following the flowing immersion).
     """
 
-    kind = MCF_SUP_HEAT
     parabolic = True
 
     def __init__(self, n):

@@ -21,7 +21,9 @@ spatial integral of (4 pi tau)^(-n/2) exp(-ell).
 On both realized flows ell has a closed form, `kernels.ReducedSlice`, which
 the reduced volume, Jhat, Ihat and the Li-Yau expression evaluate; the shot
 ell and geodesics here are its independent oracle.  A shot runs `solve_ivp`
-below: scipy's RK45 steps and bits without scipy's per-call wrapping.
+below, scipy's RK45 steps and bits on a state of three floats: numpy is
+called only for the BLAS dots the bits come from, and the right-hand side
+evaluates the flow's closed-form coefficients.
 """
 
 import math
@@ -48,47 +50,59 @@ _STAGES = tuple(enumerate(zip(RK45.C[1:], RK45.A[1:]), start=1))
 
 def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6,
               dense_output=False):
-    """scipy.integrate.solve_ivp(method="RK45") on an increasing span, its steps and bits,
-    with ``fun`` called on a list of floats; returns t, y, nfev, success and sol."""
+    """scipy.integrate.solve_ivp(method="RK45") on an increasing span and a state of
+    three floats, its steps and bits; ``fun(t, (y0, y1, y2))`` returns three floats.
+    numpy runs only the stage, solution and error dots and the RMS norm (its BLAS
+    sums with FMA); every elementwise operation is a float one in scipy's order.
+    Returns t, y, nfev, success and sol."""
     t, t_bound = map(float, t_span)
     if method != "RK45" or not t < t_bound:
         raise ValueError("solve_ivp runs RK45 on an increasing span only")
-    y = np.asarray(y0, dtype=float)
-    K, root_n = np.empty((RK45.n_stages + 1, y.size)), y.size ** 0.5
-    stages, KB, KT = [(s, c, K[:s].T, a[:s]) for s, (c, a) in _STAGES], K[:-1].T, K.T
+    K, z = np.empty((RK45.n_stages + 1, 3)), np.empty(3)
+    rows, zv, z_dot = list(map(memoryview, K)), memoryview(z), z.dot
+    stages = [(c, K[:s].T.dot, a[:s], rows[s]) for s, (c, a) in _STAGES]
+    k0, k6, b_dot, e_dot = rows[0], rows[-1], K[:-1].T.dot, K.T.dot
 
-    def norm(z):  # np.linalg.norm(z) / sqrt(size), scipy's RMS norm
-        return math.sqrt(z.dot(z)) / root_n
-    f = np.asarray(fun(t, y.tolist()))   # scipy's initial step
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = norm(y / scale), norm(f / scale)
+    def norm(a, b, c):  # np.linalg.norm(z) / sqrt(size), scipy's RMS norm
+        zv[0], zv[1], zv[2] = a, b, c
+        return math.sqrt(z_dot(z)) / 3 ** 0.5
+    y = x, u, w = tuple(map(float, y0))   # scipy's initial step
+    f = fx, fu, fw = fun(t, y)
+    sx, su, sw = atol + abs(x) * rtol, atol + abs(u) * rtol, atol + abs(w) * rtol
+    d0, d1 = norm(x / sx, u / su, w / sw), norm(fx / sx, fu / su, fw / sw)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
-    d2 = norm((np.asarray(fun(t + h0, (y + h0 * f).tolist())) - f) / scale) / h0
+    gx, gu, gw = fun(t + h0, (x + h0 * fx, u + h0 * fu, w + h0 * fw))
+    d2 = norm((gx - fx) / sx, (gu - fu) / su, (gw - fw) / sw) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** _EXP
     h_abs, nfev, ts, ys, Qs = min(100 * h0, h1, t_bound - t), 2, [t], [y], []
     while t < t_bound:
-        min_step, cap, K[0] = 10 * (math.nextafter(t, math.inf) - t), MAX_FACTOR, f
+        min_step, cap = 10 * (math.nextafter(t, math.inf) - t), MAX_FACTOR
+        k0[0], k0[1], k0[2] = f
         h_abs = max(h_abs, min_step)
         while h_abs >= min_step:  # try a step; after a rejection never grow
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            for s, c, Ks, a in stages:
-                K[s] = fun(t + c * h, (y + Ks.dot(a) * h).tolist())
-            y_new = y + h * KB.dot(RK45.B)
-            K[-1] = f_new = fun(t + h, y_new.tolist())
+            for c, dot, a, k in stages:
+                dx, du, dw = dot(a).tolist()
+                k[0], k[1], k[2] = fun(t + c * h, (x + dx * h, u + du * h, w + dw * h))
+            bx, bu, bw = b_dot(RK45.B).tolist()
+            y_new = xn, un, wn = x + h * bx, u + h * bu, w + h * bw
+            k6[0], k6[1], k6[2] = f_new = fun(t + h, y_new)
             nfev += RK45.n_stages
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = norm(KT.dot(RK45.E) * h / scale)
+            ex, eu, ew = e_dot(RK45.E).tolist()
+            err = norm(ex * h / (atol + max(abs(x), abs(xn)) * rtol),
+                       eu * h / (atol + max(abs(u), abs(un)) * rtol),
+                       ew * h / (atol + max(abs(w), abs(wn)) * rtol))
             factor = MAX_FACTOR if err == 0 else SAFETY * err ** -_EXP
-            if err < 1:
+            if err < 1:  # never for a NaN err: builtin max(MIN_FACTOR, NaN) shrinks h
                 h_abs *= min(cap, factor)
                 break
             h_abs, cap = h_abs * max(MIN_FACTOR, factor), 1
         else:
             break  # the step fell below scipy's minimum: success is False
         if dense_output:
-            Qs.append(KT.dot(RK45.P))
-        t, y, f = t_new, y_new, f_new
+            Qs.append(e_dot(RK45.P))
+        t, y, f, (x, u, w) = t_new, y_new, f_new, y_new
         ts.append(t)
         ys.append(y)
 
@@ -110,7 +124,6 @@ class LGeodesic:
     xs: np.ndarray          # comoving positions at the samples
     us: np.ndarray          # dgamma/dsigma at the samples
     length: float           # accumulated path energy
-    tau_bar: float
     sol: object = None      # dense-output solution, states (x, u, L)
 
     @property
@@ -123,15 +136,17 @@ class LGeodesic:
 
 
 def _rhs(flow):
-    """The sigma-form ODE in (x, u, L), the flow's coefficients bound once per shot."""
-    m2_of, dm2_dtau, scalar_R = flow.m2, -flow.dm2_dt(), flow.scalar_R
+    """The sigma-form ODE in (x, u, L), the flow's closed-form coefficients bound
+    once per shot and evaluated in `FlowGeometry`'s order: m^2 = c(-tau) and
+    R = n(n-1)/c, the constants 1 and 0 on static flows.  All realized models
+    are homogeneous in x (d_x(m^2) = d_x R = 0), so only u is read."""
+    dm2_dtau, ups0, n1 = -flow.dm2_dt(), flow.upsilon(), flow.n - 1
 
     def rhs(sigma, state):
-        x, u, _ = state
-        tau = 0.25 * sigma * sigma
-        m2 = m2_of(-tau)
-        # all realized models are homogeneous in x: d_x(m^2) = d_x R = 0
-        return (u, -sigma * u * dm2_dtau / (2.0 * m2), m2 * u * u + tau * scalar_R(-tau))
+        u, tau = state[1], 0.25 * sigma * sigma
+        m2 = 1.0 - dm2_dtau * -tau      # c(t) = 1 - 2(n-1) t at t = -tau
+        v = ups0 / m2                   # the eigenvalue of Upsilon
+        return u, -sigma * u * dm2_dtau / (2.0 * m2), m2 * u * u + tau * (v + n1 * v)
     return rhs
 
 
@@ -156,13 +171,10 @@ def shoot_l_geodesic(flow, v, sigma_bar, dense=False):
     exited = sol.y[0, -1] >= x_cap
     if exited or not sol.success:
         exit_sigma = float(np.interp(x_cap, sol.y[0], sol.t) if exited else sol.t[-1])
-        raise ShootingError(
-            f"geodesic left the domain at sigma = {exit_sigma:.6g}",
-            exit_sigma=exit_sigma)
+        raise ShootingError(f"geodesic left the domain at sigma = {exit_sigma:.6g}",
+                            exit_sigma=exit_sigma)
     return LGeodesic(v=float(v), sigma_bar=float(sigma_bar), sigmas=sol.t,
-                     xs=sol.y[0], us=sol.y[1], length=float(sol.y[2, -1]),
-                     tau_bar=0.25 * sigma_bar ** 2,
-                     sol=sol.sol if dense else None)
+                     xs=sol.y[0], us=sol.y[1], length=float(sol.y[2, -1]), sol=sol.sol)
 
 
 def l_length(flow, path, sigma_bar, path_dot=None):
@@ -205,8 +217,8 @@ class ReducedDistanceField:
     # ------------------------------------------------------------------ #
     # shooting to a target
     # ------------------------------------------------------------------ #
-    def _solve_velocity(self, x_target, tau):
-        """Initial speed whose geodesic ends at x_target at backward time tau.
+    def _solve_velocity(self, x_target, tau, dense=False):
+        """Initial speed whose geodesic (dense if asked) ends at x_target at tau.
 
         Radial minimizers of the homogeneous flows have constant momentum, so
         the endpoint is linear in the speed: from the flat speed, rescaling by
@@ -214,12 +226,9 @@ class ReducedDistanceField:
         domain or MAX_SHOTS shots do not land.
         """
         sigma_bar = 2.0 * math.sqrt(tau)
-        if x_target == 0.0:
-            return 0.0, shoot_l_geodesic(self.flow, 0.0, sigma_bar)
-
-        v = x_target / sigma_bar
+        v = x_target / sigma_bar   # 0 at the center, where the first shot lands
         for _ in range(MAX_SHOTS):
-            geod = shoot_l_geodesic(self.flow, v, sigma_bar)
+            geod = shoot_l_geodesic(self.flow, v, sigma_bar, dense)
             if abs(geod.x_end - x_target) <= TARGET_TOL * max(1.0, abs(x_target)):
                 return v, geod
             v *= x_target / geod.x_end
@@ -228,15 +237,11 @@ class ReducedDistanceField:
 
     def geodesic_to(self, rho, tau, dense=False):
         """Minimizing geodesic from the center to geodesic radius rho at tau;
-        only a dense solution needs the landed speed shot again."""
+        with ``dense`` every shot keeps its dense output, the landed one too."""
         if tau <= 0:
             raise DomainError("backward time tau must be positive")
         self.flow.check_point(rho, -tau)
-        x_target = self.flow.x_of_rho(rho, -tau)
-        v, geod = self._solve_velocity(x_target, tau)
-        if not dense:
-            return geod
-        return shoot_l_geodesic(self.flow, v, 2.0 * math.sqrt(tau), dense=True)
+        return self._solve_velocity(self.flow.x_of_rho(rho, -tau), tau, dense)[1]
 
     # ------------------------------------------------------------------ #
     # reduced distance and derived quantities
@@ -320,14 +325,10 @@ class ReducedDistanceField:
         flow = self.flow
         geod = self.geodesic_to(rho, tau_bar, dense=True)
 
-        def integrand(tau):
-            sigma = 2.0 * math.sqrt(tau)
-            _, u, _ = geod.sol(sigma)
+        def integrand(tau):  # -dR/dtau = dR/dt; <X, grad R> = 0 as R depends on time alone
+            _, u, _ = geod.sol(2.0 * math.sqrt(tau))
             t = -tau
-            R = flow.scalar_R(t)
-            dR_dtau = -flow.dR_dt(t)
             X2 = flow.m2(t) * u * u / tau
-            H = -dR_dtau - R / tau + 2.0 * flow.ricci(t) * X2
-            return tau ** 1.5 * H
+            return tau ** 1.5 * (flow.dR_dt(t) - flow.scalar_R(t) / tau + 2.0 * flow.ricci(t) * X2)
 
         return integrate_1d(integrand, 0.0, tau_bar, epsabs=1e-11, epsrel=1e-9)

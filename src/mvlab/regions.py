@@ -65,9 +65,13 @@ class SurfaceSample:
 
 
 def _level(kernel, r):
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"level parameter r must be positive and finite, got {r}")
-    return r ** (-kernel.n)
+    """r^(-n) by math.pow, which raises on overflow where a numpy float warns."""
+    try:
+        if 0.0 < r < math.inf:
+            return math.pow(r, -kernel.n)
+    except OverflowError:
+        pass
+    raise DomainError(f"level parameter r must be positive and finite, r^(-n) finite, got {r}")
 
 
 def _level_set(closed, f, bracket):
@@ -115,7 +119,7 @@ class GreenBallRegion:
 
     @property
     def level(self):
-        return self.r ** (-self.kernel.n)
+        return _level(self.kernel, self.r)
 
 
 def green_ball(kernel, r):
@@ -136,7 +140,7 @@ class HeatBallRegion:
 
     @property
     def level(self):
-        return self.r ** (-self.kernel.n)
+        return _level(self.kernel, self.r)
 
     def profile_x(self, tau):
         """Profile radius at tau (a float or an array of times), the kernel's
@@ -180,7 +184,7 @@ def heatball_profile(kernel, r):
             if hi > 1e8:
                 raise NoRegionError("on-center level equation has no root")
         while center(lo) < 0.0:
-            lo *= 1e-2
+            lo, hi = 1e-2 * lo, lo  # a tight bracket: Brent cannot bisect 1e-240 to 1
             if lo < 1e-280:
                 raise NoRegionError("kernel does not exceed the level near tau = 0")
         return lo, hi

@@ -315,6 +315,29 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                           "unrecognized arguments: --jobs")
 
 
+@pytest.mark.parametrize("argv, named", [
+    # r^(-n) overflows: refused by the level, before any quadrature
+    (J_SWEEP + ["--rmin", "1e-200", "--rmax", "1", "--steps", "2"], "got 1e-200"),
+    (["sweep", "--quantity", "I", "--geometry", "euclidean3", "--rmin", "1e-120",
+      "--rmax", "1", "--steps", "2"], "got 1e-120"),
+    (["sweep", "--quantity", "I", "--geometry", "hyperbolic3", "--rmin", "1e-120",
+      "--rmax", "1", "--steps", "2"], "got 1e-120"),
+    # a finite level whose point evaluates to NaN: refused after the sweep
+    (["sweep", "--quantity", "jhat", "--geometry", "gaussian", "--rmin", "1e-120",
+      "--rmax", "1", "--steps", "2"], "jhat at r = 9.9999999999999998e-121"),
+    (["sweep", "--quantity", "theta", "--geometry", "shrinking-s3", "--taumin",
+      "1e-300", "--steps", "2"], "theta at tau = 1e-300"),
+])
+def test_tiny_sweep_parameters_are_usage_errors(argv, named, capsys):
+    """A parameter too small for floating point is exit 2 with one error line
+    naming it, nothing on stdout and no numpy warning (which the test
+    configuration turns into an error), never a traceback or a NaN row."""
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_sweep_golden_csv(capsys):
     """Byte-exact output of an I/J sweep: verdicts and formatting."""
     assert run_cli(J_SWEEP + ["--field", "harmonic-quadratic",

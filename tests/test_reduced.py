@@ -117,6 +117,12 @@ def test_gauss_identities_sphere(rd_s3):
         assert eik <= 1e-4
 
 
+def reshot_geodesic_to(self, rho, tau, dense=False):
+    """A `geodesic_to` that lands the speed, then shoots it a second time."""
+    v, _ = self._solve_velocity(self.flow.x_of_rho(rho, -tau), tau)
+    return shoot_l_geodesic(self.flow, v, 2.0 * math.sqrt(tau), dense=dense)
+
+
 def test_residuals_reuse_the_landed_geodesic(rd_s3, monkeypatch):
     # the geodesic that _solve_velocity lands is the one a second shot at
     # its speed would give: one shot for the endpoint and one per stencil
@@ -130,11 +136,7 @@ def test_residuals_reuse_the_landed_geodesic(rd_s3, monkeypatch):
     monkeypatch.setattr(reduced, "solve_ivp", counted)
     residuals = rd_s3.first_order_residuals(0.8, 0.2)
     assert len(calls) == 10 and not any(calls)
-
-    def shoot_again(self, rho, tau, dense=False):
-        v, _ = self._solve_velocity(self.flow.x_of_rho(rho, -tau), tau)
-        return shoot_l_geodesic(self.flow, v, 2.0 * math.sqrt(tau), dense=dense)
-    monkeypatch.setattr(ReducedDistanceField, "geodesic_to", shoot_again)
+    monkeypatch.setattr(ReducedDistanceField, "geodesic_to", reshot_geodesic_to)
     calls.clear()
     assert rd_s3.first_order_residuals(0.8, 0.2) == residuals
     assert len(calls) == 11
@@ -173,6 +175,24 @@ def test_k_curvature_center_oracle(rd_s3, s3):
 
     expect, _ = integrate_1d(oracle, 0.0, tau_bar, epsabs=1e-13, epsrel=1e-11)
     assert val == pytest.approx(expect, rel=1e-8)
+
+
+def test_k_curvature_lands_dense_without_a_reshot(rd_s3, monkeypatch):
+    # the landing shot of a dense geodesic is already dense: two shots (flat
+    # speed and rescale) instead of a third at the landed speed, and the bits
+    # of the integral a re-shot dense geodesic gives
+    calls, solve_ivp = [], reduced.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["dense_output"])
+        return solve_ivp(*args, **kwargs)
+    monkeypatch.setattr(reduced, "solve_ivp", counted)
+    value = rd_s3.k_curvature_integral(0.9, 0.25)
+    assert calls == [True, True]
+    monkeypatch.setattr(ReducedDistanceField, "geodesic_to", reshot_geodesic_to)
+    calls.clear()
+    assert rd_s3.k_curvature_integral(0.9, 0.25) == value
+    assert calls == [False, False, True]
 
 
 # (flow, x, tau, shot ell_cm): the bits of the RK45 shots at
@@ -268,8 +288,7 @@ def test_bent_endpoint_map_raises(monkeypatch, flat2):
         bent = (geod.x_end - 1.0) ** 2 + 0.1
         return LGeodesic(v=geod.v, sigma_bar=geod.sigma_bar,
                          sigmas=geod.sigmas, xs=np.array([0.0, bent]),
-                         us=geod.us, length=geod.length,
-                         tau_bar=geod.tau_bar)
+                         us=geod.us, length=geod.length)
 
     monkeypatch.setattr(reduced_mod, "shoot_l_geodesic", fake)
     with pytest.raises(ShootingError):
@@ -324,13 +343,28 @@ def test_production_paths_do_not_shoot(monkeypatch, capsys):
         field.ell_cm(0.5, 0.2)  # the oracle still shoots
 
 
-def _same_as_scipy(fun, t_span, y0, rtol, atol):
-    """Run the in-house RK45 loop and scipy's solve_ivp on one problem and
-    require the same steps, the same bits and the same dense output; returns
-    scipy's solution."""
+def flow_method_rhs(flow):
+    """The sigma-form ODE in (x, u, L) built from the flow's methods, as the
+    shot evaluated it before its coefficients were bound in closed form: the
+    oracle of `reduced._rhs`."""
+    m2_of, dm2_dtau, scalar_R = flow.m2, -flow.dm2_dt(), flow.scalar_R
+
+    def rhs(sigma, state):
+        x, u, _ = state
+        tau = 0.25 * sigma * sigma
+        m2 = m2_of(-tau)
+        # all realized models are homogeneous in x: d_x(m^2) = d_x R = 0
+        return (u, -sigma * u * dm2_dtau / (2.0 * m2), m2 * u * u + tau * scalar_R(-tau))
+    return rhs
+
+
+def _same_as_scipy(fun, t_span, y0, rtol, atol, ref_fun=None):
+    """Run the in-house RK45 loop on ``fun`` and scipy's solve_ivp on
+    ``ref_fun`` (``fun`` if None) and require the same steps, the same bits
+    and the same dense output; returns scipy's solution."""
     ours = reduced.solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol,
                              atol=atol, dense_output=True)
-    ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol,
+    ref = scipy.integrate.solve_ivp(ref_fun or fun, t_span, y0, method="RK45", rtol=rtol,
                                     atol=atol, dense_output=True)
     assert ours.t.tolist() == ref.t.tolist()  # float == is bit equality here
     assert ours.y.tolist() == ref.y.tolist()
@@ -348,8 +382,9 @@ SHOT_FLOWS = {"s2": FlowGeometry.shrinking_sphere(2),
 
 
 def test_rk45_loop_is_scipy_bit_for_bit():
-    """Shots as `shoot_l_geodesic` makes them, through both integrators: the
-    draw holds shots that leave the sphere and shots with rejected steps
+    """Shots as `shoot_l_geodesic` makes them, the closed-form right-hand side
+    on the in-house loop against the flow-method one on scipy's solve_ivp:
+    the draw holds shots that leave the sphere and shots with rejected steps
     (small speeds on S2 and S3 reject the first trial step)."""
     seen = []
 
@@ -363,7 +398,7 @@ def test_rk45_loop_is_scipy_bit_for_bit():
         flow = SHOT_FLOWS[name]
         ref = _same_as_scipy(reduced._rhs(flow), (0.0, sigma_bar),
                              (0.0, float(v), 0.0), reduced.ODE_RTOL,
-                             reduced.ODE_ATOL)
+                             reduced.ODE_ATOL, ref_fun=flow_method_rhs(flow))
         steps = len(ref.t) - 1
         seen.append((ref.nfev > 6 * steps + 2,
                      ref.y[0, -1] >= flow.x_max() - 1e-9))
@@ -373,14 +408,32 @@ def test_rk45_loop_is_scipy_bit_for_bit():
 
 
 def test_rk45_loop_fails_where_scipy_fails():
-    # y' = y^2 blows up at t = 1: the step falls below scipy's minimum, and
+    # x' = x^2 blows up at t = 1: the step falls below scipy's minimum, and
     # the loop returns success=False with scipy's samples instead of raising
-    ref = _same_as_scipy(lambda t, y: (y[0] * y[0],), (0.0, 2.0), (1.0,),
-                         1e-3, 1e-6)
+    ref = _same_as_scipy(lambda t, y: (y[0] * y[0], 0.0, 0.0), (0.0, 2.0),
+                         (1.0, 0.0, 0.0), 1e-3, 1e-6)
     assert not ref.success and 0.999 < ref.t[-1] < 1.0
     for method, t_span in (("DOP853", (0.0, 1.0)), ("RK45", (1.0, 0.0))):
         with pytest.raises(ValueError, match="RK45 on an increasing span"):
-            reduced.solve_ivp(lambda t, y: y, t_span, (1.0,), method=method)
+            reduced.solve_ivp(lambda t, y: y, t_span, (1.0, 0.0, 0.0), method=method)
+
+
+@pytest.mark.parametrize("component", range(3))
+def test_rk45_loop_takes_scipys_path_through_nan(component, s3):
+    """A right-hand side that turns NaN past sigma = 0.6 in one component:
+    every trial step past it is rejected by scipy's NaN ordering (a NaN error
+    never passes ``err < 1``, and max(MIN_FACTOR, NaN) shrinks the step) until
+    the step falls below the minimum, as in scipy."""
+    rhs = reduced._rhs(s3)
+
+    def fun(sigma, state):
+        f = list(rhs(sigma, state))
+        if sigma > 0.6:
+            f[component] = math.nan
+        return f
+    ref = _same_as_scipy(fun, (0.0, 1.0), (0.0, 1.3, 0.0), reduced.ODE_RTOL,
+                         reduced.ODE_ATOL)
+    assert not ref.success and ref.t[-1] <= 0.6 and np.isfinite(ref.y).all()
 
 
 def test_rk45_loop_takes_scipys_tableau():
