@@ -31,6 +31,8 @@ and nothing on stdout.  Usage errors are
 All numeric output is formatted with 17 significant digits so identical
 invocations produce byte-identical files.  The wall time of ``verify`` is
 therefore kept out of the report: it goes to the summary line on stderr.
+That ``wall_ms`` includes any scipy import a suite's first check triggers:
+``import mvlab.cli`` loads no scipy, and ``report`` never does.
 """
 
 import argparse

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import UnsupportedError
 from .geometry import EUCLIDEAN, HYPERBOLIC
@@ -74,6 +73,13 @@ def _e1(omega, idx):
     return omega[idx]
 
 
+def _ive(*args):
+    """scipy.special.ive; the first call imports it and rebinds the name."""
+    global _ive
+    from scipy.special import ive as _ive
+    return _ive(*args)
+
+
 def _sphere_mean_exp_cos(n, b):
     """Mean of exp(b <omega, e>) over the unit (n-1)-sphere.
 
@@ -84,7 +90,7 @@ def _sphere_mean_exp_cos(n, b):
     nu = n / 2.0 - 1.0
     if abs(b) < 1e-6:
         return 1.0 + b * b / (2.0 * n) + b ** 4 / (8.0 * n * (n + 2.0))
-    return math.gamma(n / 2.0) * (2.0 / b) ** nu * special.ive(nu, b) * math.exp(abs(b))
+    return math.gamma(n / 2.0) * (2.0 / b) ** nu * _ive(nu, b) * math.exp(abs(b))
 
 
 def _sphere_mean_exp_cos_db(n, b):
@@ -94,7 +100,7 @@ def _sphere_mean_exp_cos_db(n, b):
     nu = n / 2.0 - 1.0
     if abs(b) < 1e-6:
         return b / n * (1.0 + b * b / (2.0 * (n + 2.0)))
-    return math.gamma(n / 2.0) * (2.0 / b) ** nu * special.ive(nu + 1.0, b) * math.exp(abs(b))
+    return math.gamma(n / 2.0) * (2.0 / b) ** nu * _ive(nu + 1.0, b) * math.exp(abs(b))
 
 
 def _require(geom, kinds, name, min_n=1):

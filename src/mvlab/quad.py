@@ -1,6 +1,7 @@
 """Tanh-sinh quadrature for the level-set time integrals, the fixed 21-point
 Gauss-Kronrod rule for batches of time slices and scipy's adaptive
-Gauss-Kronrod for the rest; all return values with error estimates.
+Gauss-Kronrod for the rest; all return values with error estimates.  `brentq`
+is scipy's root finder.  Both scipy routines are imported on their first call.
 
 The parabolic level-set integrals have integrable endpoint singularities at
 both ends of the time interval (a square root at the top, a ``sqrt(log)``
@@ -15,7 +16,6 @@ evaluation and the evaluations at zero weight.  `qk21` is QUADPACK's QK21
 import math
 
 import numpy as np
-from scipy import integrate
 
 DEFAULT_EPSABS = 1e-11
 DEFAULT_EPSREL = 1e-9
@@ -127,5 +127,23 @@ def integrate_1d(f, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL,
     ``full_output`` returns QUADPACK's message instead of emitting an
     ``IntegrationWarning`` when the tolerance is not met; it is dropped.
     """
-    return integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
-                          full_output=1)[:2]
+    return _quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                 full_output=1)[:2]
+
+
+def brentq(f, a, b, **kwargs):
+    """Brent's root of ``f`` in the bracket ``[a, b]`` (scipy.optimize.brentq)."""
+    return _brentq(f, a, b, **kwargs)
+
+
+# the first call of each stand-in imports scipy's routine in its place
+def _quad(*args, **kwargs):
+    global _quad
+    from scipy.integrate import quad as _quad
+    return _quad(*args, **kwargs)
+
+
+def _brentq(*args, **kwargs):
+    global _brentq
+    from scipy.optimize import brentq as _brentq
+    return _brentq(*args, **kwargs)

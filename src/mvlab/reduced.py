@@ -23,15 +23,16 @@ the reduced volume, Jhat, Ihat and the Li-Yau expression evaluate; the shot
 ell and geodesics here are its independent oracle.  A shot runs `solve_ivp`
 below, scipy's RK45 steps and bits on a state of three floats: numpy is
 called only for the BLAS dots the bits come from, and the right-hand side
-evaluates the flow's closed-form coefficients.
+evaluates the flow's closed-form coefficients.  Its tableau is read off
+``scipy.integrate.RK45``, imported on the first shot, not with the module.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .errors import DomainError, ShootingError
 from .geometry import unit_sphere_area
@@ -43,9 +44,16 @@ ODE_ATOL = 1e-12
 TARGET_TOL = 1e-12
 MAX_SHOTS = 4         # a linear endpoint map lands in two, ODE error in three
 FD_STEP = 1e-4        # relative step of the endpoint-derivative differences
-_EXP = 1 / (RK45.error_estimator_order + 1)
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10   # scipy's step-size controller
-_STAGES = tuple(enumerate(zip(RK45.C[1:], RK45.A[1:]), start=1))
+
+
+@functools.cache
+def _rk45():
+    """scipy's RK45 class (its tableau: A, B, C, E, P), the controller exponent and
+    the stages (s, C[s], A[s]); scipy.integrate is imported on the first shot."""
+    from scipy.integrate import RK45
+    return (RK45, 1 / (RK45.error_estimator_order + 1),
+            tuple(enumerate(zip(RK45.C[1:], RK45.A[1:]), start=1)))
 
 
 def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6,
@@ -58,9 +66,10 @@ def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6,
     t, t_bound = map(float, t_span)
     if method != "RK45" or not t < t_bound:
         raise ValueError("solve_ivp runs RK45 on an increasing span only")
+    RK45, expo, tableau = _rk45()
     K, z = np.empty((RK45.n_stages + 1, 3)), np.empty(3)
     rows, zv, z_dot = list(map(memoryview, K)), memoryview(z), z.dot
-    stages = [(c, K[:s].T.dot, a[:s], rows[s]) for s, (c, a) in _STAGES]
+    stages = [(c, K[:s].T.dot, a[:s], rows[s]) for s, (c, a) in tableau]
     k0, k6, b_dot, e_dot = rows[0], rows[-1], K[:-1].T.dot, K.T.dot
 
     def norm(a, b, c):  # np.linalg.norm(z) / sqrt(size), scipy's RMS norm
@@ -73,7 +82,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6,
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
     gx, gu, gw = fun(t + h0, (x + h0 * fx, u + h0 * fu, w + h0 * fw))
     d2 = norm((gx - fx) / sx, (gu - fu) / su, (gw - fw) / sw) / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** _EXP
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** expo
     h_abs, nfev, ts, ys, Qs = min(100 * h0, h1, t_bound - t), 2, [t], [y], []
     while t < t_bound:
         min_step, cap = 10 * (math.nextafter(t, math.inf) - t), MAX_FACTOR
@@ -93,7 +102,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6,
             err = norm(ex * h / (atol + max(abs(x), abs(xn)) * rtol),
                        eu * h / (atol + max(abs(u), abs(un)) * rtol),
                        ew * h / (atol + max(abs(w), abs(wn)) * rtol))
-            factor = MAX_FACTOR if err == 0 else SAFETY * err ** -_EXP
+            factor = MAX_FACTOR if err == 0 else SAFETY * err ** -expo
             if err < 1:  # never for a NaN err: builtin max(MIN_FACTOR, NaN) shrinks h
                 h_abs *= min(cap, factor)
                 break

@@ -41,11 +41,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoRegionError
 from .geometry import unit_sphere_area
-from .quad import QK21_NODES, integrate_1d, integrate_de, qk21
+from .quad import QK21_NODES, brentq, integrate_1d, integrate_de, qk21
 
 # relative slivers next to tau = 0 and tau = tau_max excluded from
 # double-exponential nodes; `_time_integral` bounds what they drop

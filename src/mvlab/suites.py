@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import mv_elliptic as mve
 from . import mv_parabolic as mvp
@@ -29,7 +28,7 @@ from .geometry import FlowGeometry
 from .kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                       SubGreenKernel, SubHeatKernel, SupGreenKernel)
 from .reduced import ReducedDistanceField
-from .regions import green_ball, heatball_profile, sphere_integrate
+from .regions import brentq, green_ball, heatball_profile, sphere_integrate
 
 SUITES = ("elliptic", "parabolic", "reduced", "ricci", "mcf", "all")
 # geometries the ricci battery can be restricted to
@@ -316,7 +315,7 @@ def run_suite(suite, tol_scale=1.0, geometry=None, jobs=1):
     """Run a named battery and judge every row; a thunk that raises becomes a
     failed check under its row's name, so the report always finishes."""
     battery = build_battery(suite, tol_scale, geometry)
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     def run(row):
         name, thunk, expected, tol = row
@@ -335,4 +334,4 @@ def run_suite(suite, tol_scale=1.0, geometry=None, jobs=1):
     else:
         checks = [run(row) for row in battery]
     return SuiteReport(suite=suite, checks=checks,
-                       wall_ms=1000.0 * (time.time() - t0))
+                       wall_ms=1000.0 * (time.perf_counter() - t0))

@@ -12,12 +12,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 import mvlab
 from mvlab import cli, suites
@@ -226,8 +224,7 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     # input must be refused before a quantity is computed
     def computed(*args, **kwargs):
         raise AssertionError("a quantity was computed")
-    monkeypatch.setattr("mvlab.quad.integrate", SimpleNamespace(
-        quad=computed, IntegrationWarning=integrate.IntegrationWarning))
+    monkeypatch.setattr("mvlab.quad._quad", computed)
     monkeypatch.setattr("mvlab.regions.integrate_de", computed)
     monkeypatch.setattr("mvlab.regions.brentq", computed)
     monkeypatch.setattr("mvlab.reduced.solve_ivp", computed)

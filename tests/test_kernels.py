@@ -15,7 +15,7 @@ from mvlab.errors import DomainError, UnsupportedError
 from mvlab.geometry import FlowGeometry, unit_sphere_area
 from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                            SubGreenKernel, SubHeatKernel, SupGreenKernel,
-                           liyau_expression)
+                           _lambertw0, liyau_expression)
 from mvlab.quad import integrate_1d
 from mvlab.reduced import ODE_RTOL, ReducedDistanceField
 
@@ -140,6 +140,29 @@ def test_heat_kernel_values(e2, h3):
         * math.exp(-1.0 / 2.0 - 0.5)
     assert hk.at(0.5).value(1.0) == pytest.approx(expect, rel=1e-14)
     assert expect == pytest.approx(1.9877e-2, rel=1e-4)
+
+
+def test_lambertw0_and_h3_top_time():
+    # the Halley W_0 of the H3 top time: within 1 ulp of 30-digit W and 2 of
+    # scipy's lambertw from 0 to 1e6; tau_max(r) solves the on-center
+    # equation 1.5 log(4 pi tau) + k^2 tau = 3 log r to its own roundoff
+    mp = pytest.importorskip("mpmath")
+    from scipy.special import lambertw
+    eps = np.finfo(float).eps
+    with mp.workdps(30):
+        assert _lambertw0(0.0) == 0.0
+        for z in np.geomspace(1e-12, 1e6, 2000).tolist():
+            w, want = _lambertw0(z), mp.lambertw(z)
+            ulp = math.ulp(float(want))
+            assert abs(w - want) <= ulp
+            assert abs(w - lambertw(z).real) <= 2 * ulp
+        for k in (0.25, 1.0, 2.0):
+            kern = HeatKernel(FlowGeometry.hyperbolic(3, k))
+            for r in np.geomspace(0.01, 100.0, 21).tolist():
+                tau = kern.tau_max(r)
+                resid = (1.5 * mp.log(4 * mp.pi * tau) + mp.mpf(k) ** 2 * tau
+                         - 3 * mp.log(r))
+                assert abs(resid) <= 4 * eps * (1.5 + k * k * tau)
 
 
 @pytest.mark.parametrize("geom_name,tol", [("euclidean3", 1e-8),

@@ -438,7 +438,9 @@ def test_rk45_loop_takes_scipys_path_through_nan(component, s3):
 
 def test_rk45_loop_takes_scipys_tableau():
     rk = scipy.integrate.RK45
-    assert reduced.RK45 is rk  # B, E and P are read off the class
-    for s, (c, a) in reduced._STAGES:
+    loaded, expo, stages = reduced._rk45()
+    assert loaded is rk  # B, E and P are read off the class
+    assert expo == 1 / (rk.error_estimator_order + 1)
+    for s, (c, a) in stages:
         assert c == rk.C[s] and a.base is rk.A and a.tolist() == rk.A[s].tolist()
-    assert [s for s, _ in reduced._STAGES] == list(range(1, rk.n_stages))
+    assert [s for s, _ in stages] == list(range(1, rk.n_stages))
