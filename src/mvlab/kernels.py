@@ -25,6 +25,7 @@ Kernels invert ``kernel = r^(-n)``: every parabolic kernel its profile
 """
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -248,9 +249,9 @@ class ParabolicKernel:
     """Common behavior of parabolic kernels (backward time tau > 0).
 
     A subclass gives ``slice_class``, a `KernelSlice` subclass with
-    ``value``, ``dlog`` and ``dtau_log``, and ``profile_x(r, tau)``, the
-    comoving radius of {kernel >= r^(-n)} at tau; it may give the top time
-    ``tau_max(r)`` of that set in closed form.
+    ``value``, ``dlog`` and ``dtau_log``, and ``profile_x(r, tau, sl)``, the
+    comoving radius of {kernel >= r^(-n)} at tau (on ``sl``, the slice at tau,
+    if given); it may give the top time ``tau_max(r)`` of that set in closed form.
     """
 
     parabolic = True
@@ -258,6 +259,7 @@ class ParabolicKernel:
     def __init__(self, geom):
         self.geom = geom
         self.n = geom.n
+        self.heatballs = OrderedDict()  # `regions.heatball_profile`'s memo
 
     def _check_tau(self, tau):
         # an array of slices is checked at its ends
@@ -363,7 +365,7 @@ class HeatKernel(ParabolicKernel):
         c = 2.0 * self._k ** 2 / 3.0
         return _lambertw0(c * a) / c
 
-    def profile_x(self, r, tau):
+    def profile_x(self, r, tau, sl=None):
         """Radius of {kernel >= r^(-n)} at tau, a float or an array of times.
 
         Flat: x^2 = 2 n tau log(r^2 / (4 pi tau)).  H3: Newton in y = x^2 on
@@ -376,7 +378,8 @@ class HeatKernel(ParabolicKernel):
         if self._k == 0.0:
             x = np.sqrt(2.0 * self.n * tau * np.log(self.tau_max(r) / tau))
             return x if x.ndim else float(x)
-        sl, k2, log_level = self.at(tau), self._k ** 2, -self.n * math.log(r)
+        sl = self.at(tau) if sl is None else sl
+        k2, log_level = self._k ** 2, -self.n * math.log(r)
         a = -self.n / 2.0 * np.log(4.0 * math.pi * tau) - k2 * tau - log_level  # F(0)
         tol = 4.0 * np.finfo(float).eps * (abs(a) + abs(log_level) + 1.0)
         y = np.maximum(a, 0.0) / (1.0 / sl.four_tau + k2 / 6.0)
@@ -437,10 +440,10 @@ class SubHeatKernel(ParabolicKernel):
     def __init__(self, field):
         super().__init__(field.flow)
 
-    def profile_x(self, r, tau):
+    def profile_x(self, r, tau, sl=None):
         """Radius of {kernel >= r^(-n)} at tau (a float or an array of times),
         where ell = n log r - (n/2) log(4 pi tau); 0 where rounding makes x^2 < 0."""
-        sl = self.at(np.asarray(tau, dtype=float))
+        sl = self.at(np.asarray(tau, dtype=float)) if sl is None else sl
         ell_r = self.n * (math.log(r) - 0.5 * np.log(4.0 * math.pi * sl.tau))
         x = np.sqrt(np.maximum(ell_r - sl.ell0, 0.0) / sl.ell2)
         return x if x.ndim else float(x)

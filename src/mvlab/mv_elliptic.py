@@ -80,6 +80,8 @@ def _mv_rhs_for_region(kernel, region, field, form):
         raise ValueError("form must be 'sphere' or 'ball'")
     if form == "sphere":
         surf, _ = _surface_term(kernel, region, field)
+        if "harmonic" in field.tags:  # the correction integrates Dv = 0
+            return surf
         level = region.level
         corr, _ = ball_integrate(region, lambda rho: (kernel.value(rho) - level)
                                  * field.mean_laplacian(rho, 0.0))

@@ -35,10 +35,17 @@ disguise), so
 which is what `sphere_integrate` integrates on the slice ``kernel.at(tau)``
 of a level's times, with quadratic substitutions at both time endpoints
 where the profile closes.
+
+Integrals over one heat ball evaluate the same tanh-sinh levels of times,
+so `heatball_profile` keeps a memo on the kernel (``kernel.heatballs``): for
+its last `_MEMO_RADII` level parameters r, oldest evicted first, the top
+time and the per-level data of `_level_data`, shared by every region of
+(kernel, r).  It holds plain arrays and floats, never a slice, region or
+kernel, so a kernel is freed by reference counting alone.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +58,7 @@ from .quad import QK21_NODES, brentq, integrate_1d, integrate_de, qk21
 TIME_CLIP_LO = 1e-18
 TIME_CLIP_HI = 1e-13
 _DEPTH = 8  # bisections of a slice piece before its QK21 estimate is taken as is
+_MEMO_RADII = 16  # heat balls a parabolic kernel keeps (`heatball_profile`)
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,7 @@ class HeatBallRegion:
     kernel: object
     r: float
     tau_max: float
+    levels: dict = field(default_factory=dict, compare=False, repr=False)  # see `_level_data`
 
     @property
     def parabolic(self):
@@ -144,13 +153,17 @@ class HeatBallRegion:
     def profile_x(self, tau):
         """Profile radius at tau (a float or an array of times), the kernel's
         own inverse; NoRegionError where it does not close inside the domain."""
-        taus = np.atleast_1d(np.asarray(tau, dtype=float))
+        x = self._profile(np.atleast_1d(np.asarray(tau, dtype=float)))
+        return x if np.ndim(tau) else float(x[0])
+
+    def _profile(self, taus, sl=None):
+        """Profile radii at a 1-d array of times, on their slice sl if given."""
         if not np.all((taus > 0.0) & (taus < self.tau_max)):
             raise DomainError(f"tau must lie in (0, {self.tau_max})")
-        x = self.kernel.profile_x(self.r, taus)
+        x = self.kernel.profile_x(self.r, taus, sl)
         if np.any(x >= self.kernel.geom.x_max()):
             raise NoRegionError("profile does not close inside the domain")
-        return x if np.ndim(tau) else float(x[0])
+        return x
 
     def profile_rho(self, tau):
         return self.kernel.at(tau).rho(self.profile_x(tau))
@@ -171,6 +184,10 @@ def heatball_profile(kernel, r):
     at one of 9 times, the profile comes within 10 percent of the domain
     radius or does not close inside it, and the first such time is named.
     """
+    memo = kernel.heatballs
+    known = memo.get(r)
+    if known is not None:
+        return HeatBallRegion(kernel=kernel, r=r, tau_max=known[0], levels=known[1])
     level = _level(kernel, r)
 
     def center(tau):
@@ -200,7 +217,38 @@ def heatball_profile(kernel, r):
             wide = [next(tau for tau in taus if region.profile_x(tau) > 0.9 * x_max)]
         if len(wide):
             raise NoRegionError(f"profile reaches 90% of the domain radius at tau = {wide[0]:.4g}")
+    memo[r] = (tau_max, region.levels)
+    while len(memo) > _MEMO_RADII:
+        memo.popitem(last=False)  # one call, so threads racing here at most evict extra radii
     return region
+
+
+def _level_data(region, tau, surface=False):
+    """The memo entry of a level's times tau in ``region.levels``, keyed by
+    their bytes: the profile radii "x" (solved on the caller's slice) and,
+    with ``surface``, the SurfaceSample "sample" at the times "keep" where
+    the gradient is positive and its area element "measure".  Solves what
+    the entry lacks on first use; the arrays are read-only, as every later
+    integral over the ball reads them."""
+    key = tau.tobytes()
+    data = region.levels.get(key)
+    if data is None or surface and "sample" not in data:
+        kern = region.kernel
+        sl = kern.at(tau) if surface else None
+        data = {"x": region._profile(tau, sl) if data is None else data["x"]}
+        if surface:
+            x = data["x"]
+            value, grad, dtau = sl.sample(x)
+            keep = grad > 0.0  # drops sub-resolution slivers where the profile closes
+            s = SurfaceSample(rho=sl.rho(x)[keep], tau=tau[keep], value=value[keep],
+                              grad=grad[keep], dtau=dtau[keep])
+            data.update(sample=s, keep=keep, measure=np.hypot(s.grad, s.dtau) / s.grad
+                        * unit_sphere_area(kern.n) * sl.warp(x)[keep] ** (kern.n - 1))
+        for a in data.values():
+            for array in vars(a).values() if isinstance(a, SurfaceSample) else [a]:
+                array.flags.writeable = False
+        region.levels[key] = data
+    return data
 
 
 # --------------------------------------------------------------------------- #
@@ -234,7 +282,7 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
     def slices(taus):
         nonlocal worst
         out = np.zeros(taus.shape)
-        x_hi = region.profile_x(taus)
+        x_hi = _level_data(region, taus)["x"]
         inner = np.flatnonzero(x_hi > 0.0)
         if inner.size:
             out[inner], err = _slice_integrals(
@@ -319,20 +367,10 @@ def sphere_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
         rho = region.rho_star
         return integrand(rho) * area * geom.warp(rho) ** (region.kernel.n - 1), 0.0
 
-    kern = region.kernel
-    n = kern.n
-    area = unit_sphere_area(n)
-
     def level(tau):
         out = np.zeros(tau.shape)
-        x = region.profile_x(tau)
-        sl = kern.at(tau)
-        value, grad, dtau = sl.sample(x)
-        keep = grad > 0.0  # drops sub-resolution slivers where the profile closes
-        s = SurfaceSample(rho=sl.rho(x)[keep], tau=tau[keep], value=value[keep],
-                          grad=grad[keep], dtau=dtau[keep])
-        measure = np.hypot(s.grad, s.dtau) / s.grad * area * sl.warp(x)[keep] ** (n - 1)
-        out[keep] = integrand(s) * measure
+        data = _level_data(region, tau, surface=True)
+        out[data["keep"]] = integrand(data["sample"]) * data["measure"]
         return out
 
     return _time_integral(level, region.tau_max, epsabs, epsrel)

@@ -1,11 +1,14 @@
 """Elliptic mean value identities, comparison deficits, derivative formulas
 and the monotone sweeps."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mvlab import regions
 from mvlab.errors import PreconditionError, UnsupportedError
 from mvlab.fields import make_field
 from mvlab.kernels import GreenKernel, SubGreenKernel, SupGreenKernel
@@ -109,6 +112,22 @@ def test_subgreen_equality_on_space_form(sub3, h3):
         for form in ("sphere", "ball"):
             d = mve.mv_inequality_deficit(sub3, f, 1.0, form)
             assert abs(d) <= 1e-6
+
+
+def test_harmonic_sphere_form_skips_the_correction(green3, sup3, sub3, e3, h3,
+                                                   monkeypatch):
+    # Dv = 0: the sphere form is its surface term, with no radial quadrature,
+    # and the values are the elliptic golden report's
+    calls = []
+    monkeypatch.setattr(regions, "integrate_1d", lambda *args, **kw: calls.append(args))
+    golden = {c["name"]: c["value"] for c in json.loads(
+        (Path(__file__).resolve().parent / "golden" / "verify_elliptic.json").read_text())["checks"]}
+    one = make_field("constant-1", h3)
+    resid = mve.mv_identity(green3, make_field("harmonic-quadratic", e3), 1.0, "sphere")[2]
+    assert resid == golden["mv_sphere[harmonic-quadratic]"]
+    assert mve.mv_inequality_deficit(sup3, one, 1.0) == golden["supgreen_deficit[v=1]"]
+    assert abs(mve.mv_inequality_deficit(sub3, one, 1.0)) == golden["subgreen_equality[v=1]"]
+    assert calls == []
 
 
 def test_subgreen_sign_small_radius(sub3, h3):

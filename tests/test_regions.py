@@ -3,7 +3,11 @@ root-solve counts, quadrature engines (the batched slice quadrature against
 scipy's quad, and its error estimates against oracles), nesting, the co-area
 relation and the truncation-cap convergence."""
 
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
 
-from mvlab import kernels, regions
+from mvlab import kernels, regions, suites
 from mvlab import mv_elliptic as mve
 from mvlab import mv_parabolic as mvp
 from mvlab.errors import DomainError, NoRegionError
@@ -200,7 +204,7 @@ def test_h3_top_time_lambert_w(h3):
         assert heatball_profile(h, r).tau_max == pytest.approx(top, rel=1e-13)
 
 
-def test_closed_forms_solve_no_roots(brent_calls, h3, khat_s3):
+def test_closed_forms_solve_no_roots(brent_calls, h3, rd_s3):
     for kern in green_kernels():
         for r in RADII:
             green_ball(kern, r)
@@ -218,13 +222,15 @@ def test_closed_forms_solve_no_roots(brent_calls, h3, khat_s3):
         mvp.mv_heat_ball(kern, make_field("exp-radial", h3), r)
     assert brent_calls == []
     # the reduced-distance profile is closed form: only its on-center top
-    # time is a Brent root, one per region built
+    # time is a Brent root, one per distinct region (the kernel's memo
+    # serves the later queries at r; a fresh kernel has none)
+    khat_s3 = SubHeatKernel(rd_s3)
     for r in (0.8, 1.4):
         reg = heatball_profile(khat_s3, r)
         reg.profile_x(reg.tau_max * np.array([1e-15, 0.5, 1.0 - 1e-12]))
         mvp.jhat_quantity(khat_s3, r)
         mvp.ihat_quantity(khat_s3, 0.0, r)
-    assert [call[0].__name__ for call in brent_calls] == ["center"] * 6
+    assert [call[0].__name__ for call in brent_calls] == ["center"] * 2
     brent_calls.clear()
     # Green's functions of H4 have no inverse: Brent still serves them
     green_ball(GreenKernel(FlowGeometry.hyperbolic(4)), 1.0)
@@ -584,3 +590,129 @@ def test_cap_convergence(e2):
               for s in (1e-2, 1e-3, 1e-4)]
     assert drifts[0] > drifts[1] > drifts[2]
     assert drifts[2] <= 0.02
+
+
+# --------------------------------------------------------------------------- #
+# the kernel's heat-ball memo
+# --------------------------------------------------------------------------- #
+MEMO_MODELS = {
+    "e2": (lambda: HeatKernel(FlowGeometry.euclidean(2)), "superharmonic"),
+    "h3": (lambda: HeatKernel(FlowGeometry.hyperbolic(3)), "exp-radial"),
+    "s3": (lambda: SubHeatKernel(ReducedDistanceField(FlowGeometry.shrinking_sphere(3))),
+           "constant-1"),
+}
+
+
+def memo_queries(name, r=0.9):
+    """Every parabolic quantity over the heat ball E_r, each a function of
+    the kernel; ``name`` is the field of the identities."""
+    def field(kern, which=name):
+        return make_field(which, kern.geom)
+
+    return [lambda k: mvp.jhat_quantity(k, r),
+            lambda k: mvp.ihat_quantity(k, 0.0, r),
+            lambda k: mvp.ihat_quantity(k, 0.5 * r, r),
+            lambda k: mvp.mv_heat_sphere(k, field(k), r),
+            lambda k: mvp.mv_heat_ball(k, field(k), r),
+            lambda k: mvp.surface_form_residual(k, r),
+            lambda k: mvp.truncation_convergence(k, field(k, "constant-1"), r, (1e-2, 1e-3))]
+
+
+@pytest.mark.parametrize("model", sorted(MEMO_MODELS))
+def test_warm_memo_gives_the_same_floats(model):
+    # each query on its own fresh kernel against all of them, backwards and
+    # then forwards, on one kernel whose memo the earlier queries filled
+    make, name = MEMO_MODELS[model]
+    queries = memo_queries(name)
+    fresh = [q(make()) for q in queries]
+    warm = make()
+    backwards = [q(warm) for q in reversed(queries)][::-1]
+    assert len(warm.heatballs) == 2 and warm.heatballs[0.9][1]
+    assert [q(warm) for q in queries] == backwards == fresh
+    assert all(np.all(np.isfinite(q)) for q in fresh)
+
+
+def test_memo_keeps_its_bound(e2):
+    kern, grid = HeatKernel(e2), [float(r) for r in np.linspace(0.4, 1.6, 40)]
+    rep = mvp.forward_j_sweep(kern, make_field("superharmonic", e2), grid)
+    assert rep.monotone_ok
+    # the newest radii, each a top time and a dict of levels
+    assert list(kern.heatballs) == grid[-regions._MEMO_RADII:]
+
+
+def memo_leaves(obj):
+    """Types of everything a memo entry holds, containers opened."""
+    if isinstance(obj, (dict, tuple)):
+        items = obj.values() if isinstance(obj, dict) else obj
+        return {t for item in items for t in memo_leaves(item)}
+    if isinstance(obj, regions.SurfaceSample):
+        return {t for a in vars(obj).values() for t in memo_leaves(a)}
+    return {type(obj)}
+
+
+def test_full_memo_holds_arrays_and_frees_by_refcount(e2):
+    kern = HeatKernel(e2)
+    field = make_field("superharmonic", e2)
+    for r in np.linspace(0.4, 1.6, regions._MEMO_RADII + 2):
+        mvp.mv_heat_sphere(kern, field, float(r))  # sphere and ball levels
+    assert len(kern.heatballs) == regions._MEMO_RADII
+    assert memo_leaves(dict(kern.heatballs)) == {float, np.ndarray}
+    ref = weakref.ref(kern)
+    gc.disable()  # no cyclic collection may free it
+    try:
+        del kern
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("model", ["e2", "h3"])
+def test_profile_solved_once_per_level(model, monkeypatch):
+    # Jhat, Ihat(0, r), the heat sphere (its J and correction terms) and the
+    # heat ball: five time integrals, one profile solve per level of times
+    # (the first level, 34 times, meets the tolerance of all five here)
+    make, name = MEMO_MODELS[model]
+    kern, r = make(), 0.9
+    solved, evaluated = [], []
+    profile_x, integrate = kern.profile_x, regions.integrate_de
+
+    def counted_profile(radius, tau, sl=None):
+        solved.append(tau.tobytes())
+        return profile_x(radius, tau, sl)
+
+    def counted_de(f, *args, **kwargs):
+        return integrate(lambda x: evaluated.append(x.size) or f(x), *args, **kwargs)
+
+    monkeypatch.setattr(kern, "profile_x", counted_profile)
+    monkeypatch.setattr(regions, "integrate_de", counted_de)
+    field = make_field(name, kern.geom)
+    mvp.jhat_quantity(kern, r)
+    mvp.ihat_quantity(kern, 0.0, r)
+    mvp.mv_heat_sphere(kern, field, r)
+    mvp.mv_heat_ball(kern, field, r)
+    levels = kern.heatballs[r][1]
+    assert len(solved) == len(levels) and set(solved) == set(levels)
+    assert len(evaluated) >= 5 * len(levels) > 0
+
+
+def test_threads_sharing_kernels_match_one_thread():
+    serial = suites.run_suite("parabolic", jobs=1)
+    parallel = suites.run_suite("parabolic", jobs=2)
+    assert len(parallel.checks) == len(serial.checks)
+    for one, two in zip(serial.checks, parallel.checks):
+        assert two.to_dict() == one.to_dict()
+
+
+def test_concurrent_eviction(e2):
+    # more threads than cores fill one kernel's memo past its bound at once,
+    # twice over, with thread switches far more frequent than by default
+    grid = [float(r) for r in np.linspace(0.3, 1.7, 4 * regions._MEMO_RADII)] * 2
+    want = [mvp.jhat_quantity(HeatKernel(e2), r) for r in grid]
+    kern, interval = HeatKernel(e2), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda r: mvp.jhat_quantity(kern, r), grid, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want and len(kern.heatballs) <= regions._MEMO_RADII
