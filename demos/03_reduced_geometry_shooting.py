@@ -28,8 +28,8 @@ for rho, tau in ((0.5, 0.1), (1.0, 0.25), (2.0, 1.0)):
     print(f"  rho = {rho:3.1f}, tau = {tau:4.2f}: ell = {ell:.12f}, "
           f"exact {rho * rho / (4 * tau):.12f}")
 
-print("\nendpoint derivative identities (finite differences vs terminal "
-      "velocity):")
+print("\nendpoint derivative identities (closed-form derivatives vs the "
+      "shot's terminal velocity):")
 rs, rt, eik = field.first_order_residuals(1.0, 0.25)
 print(f"  spatial {rs:.2e}, time {rt:.2e}, first-order equation {eik:.2e}")
 

@@ -430,6 +430,12 @@ class ReducedSlice(KernelSlice):
     def dtau_log(self, x):
         return self.dtau0 + self.dtau2 * x * x
 
+    def ell_jet(self, x):
+        """(ell, ell_x, ell_xx, ell_tau) at x, comoving derivatives at fixed x:
+        log K = -(n/2) log(4 pi tau) - ell."""
+        return (self.ell0 + self.ell2 * x * x, -self.dlog(x), 2.0 * self.ell2,
+                -self.dtau_log(x) - self.kern.n / (2.0 * self.tau))
+
 
 class SubHeatKernel(ParabolicKernel):
     """Reduced-distance kernel (4 pi tau)^(-n/2) exp(-ell) of the

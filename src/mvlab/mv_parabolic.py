@@ -22,8 +22,8 @@ iterated correction is the single integral
     (1/r^n) int_{E_r} (e^psi - 1 - psi) (d/dt - Delta) v,   psi = log(H r^n).
 
 `_j_term` and `_i_term` evaluate J_v and I_v over a region built once by
-the caller; `_heat_op_ball_term` integrates a weight of the kernel against
-(d/dt - Delta) v over it, for the sphere form's correction.  The ball form
+the caller; `_heat_op_ball_term` integrates H - r^(-n) against
+(d/dt - Delta) v over it, the sphere form's correction.  The ball form
 sums its correction into the I_v integrand (`_i_density`): one pass.  Volume
 integrands map a matrix of radii, one row per time slice, to numpy arrays.
 
@@ -51,7 +51,7 @@ import numpy as np
 from .fields import make_field
 from .kernels import McfShrinkingSphereTrack, SubHeatKernel, liyau_expression
 from .quad import integrate_1d
-from .regions import ball_integrate, heatball_profile, sphere_integrate
+from .regions import ball_integrate, cap_integral, heatball_profile, sphere_integrate
 from .sweeps import sweep
 
 # quadrature settings of every region integral: all kernels are closed forms
@@ -67,14 +67,15 @@ def surface_weight_term(field, region):
     return sphere_integrate(region, f, **_EPS)
 
 
-def _heat_op_ball_term(field, region, weight):
-    """int over E_r of weight(K) * (d/dt - Delta)v dmu dt."""
+def _heat_op_ball_term(field, region):
+    """int over E_r of (K - r^(-n)) (d/dt - Delta)v dmu dt."""
     if "caloric" in field.tags:
         return 0.0, 0.0
+    level = region.level
 
     def f(sl):
         value, rho, t = sl.value, sl.rho, sl.t
-        return lambda x: weight(value(x)) * field.mean_heat_op(rho(x), t)
+        return lambda x: (value(x) - level) * field.mean_heat_op(rho(x), t)
 
     return ball_integrate(region, f, **_EPS)
 
@@ -138,8 +139,7 @@ def mv_heat_sphere(kernel, field, r):
     region = heatball_profile(kernel, r)
     lhs = field.center_value(0.0)
     jv, _ = _j_term(field, region)
-    level = region.level
-    corr, _ = _heat_op_ball_term(field, region, lambda k: k - level)
+    corr, _ = _heat_op_ball_term(field, region)
     rhs = jv + corr
     return lhs, rhs, abs(lhs - rhs)
 
@@ -258,7 +258,6 @@ def surface_form_residual(kernel, r):
 
 def truncation_convergence(kernel, field, r, s_values):
     """Cap integrals of v (K - level) at slices tau = s; tends to v(x0, 0)."""
-    from .regions import cap_integral
     region = heatball_profile(kernel, r)
     return [cap_integral(region, field.mean_value_np, s) for s in s_values]
 
@@ -295,7 +294,9 @@ class SolitonCheck:
 
 
 def soliton_residuals(rd_field, samples):
-    """Evaluate the soliton identity residuals at (rho, tau) samples.
+    """Evaluate the soliton identity residuals at (rho, tau) samples off the
+    center, with the exact derivatives of the closed-form ell
+    (`ReducedSlice.ell_jet`).
 
     conjugate_heat is ell_tau - Lap(ell) + |grad ell|^2 - R + n/(2 tau): zero on
     the flat model, nonnegative in general (the kernel is a subsolution of
@@ -308,22 +309,15 @@ def soliton_residuals(rd_field, samples):
     """
     flow = rd_field.flow
     n = flow.n
+    kernel = SubHeatKernel(rd_field)
     check = SolitonCheck(flow=flow, samples=list(samples))
     for rho, tau in samples:
         t = -tau
         x = flow.x_of_rho(rho, t)
-        m2 = flow.m2(t)
-        hx = 1e-3 * max(1.0, x)
-        if x < 2.0 * hx:
+        if x <= 0:
             raise ValueError("samples must sit away from the center")
-        lp = rd_field.ell_cm(x + hx, tau)
-        lm = rd_field.ell_cm(x - hx, tau)
-        l0 = rd_field.ell_cm(x, tau)
-        ell_x = (lp - lm) / (2.0 * hx)
-        ell_xx = (lp - 2.0 * l0 + lm) / (hx * hx)
-        ht = 1e-4 * tau
-        ell_tau = (rd_field.ell_cm(x, tau + ht)
-                   - rd_field.ell_cm(x, tau - ht)) / (2.0 * ht)
+        m2 = flow.m2(t)
+        l0, ell_x, ell_xx, ell_tau = kernel.at(tau).ell_jet(x)
 
         w = flow.warp_cm(x, t)
         wx = flow.dwarp_cm_dx(x, t)
@@ -351,7 +345,7 @@ def ly_ricci_residual(rd_field, rho, tau):
     The left side is the Li-Yau expression of the closed-form
     reduced-distance kernel; the right side is
     n/(2 tau) - K_curv/(2 tau^(3/2)) with the curvature integral taken by
-    quadrature along the shot minimizing geodesic.
+    quadrature along the closed-form minimizing geodesic.
     """
     lhs = liyau_expression(SubHeatKernel(rd_field), rho, tau)
     kval, _ = rd_field.k_curvature_integral(rho, tau)

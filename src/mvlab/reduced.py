@@ -18,13 +18,15 @@ where m^2(x, tau) is the radial metric coefficient.  The reduced distance is
 the minimal energy divided by 2 sqrt(tau), and the reduced volume is the
 spatial integral of (4 pi tau)^(-n/2) exp(-ell).
 
-On both realized flows ell has a closed form, `kernels.ReducedSlice`, which
-the reduced volume, Jhat, Ihat and the Li-Yau expression evaluate; the shot
-ell and geodesics here are its independent oracle.  A shot runs `solve_ivp`
-below, scipy's RK45 steps and bits on a state of three floats: numpy is
-called only for the BLAS dots the bits come from, and the right-hand side
-evaluates the flow's closed-form coefficients.  Its tableau is read off
-``scipy.integrate.RK45``, imported on the first shot, not with the module.
+On both realized flows ell has a closed form, `kernels.ReducedSlice`: the
+reduced volume, Jhat, Ihat, the Li-Yau expression, the endpoint and soliton
+identities (its exact derivatives, `ell_jet`) and the curvature integral (its
+minimizer) evaluate it.  The shot ell and the landed geodesic here are its
+independent oracle.  A shot runs `solve_ivp` below, scipy's RK45 steps and
+bits on a state of three floats: numpy is called only for the BLAS dots the
+bits come from, and the right-hand side evaluates the flow's closed-form
+coefficients.  Its tableau is read off ``scipy.integrate.RK45``, imported on
+the first shot, not with the module.
 """
 
 import functools
@@ -43,7 +45,6 @@ ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
 TARGET_TOL = 1e-12
 MAX_SHOTS = 4         # a linear endpoint map lands in two, ODE error in three
-FD_STEP = 1e-4        # relative step of the endpoint-derivative differences
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10   # scipy's step-size controller
 
 
@@ -56,13 +57,12 @@ def _rk45():
             tuple(enumerate(zip(RK45.C[1:], RK45.A[1:]), start=1)))
 
 
-def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6,
-              dense_output=False):
+def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6):
     """scipy.integrate.solve_ivp(method="RK45") on an increasing span and a state of
     three floats, its steps and bits; ``fun(t, (y0, y1, y2))`` returns three floats.
     numpy runs only the stage, solution and error dots and the RMS norm (its BLAS
     sums with FMA); every elementwise operation is a float one in scipy's order.
-    Returns t, y, nfev, success and sol."""
+    Returns t, y, nfev and success."""
     t, t_bound = map(float, t_span)
     if method != "RK45" or not t < t_bound:
         raise ValueError("solve_ivp runs RK45 on an increasing span only")
@@ -83,7 +83,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6,
     gx, gu, gw = fun(t + h0, (x + h0 * fx, u + h0 * fu, w + h0 * fw))
     d2 = norm((gx - fx) / sx, (gu - fu) / su, (gw - fw) / sw) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** expo
-    h_abs, nfev, ts, ys, Qs = min(100 * h0, h1, t_bound - t), 2, [t], [y], []
+    h_abs, nfev, ts, ys = min(100 * h0, h1, t_bound - t), 2, [t], [y]
     while t < t_bound:
         min_step, cap = 10 * (math.nextafter(t, math.inf) - t), MAX_FACTOR
         k0[0], k0[1], k0[2] = f
@@ -109,18 +109,10 @@ def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6,
             h_abs, cap = h_abs * max(MIN_FACTOR, factor), 1
         else:
             break  # the step fell below scipy's minimum: success is False
-        if dense_output:
-            Qs.append(e_dot(RK45.P))
         t, y, f, (x, u, w) = t_new, y_new, f_new, y_new
         ts.append(t)
         ys.append(y)
-
-    def sol(sigma):  # scipy's OdeSolution segment and RkDenseOutput at a scalar
-        i = min(max(int(np.searchsorted(ts, sigma, side="left")) - 1, 0), len(Qs) - 1)
-        h = ts[i + 1] - ts[i]
-        return h * Qs[i].dot(np.cumprod(np.tile((sigma - ts[i]) / h, 4))) + ys[i]
-    return SimpleNamespace(t=np.array(ts), y=np.array(ys).T, nfev=nfev, success=t == t_bound,
-                           sol=sol if dense_output else None)
+    return SimpleNamespace(t=np.array(ts), y=np.array(ys).T, nfev=nfev, success=t == t_bound)
 
 
 @dataclass
@@ -133,7 +125,6 @@ class LGeodesic:
     xs: np.ndarray          # comoving positions at the samples
     us: np.ndarray          # dgamma/dsigma at the samples
     length: float           # accumulated path energy
-    sol: object = None      # dense-output solution, states (x, u, L)
 
     @property
     def x_end(self):
@@ -159,7 +150,7 @@ def _rhs(flow):
     return rhs
 
 
-def shoot_l_geodesic(flow, v, sigma_bar, dense=False):
+def shoot_l_geodesic(flow, v, sigma_bar):
     """Integrate the sigma-form geodesic ODE from the center with speed v.
 
     Returns an LGeodesic sampled at the solver's accepted steps; raises
@@ -174,8 +165,7 @@ def shoot_l_geodesic(flow, v, sigma_bar, dense=False):
     flow.check_time(-0.25 * sigma_bar ** 2)
 
     sol = solve_ivp(_rhs(flow), (0.0, sigma_bar), (0.0, float(v), 0.0),
-                    method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL,
-                    dense_output=dense)
+                    method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL)
     x_cap = flow.x_max() - 1e-9
     exited = sol.y[0, -1] >= x_cap
     if exited or not sol.success:
@@ -183,7 +173,7 @@ def shoot_l_geodesic(flow, v, sigma_bar, dense=False):
         raise ShootingError(f"geodesic left the domain at sigma = {exit_sigma:.6g}",
                             exit_sigma=exit_sigma)
     return LGeodesic(v=float(v), sigma_bar=float(sigma_bar), sigmas=sol.t,
-                     xs=sol.y[0], us=sol.y[1], length=float(sol.y[2, -1]), sol=sol.sol)
+                     xs=sol.y[0], us=sol.y[1], length=float(sol.y[2, -1]))
 
 
 def l_length(flow, path, sigma_bar, path_dot=None):
@@ -226,8 +216,8 @@ class ReducedDistanceField:
     # ------------------------------------------------------------------ #
     # shooting to a target
     # ------------------------------------------------------------------ #
-    def _solve_velocity(self, x_target, tau, dense=False):
-        """Initial speed whose geodesic (dense if asked) ends at x_target at tau.
+    def _solve_velocity(self, x_target, tau):
+        """Initial speed whose geodesic ends at x_target at tau.
 
         Radial minimizers of the homogeneous flows have constant momentum, so
         the endpoint is linear in the speed: from the flat speed, rescaling by
@@ -237,20 +227,19 @@ class ReducedDistanceField:
         sigma_bar = 2.0 * math.sqrt(tau)
         v = x_target / sigma_bar   # 0 at the center, where the first shot lands
         for _ in range(MAX_SHOTS):
-            geod = shoot_l_geodesic(self.flow, v, sigma_bar, dense)
+            geod = shoot_l_geodesic(self.flow, v, sigma_bar)
             if abs(geod.x_end - x_target) <= TARGET_TOL * max(1.0, abs(x_target)):
                 return v, geod
             v *= x_target / geod.x_end
         raise ShootingError(
             f"{MAX_SHOTS} shots did not reach x = {x_target} at tau = {tau}")
 
-    def geodesic_to(self, rho, tau, dense=False):
-        """Minimizing geodesic from the center to geodesic radius rho at tau;
-        with ``dense`` every shot keeps its dense output, the landed one too."""
+    def geodesic_to(self, rho, tau):
+        """Minimizing geodesic from the center to geodesic radius rho at tau, shot."""
         if tau <= 0:
             raise DomainError("backward time tau must be positive")
         self.flow.check_point(rho, -tau)
-        return self._solve_velocity(self.flow.x_of_rho(rho, -tau), tau, dense)[1]
+        return self._solve_velocity(self.flow.x_of_rho(rho, -tau), tau)[1]
 
     # ------------------------------------------------------------------ #
     # reduced distance and derived quantities
@@ -286,42 +275,28 @@ class ReducedDistanceField:
     def first_order_residuals(self, rho, tau):
         """Residuals of the endpoint-derivative identities of the energy.
 
-        Returns (res_space, res_time, res_eikonal) where the first two compare
-        finite differences of L = 2 sqrt(tau) ell against the terminal
-        velocity formulas
+        Returns (res_space, res_time, res_eikonal): the closed form's exact
+        derivatives of L = 2 sqrt(tau) ell (`ReducedSlice.ell_jet`) against
+        the terminal velocity X of the shot minimizer,
 
             (spatial gradient of L) = 2 sqrt(tau) X,
             dL/dtau = sqrt(tau) (R - |X|^2),
 
-        and the third is the first-order equation
-        -2 ell_tau - |grad ell|^2 + R - ell/tau evaluated by the same
-        differences.  Each stencil point is shot once and serves L and ell.
+        and the first-order equation -2 ell_tau - |grad ell|^2 + R - ell/tau
+        with the shot's ell.
         """
         flow = self.flow
         x = flow.x_of_rho(rho, -tau)
         if x <= 0:
             raise DomainError("residuals need a point off the center")
         geod = self.geodesic_to(rho, tau)
-        m2 = flow.m2(-tau)
+        ell, ell_x, _, ell_tau = SubHeatKernel(self).at(tau).ell_jet(x)
+        m2, rt, R = flow.m2(-tau), math.sqrt(tau), flow.scalar_R(-tau)
         sm = math.sqrt(m2)
-        hx, ht = FD_STEP * max(1.0, x), FD_STEP * tau
-        ell_xp, ell_xm = self.ell_cm(x + hx, tau), self.ell_cm(x - hx, tau)
-        ell_tp, ell_tm = self.ell_cm(x, tau + ht), self.ell_cm(x, tau - ht)
-
-        rt = 2.0 * math.sqrt(tau)
-        grad_L = (rt * ell_xp - rt * ell_xm) / (2.0 * hx) / sm
-        res_space = abs(grad_L - 2.0 * sm * geod.u_end)  # = 2 sqrt(tau) |X|
-
-        dL_dtau = (2.0 * math.sqrt(tau + ht) * ell_tp
-                   - 2.0 * math.sqrt(tau - ht) * ell_tm) / (2.0 * ht)
+        res_space = abs(2.0 * rt * ell_x / sm - 2.0 * sm * geod.u_end)  # = 2 sqrt(tau) |X|
         X2 = m2 * geod.u_end ** 2 / tau
-        R = flow.scalar_R(-tau)
-        res_time = abs(dL_dtau - math.sqrt(tau) * (R - X2))
-
-        ell0 = geod.length / rt
-        grad_ell2 = ((ell_xp - ell_xm) / (2.0 * hx) / sm) ** 2
-        dell_dtau = (ell_tp - ell_tm) / (2.0 * ht)
-        res_eik = abs(-2.0 * dell_dtau - grad_ell2 + R - ell0 / tau)
+        res_time = abs(ell / rt + 2.0 * rt * ell_tau - rt * (R - X2))
+        res_eik = abs(-2.0 * ell_tau - ell_x ** 2 / m2 + R - geod.length / (2.0 * rt * tau))
         return res_space, res_time, res_eik
 
     def k_curvature_integral(self, rho, tau_bar):
@@ -329,15 +304,18 @@ class ReducedDistanceField:
 
         Integrates tau^(3/2) H(X) with
         H(X) = -dR/dtau - R/tau - 2 <X, grad R> + 2 Ric(X, X) along the
-        minimizing geodesic, X its tau-velocity.  Returns (value, error).
+        closed-form minimizer, X its tau-velocity: its momentum
+        p = m^2 dx/dsigma is constant and x(sigma) = p A(sigma) lands at
+        xbar, so p = xbar ell2 sigmabar and |X|^2 = p^2 / (m^2 tau).
+        Returns (value, error).
         """
-        flow = self.flow
-        geod = self.geodesic_to(rho, tau_bar, dense=True)
+        flow, ell2 = self.flow, SubHeatKernel(self).at(tau_bar).ell2
+        flow.check_point(rho, -tau_bar)
+        p = float(flow.x_of_rho(rho, -tau_bar) * ell2 * 2.0 * math.sqrt(tau_bar))
 
         def integrand(tau):  # -dR/dtau = dR/dt; <X, grad R> = 0 as R depends on time alone
-            _, u, _ = geod.sol(2.0 * math.sqrt(tau))
             t = -tau
-            X2 = flow.m2(t) * u * u / tau
+            X2 = p * p / (flow.m2(t) * tau)
             return tau ** 1.5 * (flow.dR_dt(t) - flow.scalar_R(t) / tau + 2.0 * flow.ricci(t) * X2)
 
         return integrate_1d(integrand, 0.0, tau_bar, epsabs=1e-11, epsrel=1e-9)

@@ -225,8 +225,8 @@ def _reduced_battery(ts):
                                            for tau in np.linspace(0.05, 1.0, 10)), 0.0, 1e-8),
         ("theta_flat", lambda: flat.reduced_volume(0.3), 1.0, 1e-6),
         ("endpoint_identities_flat", lambda: _worst(flat.first_order_residuals(1.0, 0.25)),
-         0.0, 1e-6),
-        ("endpoint_identities_s3", lambda: _worst(s3.first_order_residuals(0.8, 0.2)), 0.0, 1e-4),
+         0.0, 1e-12),
+        ("endpoint_identities_s3", lambda: _worst(s3.first_order_residuals(0.8, 0.2)), 0.0, 1e-8),
         ("theta_s3_noninc", lambda: _theta_s3_noninc(s3), "<=0", 1e-5),
     ]
 
@@ -263,15 +263,16 @@ def _ricci_battery(ts, geometry=None):
         rows += [("jhat_ihat_flat", lambda: _worst_gap(
                      1.0, (0.3, 0.5, 0.8), partial(mvp.jhat_quantity, kern),
                      partial(mvp.ihat_quantity, kern, 0.0)), 0.0, 1e-10),
-                 ("soliton_identities_flat", lambda: _soliton_flat(flat3), 0.0, 1e-6)]
+                 ("soliton_identities_flat", lambda: _soliton_flat(flat3), 0.0, 1e-12)]
     if geometry in (None, "shrinking-s3"):
         s3 = ReducedDistanceField(FlowGeometry.shrinking_sphere(3))
         rows += [
             ("jhat_monotone_s3", lambda: _jhat_monotone_s3(SubHeatKernel(s3), 1e-6 * ts),
              "monotone", 0.0),
             ("first_order_s3", lambda: mvp.soliton_residuals(
-                s3, [(0.5, 0.1), (0.8, 0.2), (1.0, 0.3)]).max_abs_first_order, 0.0, 1e-4),
-            ("liyau_decomposition_s3", lambda: mvp.ly_ricci_residual(s3, 0.8, 0.2)[0], 0.0, 1e-8)]
+                s3, [(0.5, 0.1), (0.8, 0.2), (1.0, 0.3)]).max_abs_first_order, 0.0, 1e-12),
+            ("liyau_decomposition_s3", lambda: mvp.ly_ricci_residual(s3, 0.8, 0.2)[0], 0.0,
+             1e-12)]
     return rows
 
 

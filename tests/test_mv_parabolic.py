@@ -92,7 +92,7 @@ def nested_eta_correction(kernel, field, r):
 
     def eta_term(eta):
         sub = heatball_profile(kernel, eta)
-        inner, _ = mvp._heat_op_ball_term(field, sub, lambda k: k - sub.level)
+        inner, _ = mvp._heat_op_ball_term(field, sub)
         return eta ** (n - 1) * inner
 
     iterated, _ = integrate_1d(eta_term, 0.0, r, epsabs=1e-11, epsrel=1e-8,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mvlab import reduced
 from mvlab.errors import DomainError, ShootingError
 from mvlab.geometry import FlowGeometry
+from mvlab.kernels import ReducedSlice, SubHeatKernel
 from mvlab.quad import integrate_1d
 from mvlab.reduced import (LGeodesic, ReducedDistanceField, l_length,
                            shoot_l_geodesic)
@@ -68,13 +69,28 @@ def test_l_length_examples(rd_flat2, s3):
         l_length(s3, lambda s: 4.0 * s, 2.0)  # exits the sphere
 
 
-def test_length_matches_path_quadrature(rd_s3):
-    # the accumulated energy agrees with an independent quadrature along the
-    # dense solution
-    geod = shoot_l_geodesic(rd_s3.flow, 1.3, 1.0, dense=True)
-    val, _ = l_length(rd_s3.flow, lambda s: float(geod.sol(s)[0]), 1.0,
-                      path_dot=lambda s: float(geod.sol(s)[1]))
-    assert val == pytest.approx(geod.length, rel=1e-9)
+def test_length_matches_path_quadrature(rd_flat2, rd_s3):
+    """A variational oracle: the closed-form radial minimizer x(sigma) =
+    p A(sigma), A = arctan(beta sigma) / beta (sigma on flat space), has
+    constant momentum p = m^2 dx/dsigma, and its path energy by quadrature is
+    sigmabar ell and the shot's length; a sine bump of either sign that keeps
+    both ends makes it longer."""
+    for field, beta, rho, tau in ((rd_flat2, 0.0, 1.0, 0.25), (rd_s3, 1.0, 0.8, 0.2)):
+        flow, sigma_bar = field.flow, 2.0 * math.sqrt(tau)
+        x_bar = flow.x_of_rho(rho, -tau)
+        p = x_bar * beta / math.atan(beta * sigma_bar) if beta else x_bar / sigma_bar
+        k = math.pi / sigma_bar
+        ell = SubHeatKernel(field).at(tau).ell_jet(x_bar)[0]
+        for bump in (0.0, 1e-2, -1e-2):
+            val, _ = l_length(
+                flow, lambda s: (p * math.atan(beta * s) / beta if beta else p * s)
+                + bump * math.sin(k * s), sigma_bar,
+                path_dot=lambda s: p / flow.m2(-0.25 * s * s) + bump * k * math.cos(k * s))
+            if bump:
+                assert val > sigma_bar * ell + 1e-6
+            else:
+                assert abs(val - sigma_bar * ell) <= 1e-12
+                assert val == pytest.approx(field.geodesic_to(rho, tau).length, rel=1e-10)
 
 
 def test_sphere_ell_against_closed_form(rd_s3):
@@ -117,29 +133,34 @@ def test_gauss_identities_sphere(rd_s3):
         assert eik <= 1e-4
 
 
-def reshot_geodesic_to(self, rho, tau, dense=False):
+def reshot_geodesic_to(self, rho, tau):
     """A `geodesic_to` that lands the speed, then shoots it a second time."""
     v, _ = self._solve_velocity(self.flow.x_of_rho(rho, -tau), tau)
-    return shoot_l_geodesic(self.flow, v, 2.0 * math.sqrt(tau), dense=dense)
+    return shoot_l_geodesic(self.flow, v, 2.0 * math.sqrt(tau))
 
 
-def test_residuals_reuse_the_landed_geodesic(rd_s3, monkeypatch):
-    # the geodesic that _solve_velocity lands is the one a second shot at
-    # its speed would give: one shot for the endpoint and one per stencil
-    # point, and the same residuals bit for bit
-    from mvlab import reduced
+def count_shots(monkeypatch):
+    """Wrap `reduced.solve_ivp`; the returned list grows by one per shot."""
     calls, solve_ivp = [], reduced.solve_ivp
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["dense_output"])
+        calls.append(args[1])
         return solve_ivp(*args, **kwargs)
     monkeypatch.setattr(reduced, "solve_ivp", counted)
+    return calls
+
+
+def test_residuals_reuse_the_landed_geodesic(rd_s3, monkeypatch):
+    # the derivatives come from the closed form, so the landed geodesic is
+    # the only one shot (flat speed and rescale), and it is the one a second
+    # shot at its speed would give: the same residuals bit for bit
+    calls = count_shots(monkeypatch)
     residuals = rd_s3.first_order_residuals(0.8, 0.2)
-    assert len(calls) == 10 and not any(calls)
+    assert len(calls) == 2
     monkeypatch.setattr(ReducedDistanceField, "geodesic_to", reshot_geodesic_to)
     calls.clear()
     assert rd_s3.first_order_residuals(0.8, 0.2) == residuals
-    assert len(calls) == 11
+    assert len(calls) == 3
 
 
 def test_reduced_volume_flat(rd_flat2):
@@ -177,22 +198,33 @@ def test_k_curvature_center_oracle(rd_s3, s3):
     assert val == pytest.approx(expect, rel=1e-8)
 
 
-def test_k_curvature_lands_dense_without_a_reshot(rd_s3, monkeypatch):
-    # the landing shot of a dense geodesic is already dense: two shots (flat
-    # speed and rescale) instead of a third at the landed speed, and the bits
-    # of the integral a re-shot dense geodesic gives
-    calls, solve_ivp = [], reduced.solve_ivp
+def test_k_curvature_makes_no_shot(rd_s3, monkeypatch):
+    # the integral runs along the closed-form minimizer, whose constant
+    # momentum the shot keeps: u = p / m^2 at every accepted step
+    calls = count_shots(monkeypatch)
+    rd_s3.k_curvature_integral(0.9, 0.25)
+    assert calls == []
+    geod = rd_s3.geodesic_to(0.9, 0.25)
+    momentum = geod.us * np.array([rd_s3.flow.m2(-0.25 * s * s) for s in geod.sigmas])
+    sigma_bar = 2.0 * math.sqrt(0.25)
+    p = geod.x_end / math.atan(sigma_bar)  # x = p arctan(sigma) on S3
+    assert np.max(np.abs(momentum - p)) <= 1e-10 * p
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["dense_output"])
-        return solve_ivp(*args, **kwargs)
-    monkeypatch.setattr(reduced, "solve_ivp", counted)
-    value = rd_s3.k_curvature_integral(0.9, 0.25)
-    assert calls == [True, True]
-    monkeypatch.setattr(ReducedDistanceField, "geodesic_to", reshot_geodesic_to)
-    calls.clear()
-    assert rd_s3.k_curvature_integral(0.9, 0.25) == value
-    assert calls == [False, False, True]
+
+@pytest.mark.parametrize("coefficient", ["ell0", "ell2", "dtau0", "dtau2"])
+def test_perturbed_closed_form_fails_a_row(coefficient, monkeypatch):
+    """The reduced and ricci rows read the closed form to rounding: scaling
+    one of its coefficients by 1 + 1e-9 fails at least one of them."""
+    from mvlab import suites
+    init = ReducedSlice.__init__
+
+    def perturbed(self, kern, tau):
+        init(self, kern, tau)
+        setattr(self, coefficient, getattr(self, coefficient) * (1.0 + 1e-9))
+    monkeypatch.setattr(ReducedSlice, "__init__", perturbed)
+    failed = [c.name for suite in ("reduced", "ricci")
+              for c in suites.run_suite(suite).checks if not c.passed]
+    assert failed, coefficient
 
 
 # (flow, x, tau, shot ell_cm): the bits of the RK45 shots at
@@ -258,9 +290,9 @@ def test_each_solve_lands_within_three_shots(monkeypatch, s2, s3, e2, h3):
     shots = []
     real = reduced_mod.shoot_l_geodesic
 
-    def counted(flow, v, sigma_bar, dense=False):
+    def counted(flow, v, sigma_bar):
         shots.append(v)
-        return real(flow, v, sigma_bar, dense)
+        return real(flow, v, sigma_bar)
 
     monkeypatch.setattr(reduced_mod, "shoot_l_geodesic", counted)
     for flow in (s2, s3, e2, h3):
@@ -281,8 +313,8 @@ def test_bent_endpoint_map_raises(monkeypatch, flat2):
     field = ReducedDistanceField(flat2)
     real = reduced_mod.shoot_l_geodesic
 
-    def fake(flow, v, sigma_bar, dense=False):
-        geod = real(flow, v, sigma_bar, dense)
+    def fake(flow, v, sigma_bar):
+        geod = real(flow, v, sigma_bar)
         # bend the endpoint map into a parabola so two well-separated speeds
         # reach the same target with different energies
         bent = (geod.x_end - 1.0) ** 2 + 0.1
@@ -360,17 +392,14 @@ def flow_method_rhs(flow):
 
 def _same_as_scipy(fun, t_span, y0, rtol, atol, ref_fun=None):
     """Run the in-house RK45 loop on ``fun`` and scipy's solve_ivp on
-    ``ref_fun`` (``fun`` if None) and require the same steps, the same bits
-    and the same dense output; returns scipy's solution."""
-    ours = reduced.solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol,
-                             atol=atol, dense_output=True)
+    ``ref_fun`` (``fun`` if None) and require the same steps and the same
+    bits; returns scipy's solution."""
+    ours = reduced.solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol, atol=atol)
     ref = scipy.integrate.solve_ivp(ref_fun or fun, t_span, y0, method="RK45", rtol=rtol,
-                                    atol=atol, dense_output=True)
+                                    atol=atol)
     assert ours.t.tolist() == ref.t.tolist()  # float == is bit equality here
     assert ours.y.tolist() == ref.y.tolist()
     assert (ours.nfev, ours.success) == (ref.nfev, ref.success)
-    for s in [*ref.t, *(0.5 * (ref.t[1:] + ref.t[:-1]))]:  # nodes and between
-        assert ours.sol(s).tolist() == ref.sol(s).tolist(), s
     return ref
 
 
