@@ -20,8 +20,9 @@ a column of times with a matrix of radii, one row per slice (the batched
 quadrature of `regions`), or a 1-d array with one radius per slice.
 
 Kernels invert ``kernel = r^(-n)``: every parabolic kernel its profile
-(``profile_x``; closed forms, Newton on H3), and ``level_radius`` and
-``tau_max`` where they can, returning None where `regions` must solve.
+(``profile_x``) and top time (``tau_max``) by closed forms, Lambert W or
+Newton, and elliptic kernels ``level_radius`` where they can, returning None
+where `regions` must solve (hyperbolic Green radii, n != 3).
 """
 
 import math
@@ -29,11 +30,11 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, NoRegionError, UnsupportedError
 from .geometry import HYPERBOLIC, SHRINKING_SPHERE, unit_sphere_area
 from .quad import integrate_1d
 
-_NEWTON_STEPS = 8  # Newton steps of the H3 profile; roundoff takes at most 5
+_NEWTON_STEPS = 8  # Newton steps of the H3 profile and reduced top time; roundoff takes at most 5
 
 EXACT_GREEN = "exact-green"
 SUB_GREEN = "sub-green"
@@ -249,9 +250,9 @@ class ParabolicKernel:
     """Common behavior of parabolic kernels (backward time tau > 0).
 
     A subclass gives ``slice_class``, a `KernelSlice` subclass with
-    ``value``, ``dlog`` and ``dtau_log``, and ``profile_x(r, tau, sl)``, the
+    ``value``, ``dlog`` and ``dtau_log``, ``profile_x(r, tau, sl)``, the
     comoving radius of {kernel >= r^(-n)} at tau (on ``sl``, the slice at tau,
-    if given); it may give the top time ``tau_max(r)`` of that set in closed form.
+    if given), and ``tau_max(r)``, the top time of that set.
     """
 
     parabolic = True
@@ -273,9 +274,6 @@ class ParabolicKernel:
         """The kernel on the time slice tau, or on each slice of an array of
         times; raises DomainError off the domain."""
         return self.slice_class(self, tau)
-
-    def tau_max(self, r):
-        return None  # top time of {kernel > r^(-n)}: no closed form
 
 
 def _coth_cf(u2):
@@ -445,6 +443,30 @@ class SubHeatKernel(ParabolicKernel):
 
     def __init__(self, field):
         super().__init__(field.flow)
+
+    def tau_max(self, r):
+        """Top time of {kernel >= r^(-n)}, the root of the on-center equation
+        g(v) = (n/2) v + ell0(tau0 e^v) = 0 in v = log(tau / tau0), tau0 = r^2 /
+        (4 pi) the flat root.  ell0 lies in [0, n/2), so g(-1) < 0 <= g(0):
+        Newton from v = 0 with the exact slope dg/dv = -tau dtau0, bisecting
+        when a step leaves the bracket, until |g| is at roundoff (RuntimeError
+        if the steps run out first).  NoRegionError if tau0 is past the last time."""
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"level parameter r must be positive and finite, got {r}")
+        tau0, half_n = r * r / (4.0 * math.pi), 0.5 * self.n
+        if not tau0 < -self.geom.time_interval[0]:  # else [tau0 / e, tau0] is inside
+            raise NoRegionError("on-center level equation has no root inside the time domain")
+        lo, hi, v = -1.0, 0.0, 0.0
+        for _ in range(_NEWTON_STEPS):
+            tau = tau0 * math.exp(v)
+            sl = self.at(tau)
+            g = half_n * v + sl.ell0
+            if abs(g) <= 4.0 * np.finfo(float).eps * (half_n * (1.0 - v) + sl.ell0):
+                return tau
+            lo, hi = (lo, v) if g > 0.0 else (v, hi)
+            v += g / (tau * sl.dtau0)  # dg/dv = -tau dtau0 > 0
+            v = v if lo < v < hi else 0.5 * (lo + hi)
+        raise RuntimeError(f"Newton did not converge on the reduced top time (r = {r})")
 
     def profile_x(self, r, tau, sl=None):
         """Radius of {kernel >= r^(-n)} at tau (a float or an array of times),

@@ -4,11 +4,11 @@ Every kernel in the catalog is radial and strictly decreasing away from the
 center, so level sets are radial graphs.  Elliptic regions are balls of
 radius ``rho_star(r)`` solving ``kernel = r^(-n)``.  Parabolic regions live in
 backward time: the top time ``tau_max`` solves the on-center equation and the
-profile ``x(tau)`` is the per-slice root.  Every parabolic kernel inverts
-its own profile (closed forms; batched Newton for the H3 heat profile);
-radii and top times are closed forms where the kernel has them, and
-bracketed Brent iteration serves the two equations that have none: the
-reduced-distance top time and hyperbolic Green radii (n != 3).
+profile ``x(tau)`` is the per-slice root.  Every parabolic kernel solves
+both itself (`kernels`), so no root finder runs on a heat ball.  Green radii
+are closed forms where the kernel has them; bracketed Brent iteration serves
+the one equation without one, hyperbolic Green radii (n != 3), whose kernel
+is itself a series plus a quadrature.
 
 A parabolic region is foliated by time slices: every quadrature node,
 profile root and surface sample lives at one backward time tau, and a
@@ -81,36 +81,29 @@ def _level(kernel, r):
     raise DomainError(f"level parameter r must be positive and finite, r^(-n) finite, got {r}")
 
 
-def _level_set(closed, f, bracket):
-    """``closed``, or when the kernel has none the Brent root of f on bracket(),
-    to a relative tolerance (xtol = 1e-300: roots can sit far below 1)."""
+def level_radius(kernel, r):
+    """Radius of the elliptic level set kernel(rho) = r^(-n): the kernel's
+    closed form, or when it has none the Brent root to a relative tolerance
+    (xtol = 1e-300: radii can sit far below 1)."""
+    level = _level(kernel, r)
+    closed = kernel.level_radius(r)
     if closed is not None:
         return float(closed)
-    lo, hi = bracket()
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
-
-
-def level_radius(kernel, r):
-    """Radius of the elliptic level set kernel(rho) = r^(-n)."""
-    level = _level(kernel, r)
 
     def f(rho):
         return kernel.value(rho) - level
 
-    def bracket():
-        # elliptic models are static, so every radius lies in the domain
-        lo, hi = 0.5, 1.0
-        while f(hi) > 0.0:
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e12:
-                raise NoRegionError(f"level {level} not attained inside the domain")
-        while f(lo) < 0.0:
-            if lo < 1e-12:
-                raise NoRegionError(f"level {level} not resolved near the center")
-            lo, hi = 0.5 * lo, lo
-        return lo, hi
-
-    return _level_set(kernel.level_radius(r), f, bracket)
+    # elliptic models are static, so every radius lies in the domain
+    lo, hi = 0.5, 1.0
+    while f(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e12:
+            raise NoRegionError(f"level {level} not attained inside the domain")
+    while f(lo) < 0.0:
+        if lo < 1e-12:
+            raise NoRegionError(f"level {level} not resolved near the center")
+        lo, hi = 0.5 * lo, lo
+    return float(brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -180,44 +173,27 @@ class HeatBallRegion:
 def heatball_profile(kernel, r):
     """Build the parabolic level region for level parameter r.
 
-    The top time solves the on-center equation; the region is rejected when,
-    at one of 9 times, the profile comes within 10 percent of the domain
-    radius or does not close inside it, and the first such time is named.
+    The top time is the kernel's own; the region is rejected when, at one of
+    9 times, the profile comes within 10 percent of the domain radius or does
+    not close inside it, and the first such time is named.
     """
     memo = kernel.heatballs
     known = memo.get(r)
     if known is not None:
         return HeatBallRegion(kernel=kernel, r=r, tau_max=known[0], levels=known[1])
-    level = _level(kernel, r)
-
-    def center(tau):
-        return kernel.at(tau).value(0.0) - level
-
-    def bracket():
-        lo, hi = 1e-12, 1.0
-        while center(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e8:
-                raise NoRegionError("on-center level equation has no root")
-        while center(lo) < 0.0:
-            lo, hi = 1e-2 * lo, lo  # a tight bracket: Brent cannot bisect 1e-240 to 1
-            if lo < 1e-280:
-                raise NoRegionError("kernel does not exceed the level near tau = 0")
-        return lo, hi
-
-    tau_max = _level_set(kernel.tau_max(r), center, bracket)
-    region = HeatBallRegion(kernel=kernel, r=r, tau_max=tau_max)
+    _level(kernel, r)  # rejects r before the kernel solves with it
+    region = HeatBallRegion(kernel=kernel, r=r, tau_max=kernel.tau_max(r))
 
     x_max = kernel.geom.x_max()
     if math.isfinite(x_max):
-        taus = np.linspace(0.05, 0.95, 9) * tau_max
+        taus = np.linspace(0.05, 0.95, 9) * region.tau_max
         try:
             wide = taus[region.profile_x(taus) > 0.9 * x_max]
         except NoRegionError:  # one does not close: the first time that fails, in order
             wide = [next(tau for tau in taus if region.profile_x(tau) > 0.9 * x_max)]
         if len(wide):
             raise NoRegionError(f"profile reaches 90% of the domain radius at tau = {wide[0]:.4g}")
-    memo[r] = (tau_max, region.levels)
+    memo[r] = (region.tau_max, region.levels)
     while len(memo) > _MEMO_RADII:
         memo.popitem(last=False)  # one call, so threads racing here at most evict extra radii
     return region

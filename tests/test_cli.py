@@ -335,6 +335,13 @@ def test_tiny_sweep_parameters_are_usage_errors(argv, named, capsys):
     assert named in err
 
 
+def test_reduced_ball_past_the_time_domain_is_exit_2(capsys):
+    assert run_cli(["sweep", "--quantity", "jhat", "--geometry", "shrinking-s3",
+                    "--rmax", "1e20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: on-center level equation has no root inside the time domain\n"
+
+
 def test_sweep_golden_csv(capsys):
     """Byte-exact output of an I/J sweep: verdicts and formatting."""
     assert run_cli(J_SWEEP + ["--field", "harmonic-quadratic",

@@ -1,5 +1,6 @@
-"""Cold start: importing mvlab, the heat-ball path and ``mvlab report`` load
-no scipy module; each case runs in a fresh interpreter."""
+"""Cold start: importing mvlab, the heat-ball path, the reduced-distance
+sweeps and suite, and ``mvlab report`` load no scipy module; each case runs
+in a fresh interpreter."""
 
 import json
 import os
@@ -42,6 +43,15 @@ def test_heat_ball_path_loads_no_scipy(code):
     out, loaded = fresh_run("from mvlab import FlowGeometry, HeatKernel, make_field\n"
                             "from mvlab import mv_parabolic as mvp\n" + code)
     assert float(out) > 0.0 and loaded == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--quantity", q, "--geometry", g]
+    for q in ("jhat", "ihat") for g in ("shrinking-s3", "shrinking-s2", "gaussian")
+] + [["verify", "--suite", "ricci", "--geometry", "gaussian"]], ids=" ".join)
+def test_reduced_sweeps_and_suite_load_no_scipy(argv):
+    out, loaded = fresh_run(f"import mvlab.cli\nassert mvlab.cli.main({argv!r}) == 0")
+    assert out and loaded == []
 
 
 def test_report_loads_no_scipy():

@@ -220,18 +220,14 @@ def test_closed_forms_solve_no_roots(brent_calls, h3, rd_s3):
         mvp.jhat_quantity(kern, r)
         mvp.mv_heat_sphere(kern, make_field("exp-radial", h3), r)
         mvp.mv_heat_ball(kern, make_field("exp-radial", h3), r)
-    assert brent_calls == []
-    # the reduced-distance profile is closed form: only its on-center top
-    # time is a Brent root, one per distinct region (the kernel's memo
-    # serves the later queries at r; a fresh kernel has none)
+    # the reduced-distance kernel solves its own top time and profile
     khat_s3 = SubHeatKernel(rd_s3)
     for r in (0.8, 1.4):
         reg = heatball_profile(khat_s3, r)
         reg.profile_x(reg.tau_max * np.array([1e-15, 0.5, 1.0 - 1e-12]))
         mvp.jhat_quantity(khat_s3, r)
         mvp.ihat_quantity(khat_s3, 0.0, r)
-    assert [call[0].__name__ for call in brent_calls] == ["center"] * 2
-    brent_calls.clear()
+    assert brent_calls == []
     # Green's functions of H4 have no inverse: Brent still serves them
     green_ball(GreenKernel(FlowGeometry.hyperbolic(4)), 1.0)
     assert len(brent_calls) == 1
@@ -572,6 +568,21 @@ def test_rejection_names_the_first_time_that_fails(khat_s3, r, message):
     # a check of one time after the other would
     with pytest.raises(NoRegionError, match=message):
         heatball_profile(khat_s3, r)
+
+
+@pytest.mark.parametrize("r,message", [
+    (20.0, "90% of the domain radius"),
+    (1e3, "does not close inside the domain"),
+    (1e20, "no root inside the time domain")])  # tau0 = 8e38 is past the last time
+def test_wide_reduced_balls_have_no_region(khat_s3, r, message):
+    with pytest.raises(NoRegionError, match=message):
+        heatball_profile(khat_s3, r)
+
+
+def test_wide_gaussian_balls_are_solved(khat_flat2):
+    # no search caps the top time: r = 1e5 has tau_max = 8e8
+    val, err = mvp.jhat_quantity(khat_flat2, 1e5)
+    assert abs(val - 1.0) <= err
 
 
 def test_heatball_domain_errors(e2):
