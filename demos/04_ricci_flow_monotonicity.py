@@ -26,7 +26,7 @@ for r in (0.3, 0.5, 0.8):
 print("\nshrinking round 3-sphere (strict monotonicity):")
 sphere = ReducedDistanceField(FlowGeometry.shrinking_sphere(3))
 ksph = SubHeatKernel(sphere)
-out = mvp.jhat_sweep(ksph, [0.8, 1.4, 2.0], a_fracs=(0.0,))
+out = mvp.jhat_sweep(ksph, [0.8, 1.4, 2.0])
 for r, jv, iv in zip(out["jhat"].grid, out["jhat"].values,
                      out["ihat0"].values):
     print(f"  r = {r:3.1f}: Jhat = {jv:.8f} <= Ihat = {iv:.8f}")

@@ -2,14 +2,16 @@
 
 Each entry supplies the pointwise value, Laplacian and time derivative
 together with exact averages over geodesic spheres centered at the model
-center.  Keeping the angular integration in closed form means every region
-integral downstream stays one- or two-dimensional.
+center; a part that vanishes is left to `TestField`'s zero default.  Keeping
+the angular integration in closed form (a positive series for exp(b cos
+theta)) means every region integral downstream stays one- or two-dimensional.
 
 Catalog names: ``constant-1``, ``linear``, ``harmonic-quadratic``, ``power``,
 ``subharmonic``, ``superharmonic``, ``caloric-quadratic``,
 ``gaussian-translate``, ``exp-radial``.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +28,12 @@ SUPERCALORIC = "supercaloric"
 SUBCALORIC = "subcaloric"
 NONE = "none"
 
+_PARAMS = {"superharmonic": {"C"}, "gaussian-translate": {"a", "s0"}}  # no other field takes any
+
+
+def _zero(rho, t=0.0, omega=None):  # a part that vanishes, on floats and arrays
+    return 0.0
+
 
 @dataclass(frozen=True)
 class TestField:
@@ -38,18 +46,19 @@ class TestField:
     operator ``(d/dt - Delta) v``.  ``mean_heat_op`` and ``mean_value_np``
     take numpy arrays (radii and times), as the heat-ball integrands call
     them, and hold at rho = 0 too; ``mean_value_np`` defaults to
-    ``mean_value`` where that is arithmetic.
+    ``mean_value`` where that is arithmetic.  ``laplacian``, ``dt`` and the
+    other two means default to `_zero`: a field states its nonzero parts only.
     """
 
     name: str
     geom: object
     value: callable
-    laplacian: callable
-    dt: callable
     mean_value: callable
-    mean_laplacian: callable
-    mean_heat_op: callable
     tags: tuple
+    laplacian: callable = _zero
+    dt: callable = _zero
+    mean_laplacian: callable = _zero
+    mean_heat_op: callable = _zero
     mean_value_np: callable = None
 
     def __post_init__(self):  # a missing array form is the scalar form
@@ -73,34 +82,19 @@ def _e1(omega, idx):
     return omega[idx]
 
 
-def _ive(*args):
-    """scipy.special.ive; the first call imports it and rebinds the name."""
-    global _ive
-    from scipy.special import ive as _ive
-    return _ive(*args)
-
-
 def _sphere_mean_exp_cos(n, b):
-    """Mean of exp(b <omega, e>) over the unit (n-1)-sphere.
-
-    Equals Gamma(n/2) (2/b)^(n/2-1) I_{n/2-1}(b); series branch for small b.
-    """
-    if n == 1:
-        return math.cosh(b)
-    nu = n / 2.0 - 1.0
-    if abs(b) < 1e-6:
-        return 1.0 + b * b / (2.0 * n) + b ** 4 / (8.0 * n * (n + 2.0))
-    return math.gamma(n / 2.0) * (2.0 / b) ** nu * _ive(nu, b) * math.exp(abs(b))
-
-
-def _sphere_mean_exp_cos_db(n, b):
-    """d/db of the mean above; equals Gamma(n/2) (2/b)^(n/2-1) I_{n/2}(b)."""
-    if n == 1:
-        return math.sinh(b)
-    nu = n / 2.0 - 1.0
-    if abs(b) < 1e-6:
-        return b / n * (1.0 + b * b / (2.0 * (n + 2.0)))
-    return math.gamma(n / 2.0) * (2.0 / b) ** nu * _ive(nu + 1.0, b) * math.exp(abs(b))
+    """Mean of exp(b <omega, e>) over the unit (n-1)-sphere for a float or array b:
+    the positive series sum_k (b/2)^(2k) Gamma(n/2) / (k! Gamma(k + n/2)), which is
+    Gamma(n/2) (2/b)^(n/2-1) I_{n/2-1}(b).  It stops at the first term that moves
+    no sum (or on nan or inf); later terms are smaller, so an array entry equals
+    its scalar call bit for bit.  d/db of it is b/n times the mean for n + 2."""
+    h = abs(b) / 2.0
+    total = term = 1.0
+    for k in itertools.count(1):
+        term = term / (k * (k - 1 + n / 2.0)) * h * h  # divided first: no early overflow
+        last, total = total, total + term
+        if not np.any(total > last):
+            return total
 
 
 def _require(geom, kinds, name, min_n=1):
@@ -113,8 +107,12 @@ def _require(geom, kinds, name, min_n=1):
 def make_field(name, geom, **params):
     """Build a catalog field for the given geometry.
 
-    Raises UnsupportedError on combinations outside the catalog.
+    Raises UnsupportedError on combinations outside the catalog and on a
+    parameter the field does not take.
     """
+    unknown = sorted(set(params) - _PARAMS.get(name, set()))
+    if unknown:
+        raise UnsupportedError(f"field '{name}' takes no parameter '{unknown[0]}'")
     n = geom.n
     flat = (EUCLIDEAN,)
 
@@ -122,11 +120,7 @@ def make_field(name, geom, **params):
         return TestField(
             name, geom,
             value=lambda rho, t=0.0, omega=None: 1.0,
-            laplacian=lambda rho, t=0.0, omega=None: 0.0,
-            dt=lambda rho, t=0.0, omega=None: 0.0,
             mean_value=lambda rho, t=0.0: 1.0,
-            mean_laplacian=lambda rho, t=0.0: 0.0,
-            mean_heat_op=lambda rho, t=0.0: 0.0,
             tags=(HARMONIC, CALORIC))
 
     if name == "linear":
@@ -134,11 +128,7 @@ def make_field(name, geom, **params):
         return TestField(
             name, geom,
             value=lambda rho, t=0.0, omega=None: rho * _e1(omega, 0),
-            laplacian=lambda rho, t=0.0, omega=None: 0.0,
-            dt=lambda rho, t=0.0, omega=None: 0.0,
-            mean_value=lambda rho, t=0.0: 0.0,
-            mean_laplacian=lambda rho, t=0.0: 0.0,
-            mean_heat_op=lambda rho, t=0.0: 0.0,
+            mean_value=_zero,
             tags=(HARMONIC, CALORIC))
 
     if name == "harmonic-quadratic":
@@ -147,11 +137,7 @@ def make_field(name, geom, **params):
             name, geom,
             value=lambda rho, t=0.0, omega=None: rho * rho * (
                 _e1(omega, 0) ** 2 - _e1(omega, 1) ** 2),
-            laplacian=lambda rho, t=0.0, omega=None: 0.0,
-            dt=lambda rho, t=0.0, omega=None: 0.0,
-            mean_value=lambda rho, t=0.0: 0.0,
-            mean_laplacian=lambda rho, t=0.0: 0.0,
-            mean_heat_op=lambda rho, t=0.0: 0.0,
+            mean_value=_zero,
             tags=(HARMONIC, CALORIC))
 
     if name == "power":
@@ -163,11 +149,7 @@ def make_field(name, geom, **params):
         return TestField(
             name, geom,
             value=lambda rho, t=0.0, omega=None: rho ** p,
-            laplacian=lambda rho, t=0.0, omega=None: 0.0,
-            dt=lambda rho, t=0.0, omega=None: 0.0,
             mean_value=lambda rho, t=0.0: rho ** p,
-            mean_laplacian=lambda rho, t=0.0: 0.0,
-            mean_heat_op=lambda rho, t=0.0: 0.0,
             tags=(SUPERHARMONIC,))
 
     if name == "subharmonic":
@@ -185,7 +167,6 @@ def make_field(name, geom, **params):
             name, geom,
             value=lambda rho, t=0.0, omega=None: rho * rho,
             laplacian=lap,
-            dt=lambda rho, t=0.0, omega=None: 0.0,
             mean_value=lambda rho, t=0.0: rho * rho,
             mean_laplacian=lap,
             mean_heat_op=lambda rho, t=0.0: -lap(rho, t, m=np),
@@ -198,7 +179,6 @@ def make_field(name, geom, **params):
             name, geom,
             value=lambda rho, t=0.0, omega=None: C - rho * rho,
             laplacian=lambda rho, t=0.0, omega=None: -2.0 * n,
-            dt=lambda rho, t=0.0, omega=None: 0.0,
             mean_value=lambda rho, t=0.0: C - rho * rho,
             mean_laplacian=lambda rho, t=0.0: -2.0 * n,
             mean_heat_op=lambda rho, t=0.0: 2.0 * n,
@@ -214,7 +194,6 @@ def make_field(name, geom, **params):
             dt=lambda rho, t=0.0, omega=None: 2.0 * n,
             mean_value=lambda rho, t=0.0: rho * rho + 2.0 * n * t,
             mean_laplacian=lambda rho, t=0.0: 2.0 * n,
-            mean_heat_op=lambda rho, t=0.0: 0.0,
             tags=(SUBHARMONIC, CALORIC))
 
     if name == "gaussian-translate":
@@ -229,22 +208,20 @@ def make_field(name, geom, **params):
             d2 = rho * rho - 2.0 * rho * a * _e1(omega, 0) + a * a
             return (4.0 * math.pi * s) ** (-n / 2.0) * math.exp(-d2 / (4.0 * s))
 
+        def pref(rho, s, m=math):  # the mean divided by its series M_n(b), b = rho a / (2 s)
+            return (4.0 * math.pi * s) ** (-n / 2.0) * m.exp(-(rho * rho + a * a) / (4.0 * s))
+
         def mean(rho, t=0.0, m=math):
             s = t + s0
-            b = rho * a / (2.0 * s)
-            pref = (4.0 * math.pi * s) ** (-n / 2.0) * m.exp(
-                -(rho * rho + a * a) / (4.0 * s))
-            return pref * (_sphere_mean_exp_cos(n, b) if m is math
-                           else np.vectorize(_sphere_mean_exp_cos)(n, b))
+            return pref(rho, s, m) * _sphere_mean_exp_cos(n, rho * a / (2.0 * s))
 
         def mean_dt(rho, t=0.0):
+            # d/dt of pref M_n(b): dM_n/db = (b / n) M_{n+2}(b) and db/dt = -b / s
             s = t + s0
             b = rho * a / (2.0 * s)
-            pref = (4.0 * math.pi * s) ** (-n / 2.0) * math.exp(
-                -(rho * rho + a * a) / (4.0 * s))
-            dpref = pref * (-n / (2.0 * s) + (rho * rho + a * a) / (4.0 * s * s))
-            return (dpref * _sphere_mean_exp_cos(n, b)
-                    + pref * _sphere_mean_exp_cos_db(n, b) * (-b / s))
+            return pref(rho, s) * ((-n / (2.0 * s) + (rho * rho + a * a) / (4.0 * s * s))
+                                   * _sphere_mean_exp_cos(n, b)
+                                   - b * b / (n * s) * _sphere_mean_exp_cos(n + 2, b))
 
         def lap(rho, t=0.0, omega=None):
             # caloric: Delta v = dv/dt
@@ -256,7 +233,6 @@ def make_field(name, geom, **params):
             name, geom,
             value=val, laplacian=lap, dt=lap,
             mean_value=mean, mean_laplacian=mean_dt,
-            mean_heat_op=lambda rho, t=0.0: 0.0,
             mean_value_np=lambda rho, t=0.0: mean(rho, t, m=np),
             tags=(CALORIC,))
 
@@ -274,7 +250,6 @@ def make_field(name, geom, **params):
             name, geom,
             value=lambda rho, t=0.0, omega=None: math.exp(-rho),
             laplacian=lap,
-            dt=lambda rho, t=0.0, omega=None: 0.0,
             mean_value=lambda rho, t=0.0: math.exp(-rho),
             mean_laplacian=lap,
             mean_heat_op=lambda rho, t=0.0: -lap(rho, t, m=np),

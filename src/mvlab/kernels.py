@@ -355,13 +355,18 @@ class HeatKernel(ParabolicKernel):
             raise UnsupportedError("exact heat kernels need a static model")
 
     def tau_max(self, r):
-        # on-center (4 pi tau)^(n/2) exp(k^2 tau) = r^n; with a = r^2 / (4 pi)
-        # and c = 2 k^2 / 3 (n = 3) this is c tau exp(c tau) = c a
+        """Top time of {kernel >= r^(-n)}.  On center (4 pi tau)^(n/2) exp(k^2
+        tau) = r^n; with a = r^2 / (4 pi) and c = 2 k^2 / 3 (n = 3) this is
+        c tau exp(c tau) = c a.  NoRegionError if the root is past the last
+        time (r * r overflowing included)."""
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"level parameter r must be positive and finite, got {r}")
         a = r * r / (4.0 * math.pi)
-        if self._k == 0.0:
-            return a
         c = 2.0 * self._k ** 2 / 3.0
-        return _lambertw0(c * a) / c
+        tau = a if c == 0.0 else _lambertw0(c * a) / c
+        if not tau < -self.geom.time_interval[0]:
+            raise NoRegionError("on-center level equation has no root inside the time domain")
+        return tau
 
     def profile_x(self, r, tau, sl=None):
         """Radius of {kernel >= r^(-n)} at tau, a float or an array of times.
@@ -374,7 +379,7 @@ class HeatKernel(ParabolicKernel):
         """
         tau = np.asarray(tau, dtype=float)
         if self._k == 0.0:
-            x = np.sqrt(2.0 * self.n * tau * np.log(self.tau_max(r) / tau))
+            x = np.sqrt(2.0 * self.n * tau * np.log(r * r / (4.0 * math.pi) / tau))
             return x if x.ndim else float(x)
         sl = self.at(tau) if sl is None else sl
         k2, log_level = self._k ** 2, -self.n * math.log(r)

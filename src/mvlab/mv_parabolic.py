@@ -204,27 +204,31 @@ def sphere_ball_chain_residual(kernel, r):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
 
 
-def jhat_sweep(kernel, r_grid, a_fracs=(0.0, 0.5), tol=1e-6):
-    """Sweep Jhat and Ihat over the radius grid for a sub-heat kernel.
+def _liyau_sweep(name, j, i, r_grid, direction, tol):
+    """Sweeps of J(r) = ``j(r)`` and of I(0, r), I(a, r) = ``i(a, r)``, both
+    declared ``direction``, keyed ``name`` ("jhat" or "jbar") and its "i"
+    twin plus "0" ("ihat0", "ibar0"); "pairs" lists (a, r, I, I_err) at
+    a = 0 and a = r/2 for the ordering check J(r) <= I(a, r)."""
+    pairs = []
 
-    Returns a dict with SweepReports "jhat" and "ihat0" (both declared
-    non-increasing) and a list "pairs" of (a, r, ihat, ihat_err) for the
-    ordering check Jhat(r) <= Ihat(a, r).
-    """
-    cache, pairs = {}, []
+    def i0(r):
+        pairs.extend([(0.0, r) + i(0.0, r), (0.5 * r, r) + i(0.5 * r, r)])
+        return pairs[-2][2:]
 
-    def ihat0(r):
-        # the pairs at r and Ihat(0, r) share the cached ball integrals
-        for a in [frac * r for frac in a_fracs]:
-            pairs.append((a, r) + ihat_quantity(kernel, a, r, _cache=cache))
-        return ihat_quantity(kernel, 0.0, r, _cache=cache)
+    iname = "i" + name[1:]
+    return {name: sweep(name, j, r_grid, direction, tol),
+            iname + "0": sweep(iname + "(0,r)", i0, r_grid, direction, tol),
+            "pairs": pairs}
 
-    return {
-        "jhat": sweep("jhat", lambda r: jhat_quantity(kernel, r), r_grid,
-                      "non-increasing", tol),
-        "ihat0": sweep("ihat(0,r)", ihat0, r_grid, "non-increasing", tol),
-        "pairs": pairs,
-    }
+
+def jhat_sweep(kernel, r_grid, tol=1e-6):
+    """Sweep Jhat and Ihat over the radius grid for a sub-heat kernel (both
+    non-increasing); see `_liyau_sweep`.  The pairs at r and Ihat(0, r)
+    share the ball integrals."""
+    cache = {}
+    return _liyau_sweep("jhat", lambda r: jhat_quantity(kernel, r),
+                        lambda a, r: ihat_quantity(kernel, a, r, _cache=cache),
+                        r_grid, "non-increasing", tol)
 
 
 def forward_j_sweep(kernel, field, r_grid, tol=1e-6):
@@ -411,20 +415,10 @@ def ibar_quantity(track, a, r):
 
 
 def mcf_sweep(n, r_grid, tol=1e-6):
-    """Sweep Jbar and Ibar on the shrinking-sphere track (non-decreasing)."""
+    """Sweep Jbar and Ibar on the shrinking-sphere track (non-decreasing; see
+    `_liyau_sweep`), with the Gaussian density as "density"."""
     track = McfShrinkingSphereTrack(n)
-    pairs = []
-
-    def ibar0(r):
-        ball = ibar_quantity(track, 0.0, r)
-        half = ibar_quantity(track, 0.5 * r, r)
-        pairs.extend([(0.0, r) + ball, (0.5 * r, r) + half])
-        return ball
-
-    return {
-        "jbar": sweep("jbar", lambda r: jbar_quantity(track, r), r_grid,
-                      "non-decreasing", tol),
-        "ibar0": sweep("ibar(0,r)", ibar0, r_grid, "non-decreasing", tol),
-        "pairs": pairs,
-        "density": gaussian_density(n),
-    }
+    out = _liyau_sweep("jbar", lambda r: jbar_quantity(track, r),
+                       lambda a, r: ibar_quantity(track, a, r),
+                       r_grid, "non-decreasing", tol)
+    return {**out, "density": gaussian_density(n)}

@@ -1,7 +1,9 @@
 """Cold start: importing mvlab, the heat-ball path, the reduced-distance
-sweeps and suite, and ``mvlab report`` load no scipy module; each case runs
-in a fresh interpreter."""
+sweeps and suite, the J sweep of the Gaussian translate and ``mvlab report``
+load no scipy module; each case runs in a fresh interpreter.  Only the lazy
+stand-ins listed in ``SCIPY_STAND_INS`` import scipy at all."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +15,10 @@ import pytest
 import mvlab
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# (module, function) of every scipy import in mvlab: each imports its routine
+# on first use, so scipy stays off every path that does not call one
+SCIPY_STAND_INS = {("quad", "_quad"), ("quad", "_brentq"), ("reduced", "_rk45")}
 
 
 def fresh_run(code):
@@ -52,6 +58,40 @@ def test_heat_ball_path_loads_no_scipy(code):
 def test_reduced_sweeps_and_suite_load_no_scipy(argv):
     out, loaded = fresh_run(f"import mvlab.cli\nassert mvlab.cli.main({argv!r}) == 0")
     assert out and loaded == []
+
+
+def test_gaussian_translate_sweep_loads_no_scipy():
+    # its sphere mean is a numpy series, not scipy.special's Bessel function
+    argv = ["sweep", "--quantity", "J", "--geometry", "euclidean3", "--field",
+            "gaussian-translate", "--rmin", "0.1", "--rmax", "3", "--steps", "9"]
+    out, loaded = fresh_run(f"import mvlab.cli\nassert mvlab.cli.main({argv!r}) == 0")
+    assert len(out.splitlines()) == 10 and loaded == []
+
+
+def scipy_imports(path):
+    """(function, module imported) of each scipy import in a source file; the
+    function is "" at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            names = ([a.name for a in child.names] if isinstance(child, ast.Import)
+                     else [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
+            found.extend((where, m) for m in names if m.split(".")[0] == "scipy")
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_scipy_is_imported_by_the_stand_ins_only():
+    src = Path(mvlab.__file__).resolve().parent
+    sites = {(path.stem, where) for path in sorted(src.glob("*.py"))
+             for where, _ in scipy_imports(path)}
+    assert sites == SCIPY_STAND_INS
 
 
 def test_report_loads_no_scipy():

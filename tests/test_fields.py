@@ -1,5 +1,7 @@
 """Test-function catalog: analytic derivatives against finite differences,
-exact sphere means against fixed-order angular quadrature, sign tags."""
+exact sphere means against fixed-order angular quadrature, the series for
+the mean of exp(b cos theta) against mpmath and scipy, sign tags and
+parameter checks."""
 
 import math
 
@@ -8,7 +10,8 @@ import pytest
 
 from mvlab.errors import UnsupportedError
 from mvlab.fields import (CALORIC, HARMONIC, NONE, SUBCALORIC, SUBHARMONIC,
-                          SUPERCALORIC, SUPERHARMONIC, make_field)
+                          SUPERCALORIC, SUPERHARMONIC, _sphere_mean_exp_cos,
+                          make_field)
 
 EUCLIDEAN_FIELDS = ["constant-1", "linear", "harmonic-quadratic",
                     "subharmonic", "superharmonic", "caloric-quadratic",
@@ -230,3 +233,75 @@ def test_unsupported_pairs(e2, h3, s3):
         make_field("no-such-field", e2)
     with pytest.raises(UnsupportedError):
         make_field("caloric-quadratic", s3)
+
+
+def test_unknown_parameters_are_errors(e3):
+    # a parameter a field does not take is a usage error, not a silent default
+    with pytest.raises(UnsupportedError, match="'superharmonic' takes no parameter 'c'"):
+        make_field("superharmonic", e3, c=1.0)
+    with pytest.raises(UnsupportedError, match="'constant-1' takes no parameter 'C'"):
+        make_field("constant-1", e3, C=10.0)
+    assert make_field("superharmonic", e3, C=1.0).center_value() == 1.0
+    assert make_field("gaussian-translate", e3, a=0.0, s0=0.25).center_value() == \
+        pytest.approx((math.pi) ** -1.5, rel=1e-15)
+
+
+_SERIES_B = [0.0, 1e-9, 1e-3, 0.5, 5.0, 30.0, 300.0, 700.0]
+
+
+def _mp_sphere_mean(mp, n, b):
+    """Gamma(n/2) (2/b)^(n/2-1) I_{n/2-1}(b), the mean of exp(b cos theta)
+    over the unit (n-1)-sphere, at the working precision."""
+    if b == 0:
+        return mp.mpf(1)
+    nu = mp.mpf(n) / 2 - 1
+    return mp.gamma(mp.mpf(n) / 2) * (2 / mp.mpf(b)) ** nu * mp.besseli(nu, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sphere_mean_series_against_mpmath(n):
+    # the positive series against 30-digit Bessel functions, and its
+    # derivative (b / n) M_{n+2}(b) against mpmath's derivative of M_n
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for b in _SERIES_B:
+            want = _mp_sphere_mean(mp, n, b)
+            assert abs(_sphere_mean_exp_cos(n, b) / want - 1) <= 4e-15
+            got = b / n * _sphere_mean_exp_cos(n + 2, b)
+            if b == 0.0:  # an even function of b; mpmath's difference would leave b > 0
+                assert got == 0.0
+                continue
+            dwant = mp.diff(lambda x: _mp_sphere_mean(mp, n, x), b)
+            assert abs(got - dwant) <= 4e-15 * abs(dwant)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sphere_mean_series_against_scipy(n):
+    # scipy's exponentially scaled Bessel function as a second oracle; that
+    # path itself is up to 8.2e-15 off 30-digit mpmath at these b
+    from scipy.special import ive
+    for b in _SERIES_B[1:] + [0.1, 2.0, 11.0, 77.0, 150.0, 450.0]:
+        want = math.gamma(n / 2) * (2 / b) ** (n / 2 - 1) * ive(n / 2 - 1, b) * math.exp(b)
+        assert _sphere_mean_exp_cos(n, b) == pytest.approx(want, rel=2e-14)
+
+
+def test_sphere_mean_series_arrays_are_its_scalars():
+    # an array entry stops with its own last term moving no sum, so it reads
+    # as the scalar call bit for bit, whatever its neighbors still add
+    b = np.array([[0.0, 1e-9, 0.3, -2.5, 700.0], [math.nan, 40.0, 1e-300, 6.0, 123.4]])
+    for n in (1, 2, 3, 5):
+        got = _sphere_mean_exp_cos(n, b)
+        want = [_sphere_mean_exp_cos(n, float(x)) for x in b.ravel()]
+        assert got.shape == b.shape
+        assert got.tobytes() == np.array(want).reshape(b.shape).tobytes()
+
+
+def test_sphere_mean_series_ends_on_nan_and_overflow():
+    assert math.isnan(_sphere_mean_exp_cos(3, math.nan))
+    for b in (720.0, 1e5, 1e200, math.inf, -math.inf):
+        assert _sphere_mean_exp_cos(3, b) == math.inf
+    # no partial product overflows before the sum: cosh(710) is finite
+    assert _sphere_mean_exp_cos(1, 710.0) == pytest.approx(math.cosh(710.0), rel=1e-14)
+    with np.errstate(over="ignore"):
+        got = _sphere_mean_exp_cos(2, np.array([1.0, 800.0, math.nan, math.inf]))
+    assert got[0] > 1.0 and got[1] == got[3] == math.inf and math.isnan(got[2])

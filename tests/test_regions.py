@@ -579,6 +579,24 @@ def test_wide_reduced_balls_have_no_region(khat_s3, r, message):
         heatball_profile(khat_s3, r)
 
 
+@pytest.mark.parametrize("model,r", [("e2", 1e16), ("e2", 1e20), ("e2", 1e200), ("h3", 1e200)])
+def test_heat_balls_past_the_last_time_have_no_region(request, model, r):
+    # the exact kernels' top time passes the last time 1e30 from r ~ 3.5e15 on
+    # E2, and r * r overflows at 1e200: both are rejected at the build, not
+    # in the first integral (DomainError) or by an empty array (ValueError)
+    kern = HeatKernel(request.getfixturevalue(model))
+    for build in (heatball_profile, mvp.jhat_quantity):
+        with pytest.raises(NoRegionError, match="no root inside the time domain"):
+            build(kern, r)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_heat_top_time_needs_a_positive_finite_r(e2, h3, r):
+    for geom in (e2, h3):
+        with pytest.raises(DomainError, match="positive and finite"):
+            HeatKernel(geom).tau_max(r)
+
+
 def test_wide_gaussian_balls_are_solved(khat_flat2):
     # no search caps the top time: r = 1e5 has tau_max = 8e8
     val, err = mvp.jhat_quantity(khat_flat2, 1e5)
