@@ -25,8 +25,8 @@ and nothing on stdout.  Usage errors are
   overflows (refused after the sweep, before anything is written);
 * a quantity the geometry does not carry: theta, ihat or jhat on a
   geometry that is not a Ricci flow (an MCF track, or a static model whose
-  Ricci tensor is not its deformation tensor, such as hyperbolic3), and I/J
-  on an evolving geometry.
+  Ricci tensor is not its deformation tensor, such as hyperbolic3), I/J on
+  an evolving geometry, and jbar/ibar off an MCF track.
 
 All numeric output is formatted with 17 significant digits so identical
 invocations produce byte-identical files.  The wall time of ``verify`` is
@@ -210,10 +210,11 @@ def _sweep_quantity(args):
         field = make_field(args.field, geom)
         fn = mve.i_quantity if q == "I" else mve.j_quantity
         return (lambda r: fn(kern, field, r)), mve.classical_direction(field)
-    track = geom if is_track else McfShrinkingSphereTrack(geom.n)
+    if not is_track:
+        raise ValueError(f"quantity {q} needs an MCF track geometry (mcf-circle, mcf-sphere)")
     if q == "jbar":
-        return (lambda r: mvp.jbar_quantity(track, r)), "non-decreasing"
-    return (lambda r: mvp.ibar_quantity(track, args.a, r)), "non-decreasing"
+        return (lambda r: mvp.jbar_quantity(geom, r)), "non-decreasing"
+    return (lambda r: mvp.ibar_quantity(geom, args.a, r)), "non-decreasing"
 
 
 def _cmd_sweep(args):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, NoRegionError, UnsupportedError
 from .geometry import HYPERBOLIC, SHRINKING_SPHERE, unit_sphere_area
-from .quad import integrate_1d
+from .quad import integrate_1d  # noqa: F401  (perfbench/tracer.py QUAD_CONSUMERS patches it)
 
 _NEWTON_STEPS = 8  # Newton steps of the H3 profile and reduced top time; roundoff takes at most 5
 
@@ -61,9 +61,12 @@ def _lambertw0(z):
 def _spaceform_green_value(n, k, d):
     """Green's function of the simply connected space form of curvature -k^2.
 
-    Normalized so the gradient flux through every level sphere equals one.
-    Closed form for k = 0 (n >= 3) and for n = 3; otherwise a series beyond
-    d = 1/k and radial quadrature of the flux-normalized profile inside it.
+    Normalized so the gradient flux through every level sphere equals one:
+    G(d) = k^(m-1) I_m(kd) / area, I_m(u) = int_u^inf csch^m, m = n - 1.
+    Closed form for k = 0 (n >= 3) and n = 3.  Below u = 1 the reduction
+    I_j = (csch^(j-2) coth - (j-2) I_(j-2)) / (j-1) from I_1 = -log tanh(u/2)
+    or I_2 = coth u - 1 (its subtracted terms are O(u^2) of the first); from
+    u = 1 on the positive series 2^m sum_j C(m+j-1, j) e^(-(m+2j)u) / (m+2j).
     """
     if d <= 0:
         raise DomainError("distance must be positive")
@@ -75,22 +78,20 @@ def _spaceform_green_value(n, k, d):
     if n == 3:
         return k * math.exp(-k * d) / (4.0 * math.pi * math.sinh(k * d))
 
-    # G(d) = (1/area) * int_d^inf (k / sinh(k s))^(n-1) ds; beyond k s = 1
-    # the positive series k^(m-1) 2^m sum_j C(m+j-1, j) q^(m+2j) / (m+2j) in
-    # q = e^(-k s), m = n - 1, keeps relative accuracy as the tail decays
-    m, q, val, j = n - 1, math.exp(-max(k * d, 1.0)), 0.0, 0
+    m, u = n - 1, k * d
+    if u < 1.0:
+        csch, coth = 1.0 / math.sinh(u), 1.0 / math.tanh(u)
+        val = -math.log(math.tanh(0.5 * u)) if m % 2 else 2.0 / math.expm1(2.0 * u)
+        for j in range(4 - m % 2, m + 1, 2):
+            val = (csch ** (j - 2) * coth - (j - 2) * val) / (j - 1)
+        return k ** (m - 1) * val / area
+
+    q, val, j = math.exp(-u), 0.0, 0
     term = k ** (m - 1) * (2.0 * q) ** m
     while term > 1e-17 * val:
         val += term / (m + 2 * j)
         term *= q * q * (m + j) / (j + 1)
         j += 1
-    if d < 1.0 / k:
-        # the profile blows up like s^(2-n) (log s for n = 2) at the center,
-        # so the part inside s = 1/k is integrated in u = log s
-        inner, _ = integrate_1d(lambda u: (k / math.sinh(k * math.exp(u))) ** (n - 1)
-                                * math.exp(u), math.log(d), -math.log(k),
-                                epsabs=1e-14, epsrel=1e-12)
-        val += inner
     return val / area
 
 

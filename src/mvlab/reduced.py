@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DomainError, ShootingError
 from .geometry import unit_sphere_area
 from .kernels import SubHeatKernel
-from .quad import integrate_1d
+from .quad import integrate_1d, integrate_de
 
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
@@ -307,7 +307,7 @@ class ReducedDistanceField:
         closed-form minimizer, X its tau-velocity: its momentum
         p = m^2 dx/dsigma is constant and x(sigma) = p A(sigma) lands at
         xbar, so p = xbar ell2 sigmabar and |X|^2 = p^2 / (m^2 tau).
-        Returns (value, error).
+        Returns (value, error) of the tanh-sinh rule on the nodes' array.
         """
         flow, ell2 = self.flow, SubHeatKernel(self).at(tau_bar).ell2
         flow.check_point(rho, -tau_bar)
@@ -318,4 +318,4 @@ class ReducedDistanceField:
             X2 = p * p / (flow.m2(t) * tau)
             return tau ** 1.5 * (flow.dR_dt(t) - flow.scalar_R(t) / tau + 2.0 * flow.ricci(t) * X2)
 
-        return integrate_1d(integrand, 0.0, tau_bar, epsabs=1e-11, epsrel=1e-9)
+        return integrate_de(integrand, 0.0, tau_bar, atol=1e-14, rtol=1e-13)

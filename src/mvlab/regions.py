@@ -8,7 +8,7 @@ profile ``x(tau)`` is the per-slice root.  Every parabolic kernel solves
 both itself (`kernels`), so no root finder runs on a heat ball.  Green radii
 are closed forms where the kernel has them; bracketed Brent iteration serves
 the one equation without one, hyperbolic Green radii (n != 3), whose kernel
-is itself a series plus a quadrature.
+is itself a recurrence or a series.
 
 A parabolic region is foliated by time slices: every quadrature node,
 profile root and surface sample lives at one backward time tau, and a
@@ -33,8 +33,7 @@ disguise), so
     dA~ = sqrt(grad^2 + K_tau^2) / grad * (orbit sphere area) dtau,
 
 which is what `sphere_integrate` integrates on the slice ``kernel.at(tau)``
-of a level's times, with quadratic substitutions at both time endpoints
-where the profile closes.
+of a level's times.
 
 Integrals over one heat ball evaluate the same tanh-sinh levels of times,
 so `heatball_profile` keeps a memo on the kernel (``kernel.heatballs``): for

@@ -209,6 +209,19 @@ def test_sweep_jbar_json(tmp_path):
 J_SWEEP = ["sweep", "--quantity", "J", "--geometry", "euclidean3"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--quantity", q] + g for q in ("jbar", "ibar")
+    for g in ([], ["--geometry", "shrinking-s3"], ["--geometry", "hyperbolic3"])
+], ids=" ".join)
+def test_track_quantities_refuse_other_geometries(argv, capsys):
+    """jbar and ibar live on an MCF track: any other geometry, the default
+    euclidean3 included, is a usage error, not a sweep of another track."""
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "mcf-circle" in err and "mcf-sphere" in err
+
+
 def test_usage_errors(tmp_path, capsys, monkeypatch):
     # the environment variable of the removed --jobs flag is ignored
     monkeypatch.setenv("MVLAB_JOBS", "abc")

@@ -1,7 +1,9 @@
 """Cold start: importing mvlab, the heat-ball path, the reduced-distance
-sweeps and suite, the J sweep of the Gaussian translate and ``mvlab report``
+sweeps, the parabolic, mcf and ricci suites, the track sweeps, the J sweep of
+the Gaussian translate, hyperbolic Green's functions and ``mvlab report``
 load no scipy module; each case runs in a fresh interpreter.  Only the lazy
-stand-ins listed in ``SCIPY_STAND_INS`` import scipy at all."""
+stand-ins listed in ``SCIPY_STAND_INS`` import scipy at all, and only the
+functions listed in ``QUADPACK_CALLERS`` and ``BRENT_CALLERS`` call them."""
 
 import ast
 import json
@@ -19,6 +21,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # (module, function) of every scipy import in mvlab: each imports its routine
 # on first use, so scipy stays off every path that does not call one
 SCIPY_STAND_INS = {("quad", "_quad"), ("quad", "_brentq"), ("reduced", "_rk45")}
+# (module, function) of every call of the QUADPACK and Brent stand-ins:
+# no kernel, track, parabolic or Ricci-flow path solves with scipy
+QUADPACK_CALLERS = {("regions", "ball_integrate"),
+                    ("mv_elliptic", "sphere_ball_relation_residual"),
+                    ("mv_elliptic", "iterated_weight_identity"),
+                    ("reduced", "reduced_volume"), ("reduced", "l_length")}
+BRENT_CALLERS = {("regions", "level_radius")}
 
 
 def fresh_run(code):
@@ -54,7 +63,11 @@ def test_heat_ball_path_loads_no_scipy(code):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--quantity", q, "--geometry", g]
     for q in ("jhat", "ihat") for g in ("shrinking-s3", "shrinking-s2", "gaussian")
-] + [["verify", "--suite", "ricci", "--geometry", "gaussian"]], ids=" ".join)
+] + [["verify", "--suite", "ricci", "--geometry", "gaussian"]] + [
+    ["verify", "--suite", s] for s in ("ricci", "parabolic", "mcf")  # ricci: all three geometries
+] + [
+    ["sweep", "--quantity", q, "--geometry", "mcf-sphere"] for q in ("jbar", "ibar")
+], ids=" ".join)
 def test_reduced_sweeps_and_suite_load_no_scipy(argv):
     out, loaded = fresh_run(f"import mvlab.cli\nassert mvlab.cli.main({argv!r}) == 0")
     assert out and loaded == []
@@ -66,6 +79,13 @@ def test_gaussian_translate_sweep_loads_no_scipy():
             "gaussian-translate", "--rmin", "0.1", "--rmax", "3", "--steps", "9"]
     out, loaded = fresh_run(f"import mvlab.cli\nassert mvlab.cli.main({argv!r}) == 0")
     assert len(out.splitlines()) == 10 and loaded == []
+
+
+def test_hyperbolic_green_loads_no_scipy():
+    # below k d = 1 the H4 Green's function is a closed-form recurrence
+    out, loaded = fresh_run("from mvlab import FlowGeometry, GreenKernel\n"
+                            "print(GreenKernel(FlowGeometry.hyperbolic(4)).value(0.3))")
+    assert float(out) > 0.0 and loaded == []
 
 
 def scipy_imports(path):
@@ -92,6 +112,31 @@ def test_scipy_is_imported_by_the_stand_ins_only():
     sites = {(path.stem, where) for path in sorted(src.glob("*.py"))
              for where, _ in scipy_imports(path)}
     assert sites == SCIPY_STAND_INS
+
+
+def solver_calls(path, names=("integrate_1d", "brentq")):
+    """{name: {outermost function}} of the calls of each named solver in a
+    source file, methods under their own name."""
+    found = {name: set() for name in names}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where or (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else "")
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in found):
+                found[child.func.id].add(where)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_solvers_are_called_from_the_listed_functions_only():
+    src = Path(mvlab.__file__).resolve().parent
+    calls = {path.stem: solver_calls(path) for path in sorted(src.glob("*.py"))}
+    assert {(mod, fn) for mod, c in calls.items() for fn in c["integrate_1d"]} == QUADPACK_CALLERS
+    assert {(mod, fn) for mod, c in calls.items() for fn in c["brentq"]} == BRENT_CALLERS
 
 
 def test_report_loads_no_scipy():

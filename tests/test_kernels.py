@@ -93,7 +93,7 @@ def test_subgreen_general_dimension(rng):
 @pytest.mark.parametrize("d", [1e-30, 1e-20, 1e-10, 1e-5, 0.1, 0.5, 0.9,
                                1.0, 2.0])
 def test_green_quadrature_profile_closed_forms(d):
-    # the radial quadrature of H2 and H4 against their closed forms, down to
+    # the H2 and H4 Green's functions against their closed forms, down to
     # distances where the profile is singular
     h2 = -math.log(math.tanh(d / 2.0)) / (2.0 * math.pi)
     h4 = (0.5 / (math.sinh(d) * math.tanh(d))
@@ -126,6 +126,25 @@ def test_green_profile_far_tail(n, k, d):
     g = GreenKernel(FlowGeometry.hyperbolic(n, k=k)).value(d)
     # a plain ratio: pytest.approx would add its 1e-12 absolute tolerance
     assert abs(g / _hyperbolic_green_closed_form(n, k, d) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 6, 7])
+def test_green_against_mpmath(n):
+    # the recurrence below k d = 1 and the series from there on against
+    # int_u^inf csch^m = 2^m z^m / m 2F1(m/2, m; m/2 + 1; z^2), z = e^(-u),
+    # m = n - 1, at 30 digits; both cancel nowhere, so 2e-15 relative holds
+    mp = pytest.importorskip("mpmath")
+    m = n - 1
+    with mp.workdps(30):
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        for k in (0.5, 1.0, 2.0):
+            kern = GreenKernel(FlowGeometry.hyperbolic(n, k=k))
+            for u in (1e-8, 1e-3, 0.3, 0.9, 0.999, 1.0, 1.001, 1.5, 5.0):
+                d = u / k
+                z = mp.exp(-k * mp.mpf(d))
+                want = (mp.mpf(k) ** (m - 1) * 2 ** m * z ** m / m / area
+                        * mp.hyp2f1(mp.mpf(m) / 2, m, mp.mpf(m) / 2 + 1, z * z))
+                assert abs(kern.value(d) / want - 1) <= 2e-15, (k, d)
 
 
 # --------------------------------------------------------------------------- #

@@ -284,6 +284,24 @@ def test_track_ibar_integrates_exact_liyau(n):
             assert abs(val - theta) <= err
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_track_ibar_against_mpmath(n):
+    # the difference of slice areas against a 30-digit quadrature of the
+    # Li-Yau integrand n/(2 tau) slice_area(tau) between the same top times,
+    # within the rounding bound it reports
+    mp = pytest.importorskip("mpmath")
+    track = McfShrinkingSphereTrack(n)
+    with mp.workdps(30):
+        area = 2 * mp.pi ** (mp.mpf(n + 1) / 2) / mp.gamma(mp.mpf(n + 1) / 2)
+        for r in (0.5, 1.0, 2.0):
+            for a in (0.0, r / 2):
+                val, err = mvp.ibar_quantity(track, a, r)
+                lo = track.tau_max(a) if a else 0
+                want = mp.quad(lambda tau: n / (2 * tau) * area * (2 * n * tau) ** (mp.mpf(n) / 2),
+                               [lo, track.tau_max(r)]) / (mp.mpf(r) ** n - mp.mpf(a) ** n)
+                assert abs(val - want) <= err <= 1e-14, (r, a)
+
+
 def test_mcf_sweep_directions():
     out = mvp.mcf_sweep(2, [0.5, 1.0, 1.5, 2.0])
     assert out["jbar"].monotone_ok and out["ibar0"].monotone_ok

@@ -200,6 +200,24 @@ def test_k_curvature_center_oracle(rd_s3, s3):
     assert val == pytest.approx(expect, rel=1e-8)
 
 
+def test_k_curvature_against_mpmath(rd_s3):
+    # criterion 11's points: the tanh-sinh value against a 30-digit quadrature
+    # along the closed-form minimizer x = p arctan(sigma) of S3, within its
+    # own error estimate
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for rho, tau_bar in ((0.8, 0.2), (1.2, 0.3)):
+            val, err = rd_s3.k_curvature_integral(rho, tau_bar)
+            x_bar = mp.mpf(rd_s3.flow.x_of_rho(rho, -tau_bar))
+            p = x_bar / mp.atan(2 * mp.sqrt(tau_bar))
+
+            def integrand(tau):
+                c = 1 + 4 * tau  # m^2; R = 6 / c, dR/dt = 24 / c^2, Ric = 2 / c
+                return tau ** 1.5 * (24 / c ** 2 - 6 / (c * tau) + 4 * p * p / (c * c * tau))
+
+            assert abs(val - mp.quad(integrand, [0, tau_bar])) <= err <= 1e-14
+
+
 def test_k_curvature_makes_no_shot(rd_s3, monkeypatch):
     # the integral runs along the closed-form minimizer, whose constant
     # momentum the shot keeps: u = p / m^2 at every accepted step
