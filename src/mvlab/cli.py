@@ -20,6 +20,9 @@ and nothing on stdout.  Usage errors are
   shrinking-s3, or with a suite other than ricci or all;
 * a ``--tol-scale`` that is not finite and positive;
 * a non-finite ``--rmin``, ``--rmax``, ``--taumin``, ``--taumax`` or ``--a``;
+* a sweep flag the quantity does not read: ``--field`` is read by I and J
+  only, ``--a`` by ihat and ibar, ``--taumin`` and ``--taumax`` by theta,
+  ``--rmin`` and ``--rmax`` by every quantity but theta;
 * ``--steps`` below 1, or a sweep grid that is not strictly increasing;
 * a sweep point whose value or error is not finite, or whose level r^(-n)
   overflows (refused after the sweep, before anything is written);
@@ -114,13 +117,13 @@ def _build_parser():
                        help="tabulate a monotone quantity over a grid")
     s.add_argument("--quantity", choices=QUANTITIES, required=True)
     s.add_argument("--geometry", default="euclidean3")
-    s.add_argument("--field", default="constant-1")
-    s.add_argument("--rmin", type=float, default=0.5)
-    s.add_argument("--rmax", type=float, default=1.5)
+    s.add_argument("--field")
+    s.add_argument("--rmin", type=float)
+    s.add_argument("--rmax", type=float)
     s.add_argument("--steps", type=int, default=5)
-    s.add_argument("--taumin", type=float, default=0.05)
-    s.add_argument("--taumax", type=float, default=0.3)
-    s.add_argument("--a", type=float, default=0.0)
+    s.add_argument("--taumin", type=float)
+    s.add_argument("--taumax", type=float)
+    s.add_argument("--a", type=float)
     s.add_argument("--tol-scale", type=float, default=1.0)
 
     r = sub.add_parser("report", parents=[common],
@@ -165,6 +168,24 @@ def _check_tol_scale(args):
     if not 0.0 < args.tol_scale < math.inf:
         raise ValueError(
             f"--tol-scale must be finite and positive, got {args.tol_scale}")
+
+
+# sweep flags that only some quantities read: their defaults, and the readers
+_R_QUANTITIES = tuple(q for q in QUANTITIES if q != "theta")
+_SWEEP_FLAGS = {"field": ("constant-1", ("I", "J")),
+               "rmin": (0.5, _R_QUANTITIES), "rmax": (1.5, _R_QUANTITIES),
+               "taumin": (0.05, ("theta",)), "taumax": (0.3, ("theta",)),
+               "a": (0.0, ("ihat", "ibar"))}
+
+
+def _sweep_flags(args):
+    """Refuse a flag given to a quantity that does not read it, then fill in
+    the defaults of the flags not given."""
+    for flag, (default, readers) in _SWEEP_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.quantity not in readers:
+            raise ValueError(f"--{flag} is not read by quantity {args.quantity}")
 
 
 def _sweep_grid(args):
@@ -219,6 +240,7 @@ def _sweep_quantity(args):
 
 def _cmd_sweep(args):
     _check_tol_scale(args)
+    _sweep_flags(args)
     grid = _sweep_grid(args)
     quantity, direction = _sweep_quantity(args)
     with np.errstate(all="ignore"):  # a non-finite point is refused below instead

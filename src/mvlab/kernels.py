@@ -204,22 +204,26 @@ class KernelSlice:
     radius x.
 
     Every quadrature node, profile root and surface sample of a heat ball
-    lies on one time slice: the slice checks tau once and holds what depends
-    on tau alone.  tau is a float, a 1-d array (one radius per time) or a
-    column (a row of radii per time); the methods broadcast x against it in
-    numpy.  A subclass gives ``value(x)``, ``dlog(x)`` = d log K/dx and
-    ``dtau_log(x)`` = d log K/dtau at fixed x; the derivatives of K, its
-    gradient norm, its Li-Yau expression and the surface ``sample`` follow
-    here.  ``dx``, ``grad`` and ``dtau`` accept the value at x when the
-    caller has it.  ``rho(x)`` is the geodesic radius, ``warp(x)`` the orbit
-    warp and ``sm`` the radial metric factor sqrt(g_xx) of the slice; every
-    model is homogeneous in x.
+    lies on one time slice: ``kernel.at(tau)`` checks tau once, and the
+    slice holds what depends on tau alone.  tau is a float, a 1-d array (one
+    radius per time) or a column (a row of radii per time); the methods
+    broadcast x against it in numpy, and ``rows(i)`` is the slice on some
+    rows of a column, unchecked.  A subclass gives ``value(x)``, ``dlog(x)``
+    = d log K/dx and ``dtau_log(x)`` = d log K/dtau at fixed x; the
+    derivatives of K, its gradient norm, its Li-Yau expression and the
+    surface ``sample`` follow here.  ``dx``, ``grad`` and ``dtau`` accept
+    the value at x when the caller has it.  ``rho(x)`` is the geodesic
+    radius, ``warp(x)`` the orbit warp and ``sm`` the radial metric factor
+    sqrt(g_xx) of the slice; every model is homogeneous in x.
     """
 
     def __init__(self, kern, tau):
-        kern._check_tau(tau)
         self.kern, self.tau, self.t = kern, tau, -tau
         self.sm = np.sqrt(kern.geom.m2(-tau))
+
+    def rows(self, i):
+        """The slice on the times ``tau[i]`` of a column of times."""
+        return type(self)(self.kern, self.tau[i])
 
     def rho(self, x):
         return self.sm * x
@@ -263,17 +267,14 @@ class ParabolicKernel:
         self.n = geom.n
         self.heatballs = OrderedDict()  # `regions.heatball_profile`'s memo
 
-    def _check_tau(self, tau):
-        # an array of slices is checked at its ends
-        tau = np.asarray(tau)
-        for end in (tau.min(), tau.max()):
+    def at(self, tau):
+        """The kernel on the time slice tau, or on each slice of an array of
+        times, checked at its ends; raises DomainError off the domain."""
+        times = np.asarray(tau)
+        for end in (times.min(), times.max()):
             if end <= 0:
                 raise DomainError("backward time tau must be positive")
             self.geom.check_time(-end)
-
-    def at(self, tau):
-        """The kernel on the time slice tau, or on each slice of an array of
-        times; raises DomainError off the domain."""
         return self.slice_class(self, tau)
 
 
@@ -286,22 +287,34 @@ def _coth_cf(u2):
     return 1.0 / d
 
 
+def _branches(u, first, f, g):
+    """f(u) where ``first`` holds and g(u) elsewhere, each on its own nodes."""
+    first = np.asarray(first)
+    if first.all():
+        return f(u)
+    if not first.any():
+        return g(u)
+    out = np.empty(np.shape(u))
+    out[first] = f(u[first])
+    out[~first] = g(u[~first])
+    return out
+
+
 class HeatSlice(KernelSlice):
     """The exact heat kernel on time slices; its formulas live here only.
 
-    The models are static, so x is the geodesic radius and sm = 1.  Branches
-    are taken node by node with np.where, each on arguments inside its range.
+    The models are static, so x is the geodesic radius and sm = 1.  Where a
+    formula has two branches, each is evaluated on its own nodes only.
     """
 
     @staticmethod
     def _sinhc(u):  # u / sinh u
-        v = np.maximum(u, 1e-8)
-        return np.where(u > 1e-8, v / np.sinh(v), 1.0 - u * u / 6.0)
+        return _branches(u, u > 1e-8, lambda v: v / np.sinh(v), lambda v: 1.0 - v * v / 6.0)
 
     @staticmethod
     def _cothc(u):  # (u coth u - 1) / u^2; the direct form cancels below u = 1
-        v = np.maximum(u, 1.0)
-        return np.where(u < 1.0, _coth_cf(u * u), (v / np.tanh(v) - 1.0) / (v * v))
+        return _branches(u, u < 1.0, lambda v: _coth_cf(v * v),
+                         lambda v: (v / np.tanh(v) - 1.0) / (v * v))
 
     def __init__(self, kern, tau):
         super().__init__(kern, tau)

@@ -387,13 +387,15 @@ def jbar_quantity(track, r):
 
     The ambient Gaussian is constant on every slice, so the level boundary
     is the whole slice at the top time and the surface integrand reduces to
-    the kernel value.
+    the kernel value.  The error bounds the rounding, (n + 7) eps of the
+    value, as in `ibar_quantity`.
     """
     tau_m = track.tau_max(r)
     dtau = track.dtau_material(tau_m)
     grad = track.grad_tangential(tau_m)
     integrand = (grad ** 2 - track.value(tau_m) * dtau) / math.hypot(grad, dtau)
-    return integrand * track.slice_area(tau_m), 0.0
+    value = integrand * track.slice_area(tau_m)
+    return value, (track.n + 7) * np.finfo(float).eps * abs(value)
 
 
 def ibar_quantity(track, a, r):

@@ -9,8 +9,10 @@ factor at the bottom); the double-exponential rule `integrate_de` absorbs
 both.  It rewrites ``scipy.integrate.tanhsinh`` (scipy 1.17.1, minlevel 2,
 maxlevel 10, finite a < b), bit for bit in integral and error (scipy is its
 test oracle), without scipy's array bookkeeping, its extra midpoint
-evaluation and the evaluations at zero weight.  `qk21` is QUADPACK's QK21
-(Piessens et al. 1983) on the rows of a matrix of integrand values.
+evaluation and the evaluations at zero weight; a level whose weighted sum
+is finite and nonzero has only finite values, and skips the handling of
+non-finite ones.  `qk21` is QUADPACK's QK21 (Piessens et al. 1983) on the
+rows of a matrix of integrand values, one matrix per batch of time slices.
 """
 
 import math
@@ -21,10 +23,9 @@ DEFAULT_EPSABS = 1e-11
 DEFAULT_EPSREL = 1e-9
 
 _MINLEVEL, _MAXLEVEL = 2, 10
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 # base step: at level 0, eight steps reach where 1 - x underflows
-_H0 = np.float64(math.asinh(math.log(2 / (4 * np.finfo(float).smallest_normal) - 1)
-                            / math.pi) / 8)
+_H0 = math.asinh(math.log(2 / (4 * np.finfo(float).smallest_normal) - 1) / math.pi) / 8
 
 
 def _pairs(k):
@@ -46,6 +47,7 @@ _COUNT = np.cumsum([0] + [len(xjc) for xjc, _ in _LEVELS])
 # holds the right-side nodes b - alpha xjc, row 1 the left-side a + alpha xjc
 _LEVELS[_MINLEVEL] = tuple(np.concatenate(p) for p in zip(*_LEVELS[:_MINLEVEL + 1]))
 _LEVELS = [(np.stack((-xjc, xjc)), np.stack((wj, wj))) for xjc, wj in _LEVELS]
+_SIGNS = np.array([[1.0], [-1.0]])  # each side's outermost node has the largest signed x
 
 
 def integrate_de(f, a, b, atol=DEFAULT_EPSABS, rtol=DEFAULT_EPSREL):
@@ -62,32 +64,41 @@ def integrate_de(f, a, b, atol=DEFAULT_EPSABS, rtol=DEFAULT_EPSREL):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(_MINLEVEL, _MAXLEVEL + 1):
             x, w = alpha * _LEVELS[n][0] + ab, alpha * _LEVELS[n][1]
-            w[(x <= a) | (x >= b)] = 0.0
-            fx = np.full(x.shape, math.nan)
-            fx[w != 0] = f(x[w != 0])
-            bad = ~np.isfinite(fx)
+            live = (x != ab) & (w != 0.0)  # off the endpoints, at nonzero weight
+            fx = np.zeros(x.shape)
+            fx[live] = f(x[live])
+            fjwj = fx * w
+            total, good = float(fjwj.ravel().sum()), live
+            if total == 0.0 or not math.isfinite(total):
+                # a value may be non-finite: it counts as the value at the
+                # outermost finite node on its side, and an unevaluated node
+                # as that value at weight 0, whose sign a zero sum keeps
+                fx[~live], w[~live] = math.nan, 0.0
+                good = np.isfinite(fx)
             # outermost finite node of each side, the left one in -x
-            y = np.where(bad, -math.inf, x * [[1.0], [-1.0]])
-            for side, i in enumerate(y.argmax(axis=1)):
+            y = np.where(good, x * _SIGNS, -math.inf)
+            for side, i in enumerate(y.argmax(axis=1).tolist()):
                 if y[side, i] > ends[side][0]:
-                    ends[side] = (y[side, i], fx[side, i], w[side, i])
-            fjwj = np.where(bad, [[ends[0][1]], [ends[1][1]]], fx) * w
-            s = fjwj.ravel().sum() * (h := _H0 / 2 ** n)
+                    ends[side] = (y[side, i], float(fx[side, i]), float(w[side, i]))
+            if good is not live:
+                fjwj = np.where(good, fx, [[ends[0][1]], [ends[1][1]]]) * w
+                total = float(fjwj.ravel().sum())
+            s = total * (h := _H0 / 2 ** n)
             if sums:
                 s = sums[-1] / 2 + s
             else:  # the sums of the two levels below, from the same nodes
-                sums = [fjwj[:, :_COUNT[m]].ravel().sum() * step
-                        for m, step in ((n - 1, 4 * h), (n, 2 * h))]
+                sums = [float(fjwj[:, :_COUNT[n - 1]].ravel().sum()) * (4 * h),
+                        float(fjwj[:, :_COUNT[n]].ravel().sum()) * (2 * h)]
             d1, d2 = abs(s - sums[-1]), abs(s - sums[-2])
-            ds = (np.power(d1, np.log(d1) / np.log(d2)) if d1 > 0 else 0.0,
-                  d1 * d1, _EPS * abs(fjwj).max(),
-                  *(abs(fe * we) for _, fe, we in ends), _EPS * abs(s))
+            ds = (float(np.power(d1, np.log(d1) / np.log(d2))) if d1 > 0 else 0.0,
+                  d1 * d1, _EPS * float(abs(fjwj).max()),
+                  abs(ends[0][1] * ends[0][2]), abs(ends[1][1] * ends[1][2]), _EPS * abs(s))
             # as numpy's max and clip: NaN anywhere gives NaN
             err = np.float64(math.nan if math.isnan(sum(ds) + d1) else min(max(ds), d1))
-            if err / abs(s) < rtol or err < atol or not np.isfinite(s):
+            if err / abs(s) < rtol or err < atol or not math.isfinite(s):
                 break
             sums.append(s)
-    return float(s), float(err)
+    return s, float(err)
 
 
 # QK21 on [-1, 1] (QUADPACK's dqk21 data): abscissae x >= 0 in decreasing
@@ -109,14 +120,20 @@ def qk21(fx, half):
 
     Returns (integrals, error estimates) per row with QUADPACK's estimate:
     the Kronrod-Gauss difference scaled against the spread of the integrand
-    and floored at 50 ulps of the integral of its magnitude.
+    and floored at 50 ulps of the integral of its magnitude.  The scaling
+    runs under ``errstate`` and ``where`` only when a row has a zero spread
+    or difference, where QUADPACK keeps the difference as is.
     """
-    rk, rg = (fx @ _QK21_W).T
-    resasc = abs(fx - rk[:, None] / 2) @ _QK21_W[:, 0] * half
+    r = fx @ _QK21_W
+    rk, rg = r[:, 0], r[:, 1]
+    resasc = abs(fx - r[:, :1] / 2) @ _QK21_W[:, 0] * half
     err = abs(rk - rg) * half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where((resasc != 0) & (err != 0),
-                       resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+    if resasc.all() and err.all():
+        err = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where((resasc != 0) & (err != 0),
+                           resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
     return rk * half, np.maximum(err, 50.0 * _EPS * (abs(fx) @ _QK21_W[:, 0]) * half)
 
 

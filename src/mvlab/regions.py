@@ -19,11 +19,12 @@ array of times and evaluates in numpy.
 
 Both engines integrate over a heat ball one tanh-sinh level of times at a
 time (`_time_integral`).  In `ball_integrate` the times become one slice on
-a column of times, ``kernel.at(tau[:, None])``, a parabolic integrand is a
-factory ``integrand(slice) -> g(x)`` called on it once, and g maps a
-(slices x 21) matrix of comoving radii to its values.  Each slice takes QK21 with
-QUADPACK's error estimate (`quad.qk21`); pieces over their share of the
-tolerance are bisected and evaluated again, all in one batch.
+a column of times, ``kernel.at(tau[:, None])``, built once per batch; a
+parabolic integrand is a factory ``integrand(slice) -> g(x)`` called on it,
+and g maps a (slices x 21) matrix of comoving radii to its values.  Each
+slice takes QK21 with QUADPACK's error estimate (`quad.qk21`); pieces over
+their share of the tolerance are bisected and evaluated again, all in one
+batch, on the slice's rows of their times (``slice.rows``).
 
 Surface integrals over a parabolic level set use the space-time area element
 of g(t) + dt^2.  Along the profile the metric-normal speed of the level
@@ -150,10 +151,10 @@ class HeatBallRegion:
 
     def _profile(self, taus, sl=None):
         """Profile radii at a 1-d array of times, on their slice sl if given."""
-        if not np.all((taus > 0.0) & (taus < self.tau_max)):
+        if not ((taus > 0.0) & (taus < self.tau_max)).all():
             raise DomainError(f"tau must lie in (0, {self.tau_max})")
         x = self.kernel.profile_x(self.r, taus, sl)
-        if np.any(x >= self.kernel.geom.x_max()):
+        if (x >= self.kernel.geom.x_max()).any():
             raise NoRegionError("profile does not close inside the domain")
         return x
 
@@ -258,8 +259,8 @@ def ball_integrate(region, integrand, epsabs=1e-10, epsrel=1e-8):
         nonlocal worst
         out = np.zeros(taus.shape)
         x_hi = _level_data(region, taus)["x"]
-        inner = np.flatnonzero(x_hi > 0.0)
-        if inner.size:
+        inner = x_hi > 0.0  # a slice where the profile has closed adds 0
+        if inner.any():
             out[inner], err = _slice_integrals(
                 region.kernel, integrand, taus[inner], x_hi[inner],
                 0.1 * epsabs, max(0.1 * epsrel, 1e-10))
@@ -281,9 +282,9 @@ def _time_integral(density, tau_max, epsabs, epsrel):
 
     def f(taus):
         out = np.zeros(taus.shape)
-        inner = np.flatnonzero((taus > lo) & (taus < hi))  # never empty
-        tau = taus[inner]
-        out[inner] = val = density(tau)
+        keep = (taus > lo) & (taus < hi)  # never empty
+        tau = taus[keep]
+        out[keep] = val = density(tau)
         i, j = tau.argmin(), tau.argmax()
         if tau[i] < ends[0][0]:
             ends[0] = (tau[i], abs(float(val[i])))
@@ -299,31 +300,36 @@ def _slice_integrals(kern, integrand, tau, x_hi, epsabs, epsrel):
     """Integrals of ``integrand`` over the slices {0 <= x <= x_hi} at times tau.
 
     Every piece of every slice goes through QK21 in one batch: one slice
-    ``kern.at(tau)`` on a column of times and one (pieces x 21) matrix of
-    radii.  A piece whose error estimate exceeds its length's share of the
-    slice tolerance max(epsabs, epsrel |integral|) is bisected, and the
-    halves form the next batch, down to _DEPTH bisections.  Returns
-    (integrals, error estimates).
+    ``kern.at(tau)`` on a column of times, built once, and one (pieces x 21)
+    matrix of radii.  A piece whose error estimate exceeds its length's share
+    of the slice tolerance max(epsabs, epsrel |integral|) is bisected, and
+    the halves form the next batch, on the slice's rows of their times, down
+    to _DEPTH bisections.  Returns (integrals, error estimates).
     """
     area, n = unit_sphere_area(kern.n), kern.n
-    val, err = np.zeros(tau.size), np.zeros(tau.size)
-    owner, lo, hi, share = np.arange(tau.size), np.zeros(tau.size), x_hi, None
+    sl = whole = kern.at(tau[:, None])
+    owner, lo, hi = np.arange(tau.size), np.zeros(tau.size), x_hi
     for depth in range(_DEPTH + 1):
-        sl = kern.at(tau[owner, None])
         half = (hi - lo) / 2
         x = (lo + half)[:, None] + half[:, None] * QK21_NODES
         part, e = qk21(integrand(sl)(x) * area * sl.warp(x) ** (n - 1) * sl.sm, half)
-        if share is None:  # tolerance per unit radius, from the whole slice
+        if depth:
+            done = (e <= share[owner] * 2 * half) | (depth == _DEPTH)
+        else:  # tolerance per unit radius, from the whole slice
             share = np.maximum(epsabs, epsrel * abs(part)) / x_hi
-        done = (e <= share[owner] * 2 * half) | (depth == _DEPTH)
+            done = (e <= share * 2 * half) | (depth == _DEPTH)
+            if done.all():  # one piece per slice; + 0.0 gives the bits of the bincount sums
+                return part + 0.0, e + 0.0
+            val, err = np.zeros(tau.size), np.zeros(tau.size)
         val += np.bincount(owner[done], part[done], tau.size)
         err += np.bincount(owner[done], e[done], tau.size)
         owner, lo, hi = owner[~done], lo[~done], hi[~done]
         if not owner.size:
             break
         mid = (lo + hi) / 2
-        owner = np.repeat(owner, 2)
-        lo, hi = np.stack((lo, mid), 1).ravel(), np.stack((mid, hi), 1).ravel()
+        owner, lo, hi = np.repeat(owner, 2), np.repeat(lo, 2), np.repeat(hi, 2)
+        lo[1::2] = hi[::2] = mid
+        sl = whole.rows(owner)
     return val, err
 
 

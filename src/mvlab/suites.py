@@ -170,10 +170,11 @@ def _elliptic_battery(ts):
     ]
 
 
-def _profile_closed_form(kernel):
+def _profile_closed_form(kernel, r):
     """Worst Newton step |(log K(x) - log r^(-n)) / d log K/dx| of the level
-    equation at the closed-form heat-ball profile x: its distance to the root."""
-    reg = heatball_profile(kernel, 1.0)
+    equation at the closed-form profile x of the heat ball of level parameter
+    r: its distance to the root."""
+    reg = heatball_profile(kernel, r)
     taus = np.linspace(0.02, 0.98, 25) * reg.tau_max
     sl, x = kernel.at(taus), reg.profile_x(taus)
     return _worst(abs((np.log(sl.value(x)) - math.log(reg.level)) / sl.dlog(x)))
@@ -194,7 +195,7 @@ def _parabolic_battery(ts):
         *[(f"watson[r={r}]", lambda r=r: mvp.mv_heat_ball(
             h2, make_field("caloric-quadratic", e2), r)[2], 0.0, 1e-5) for r in (0.5, 1.0)],
         ("heat_sphere[v=1]", lambda: mvp.mv_heat_sphere(h2, one(), 1.0)[2], 0.0, 1e-5),
-        ("heatball_profile_closed_form", lambda: _profile_closed_form(h2), 0.0, 1e-10),
+        ("heatball_profile_closed_form", lambda: _profile_closed_form(h2, 1.0), 0.0, 1e-10),
         *[(f"heat_sphere_h3[{name}]", lambda name=name: mvp.mv_heat_sphere(
             hk3, make_field(name, h3), 1.0)[2], 0.0, 1e-4)
           for name in ("constant-1", "exp-radial")],

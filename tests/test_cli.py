@@ -222,6 +222,78 @@ def test_track_quantities_refuse_other_geometries(argv, capsys):
     assert err.startswith("error: ") and "mcf-circle" in err and "mcf-sphere" in err
 
 
+@pytest.mark.parametrize("argv, flag, quantity", [
+    (["sweep", "--quantity", "jbar", "--geometry", "mcf-circle", "--field", "nope"],
+     "--field", "jbar"),
+    (J_SWEEP + ["--a", "0.7"], "--a", "J"),
+    (["sweep", "--quantity", "ihat", "--geometry", "gaussian", "--field", "linear"],
+     "--field", "ihat"),
+    (["sweep", "--quantity", "I", "--geometry", "euclidean3", "--taumin", "0.1"],
+     "--taumin", "I"),
+    (["sweep", "--quantity", "jhat", "--geometry", "gaussian", "--taumax", "0.2"],
+     "--taumax", "jhat"),
+    (["sweep", "--quantity", "theta", "--geometry", "shrinking-s3", "--rmin", "0.3"],
+     "--rmin", "theta"),
+    (["sweep", "--quantity", "theta", "--geometry", "shrinking-s3", "--a", "0.1"],
+     "--a", "theta"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_sweep_refuses_flags_its_quantity_ignores(argv, flag, quantity, monkeypatch, capsys):
+    """A sweep flag the quantity does not read is a usage error naming the
+    flag and the quantity, refused before anything is computed: --field is
+    read by I and J, --a by ihat and ibar, --taumin and --taumax by theta,
+    --rmin and --rmax by every quantity but theta."""
+    def computed(*args, **kwargs):
+        raise AssertionError("a quantity was computed")
+    monkeypatch.setattr("mvlab.cli.sweep", computed)
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert f"{flag} " in err and f"quantity {quantity}\n" in err
+
+
+def test_sweep_refuses_an_ignored_flag_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "mvlab.cfg"
+    cfg.write_text("a = 0.5\n")
+    assert run_cli(J_SWEEP + ["--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --a is not read by quantity J\n"
+
+
+BENCH_SPAN = ["--rmin", "0.6", "--rmax", "1.4", "--steps", "3"]
+# the benchmark's sweep invocations, each flag read by its quantity; the
+# jbar error is its rounding bound (it read 0 before the bound existed)
+BENCH_SWEEPS = {
+    "J": (J_SWEEP + BENCH_SPAN,
+          "0.59999999999999998,0.99999999999999989,0,true\n"
+          "1,1.0000000000000002,0,true\n"
+          "1.3999999999999999,0.99999999999999989,0,true\n"),
+    "I": (["sweep", "--quantity", "I", "--geometry", "euclidean3"] + BENCH_SPAN,
+          "0.59999999999999998,1,1.1102230246251567e-14,true\n"
+          "1,1,1.1102230246251565e-14,true\n"
+          "1.3999999999999999,1,1.1102230246251565e-14,true\n"),
+    "jbar": (["sweep", "--quantity", "jbar", "--geometry", "mcf-circle"] + BENCH_SPAN,
+             "0.59999999999999998,1.5203469010662809,2.700678615970064e-15,true\n"
+             "1,1.5203469010662809,2.700678615970064e-15,true\n"
+             "1.3999999999999999,1.5203469010662807,2.7006786159700636e-15,true\n"),
+    "ibar": (["sweep", "--quantity", "ibar", "--geometry", "mcf-circle"] + BENCH_SPAN,
+             "0.59999999999999998,1.5203469010662807,2.7006786159700636e-15,true\n"
+             "1,1.5203469010662809,2.700678615970064e-15,true\n"
+             "1.3999999999999999,1.5203469010662807,2.7006786159700636e-15,true\n"),
+    "theta": (["sweep", "--quantity", "theta", "--geometry", "shrinking-s3", "--taumin",
+               "0.1", "--taumax", "0.2", "--steps", "3"],
+              "0.10000000000000001,0.99719425334590583,3.7386046840802434e-10,true\n"
+              "0.15000000000000002,0.99456771730638494,8.9000065862021235e-13,true\n"
+              "0.20000000000000001,0.99158130892223229,3.2021078022752454e-13,true\n"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(BENCH_SWEEPS))
+def test_benchmark_sweeps_read_every_flag_they_give(q, capsys):
+    argv, rows = BENCH_SWEEPS[q]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "parameter,value,error_estimate,monotone_ok\n" + rows
+
+
 def test_usage_errors(tmp_path, capsys, monkeypatch):
     # the environment variable of the removed --jobs flag is ignored
     monkeypatch.setenv("MVLAB_JOBS", "abc")
@@ -372,7 +444,7 @@ def test_sweep_golden_json(capsys):
     assert run_cli(["sweep", "--quantity", "jbar", "--geometry", "mcf-circle",
                     "--steps", "3", "--format", "json"]) == 0
     row = ('    {{\n'
-           '      "error_estimate": 0.0,\n'
+           '      "error_estimate": 2.700678615970064e-15,\n'
            '      "monotone_ok": true,\n'
            '      "parameter": {},\n'
            '      "value": 1.520346901066281\n'

@@ -302,6 +302,20 @@ def test_track_ibar_against_mpmath(n):
                 assert abs(val - want) <= err <= 1e-14, (r, a)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_track_jbar_against_mpmath(n):
+    # the Gaussian density (4 pi)^(-n/2) e^(-n/2) (2n)^(n/2) |S^n| at 30
+    # digits, within the rounding bound jbar reports
+    mp = pytest.importorskip("mpmath")
+    track = McfShrinkingSphereTrack(n)
+    with mp.workdps(30):
+        area = 2 * mp.pi ** (mp.mpf(n + 1) / 2) / mp.gamma(mp.mpf(n + 1) / 2)
+        want = (2 * n / (4 * mp.pi)) ** (mp.mpf(n) / 2) * mp.exp(-mp.mpf(n) / 2) * area
+        for r in (0.5, 1.0, 1.5):
+            val, err = mvp.jbar_quantity(track, r)
+            assert abs(val - want) <= err <= 1e-14, r
+
+
 def test_mcf_sweep_directions():
     out = mvp.mcf_sweep(2, [0.5, 1.0, 1.5, 2.0])
     assert out["jbar"].monotone_ok and out["ibar0"].monotone_ok

@@ -1,5 +1,5 @@
-"""integrate_de against scipy.integrate.tanhsinh, bit for bit; integrate_1d
-against scipy.integrate.quad.
+"""integrate_de against scipy.integrate.tanhsinh, bit for bit; qk21 against
+scipy.integrate.quad on one interval; integrate_1d against scipy.integrate.quad.
 
 Both tanh-sinh routines take vectorised integrands.  The scalar integrands
 below go through `vectorised`, which evaluates them node by node."""
@@ -16,8 +16,9 @@ from scipy.integrate import tanhsinh
 from mvlab import mv_parabolic as mvp
 from mvlab import regions
 from mvlab.geometry import FlowGeometry
+from mvlab.fields import make_field
 from mvlab.kernels import HeatKernel
-from mvlab.quad import integrate_1d, integrate_de
+from mvlab.quad import _QK21_W, QK21_NODES, integrate_1d, integrate_de, qk21
 from mvlab.regions import TIME_CLIP_HI, TIME_CLIP_LO, heatball_profile
 
 # integrate_de reproduces this release's tanhsinh (minlevel 2, maxlevel 10)
@@ -132,6 +133,68 @@ def test_heat_sphere_integrand(eps, monkeypatch):
     assert de == scipy_de(f, a, b, atol, rtol)[:2]
     # the engine adds the bound on its clipped end slivers to the error
     assert got[0] == de[0] and got[1] > de[1]
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0])
+@pytest.mark.parametrize("case", ["watson_e2", "correction_h3"])
+def test_heat_ball_slices_integrand(case, r, monkeypatch):
+    # the slice density ball_integrate hands integrate_de: the E2 Watson ball
+    # (the I_v density of a caloric field) and the H3 heat-sphere correction
+    # ball ((K - r^-n) (d/dt - Delta) v of exp-radial)
+    if case == "watson_e2":
+        e2 = FlowGeometry.euclidean(2)
+        kern, field = HeatKernel(e2), make_field("caloric-quadratic", e2)
+        identity = mvp.mv_heat_ball
+    else:
+        h3 = FlowGeometry.hyperbolic(3)
+        kern, field = HeatKernel(h3), make_field("exp-radial", h3)
+        identity = mvp.mv_heat_sphere
+    seen, balls = [], []
+    ball_integrate = regions.ball_integrate
+
+    def record(f, a, b, atol, rtol):
+        seen.append((f, a, b, atol, rtol, integrate_de(f, a, b, atol=atol, rtol=rtol)))
+        return seen[-1][-1]
+
+    def ball(*args, **kwargs):
+        balls.append(len(seen))
+        return ball_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "integrate_de", record)
+    monkeypatch.setattr(mvp, "ball_integrate", ball)
+    identity(kern, field, r)
+    assert len(balls) == 1
+    f, a, b, atol, rtol, de = seen[balls[0]]
+    assert de == scipy_de(f, a, b, atol, rtol)[:2]
+
+
+QK21_ROWS = {  # integrand on [a, b], as the engines evaluate it on a row
+    "zero": (lambda x: 0.0 * x, -1.0, 1.0),
+    "even": (lambda x: 1.0 + x ** 10, -1.0, 1.0),  # in a batch, Kronrod = Gauss exactly
+    "sign_change": (lambda x: np.sin(3.0 * x) - 0.2, 0.2, 1.7),
+    "smooth": (lambda x: np.exp(-x), 0.0, 2.5),
+}
+
+
+def test_qk21_rows():
+    fx = np.array([f((a + b) / 2 + (b - a) / 2 * QK21_NODES) for f, a, b in QK21_ROWS.values()])
+    half = np.array([(b - a) / 2 for _, a, b in QK21_ROWS.values()])
+    rk, rg = (fx @ _QK21_W).T
+    assert rk[0] == rg[0] == 0.0 and rk[1] == rg[1]  # QUADPACK's zero-difference branch
+    val, err = qk21(fx, half)
+    # the bits of both branches since the estimate was written: the batch
+    # with zero rows, and the last two rows alone
+    assert val.tolist() == [0.0, 2.181818181818182, -0.15088070926776737, 0.917915001376101]
+    assert err.tolist() == [0.0, 2.422304781000342e-14, 1.1584034657227857e-14,
+                            1.0190903691765797e-14]
+    assert [a.tolist() for a in qk21(fx[2:], half[2:])] == [
+        [-0.15088070926776737, 0.917915001376101], [1.1584034657227857e-14, 1.01909036917658e-14]]
+    # QUADPACK's own QK21 on one interval sums in another order
+    for (f, a, b), v, e in zip(QK21_ROWS.values(), val, err):
+        want, want_err = integrate.quad(lambda x: float(f(np.float64(x))), a, b,
+                                        limit=1, full_output=1)[:2]
+        assert abs(v - want) <= 2 * np.spacing(abs(want))
+        assert e == pytest.approx(want_err, rel=1e-14, abs=0.0)
 
 
 def test_integrate_1d_unconverged_is_silent():

@@ -200,20 +200,23 @@ def test_flat_heat_level_set_matches_brent(n):
 def test_profile_row_is_the_distance_to_the_brent_root(scale, monkeypatch):
     """The parabolic suite's `heatball_profile_closed_form` row, a Newton step
     of the level equation at the profile, reads the distance to its Brent
-    root, for the closed-form profile and for one moved off it by 1e-9."""
+    root, for the closed-form profile and for one moved off it by 1e-9.  At
+    r = 0.5 the level is 4, so a step in K rather than log K reads 4 times
+    the distance; at the row's r = 1 the two agree to first order."""
     profile_x = HeatKernel.profile_x
     monkeypatch.setattr(HeatKernel, "profile_x",
                         lambda self, *args: scale * profile_x(self, *args))
     h = HeatKernel(FlowGeometry.euclidean(2))
-    reg = heatball_profile(h, 1.0)
-    gaps = []
-    for u in np.linspace(0.02, 0.98, 25):
-        tau = u * reg.tau_max
-        value = h.at(tau).value
-        gaps.append(abs(reg.profile_x(tau) - brent_root(lambda s: value(s) - reg.level,
-                                                        0.0, 10.0)))
-    assert abs(suites._profile_closed_form(h) - max(gaps)) <= 1e-14
-    assert max(gaps) > 1e-10 if scale != 1.0 else max(gaps) < 1e-14
+    for r in (0.5, 1.0):
+        reg = heatball_profile(h, r)
+        gaps = []
+        for u in np.linspace(0.02, 0.98, 25):
+            tau = u * reg.tau_max
+            value = h.at(tau).value
+            gaps.append(abs(reg.profile_x(tau) - brent_root(lambda s: value(s) - reg.level,
+                                                            0.0, 10.0)))
+        assert abs(suites._profile_closed_form(h, r) - max(gaps)) <= 1e-14, r
+        assert max(gaps) > 1e-10 if scale != 1.0 else max(gaps) < 1e-14
 
 
 def test_h3_top_time_lambert_w(h3):
