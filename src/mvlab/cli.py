@@ -24,8 +24,8 @@ and nothing on stdout.  Usage errors are
   only, ``--a`` by ihat and ibar, ``--taumin`` and ``--taumax`` by theta,
   ``--rmin`` and ``--rmax`` by every quantity but theta;
 * ``--steps`` below 1, or a sweep grid that is not strictly increasing;
-* a sweep point whose value or error is not finite, or whose level r^(-n)
-  overflows (refused after the sweep, before anything is written);
+* a sweep point whose value, error, level r^(-n) or Green ball (radius and
+  sphere area) is out of float range (refused before anything is written);
 * a quantity the geometry does not carry: theta, ihat or jhat on a
   geometry that is not a Ricci flow (an MCF track, or a static model whose
   Ricci tensor is not its deformation tensor, such as hyperbolic3), I/J on
@@ -52,8 +52,7 @@ from . import mv_elliptic as mve
 from . import mv_parabolic as mvp
 from .fields import make_field
 from .geometry import FlowGeometry
-from .kernels import (GreenKernel, McfShrinkingSphereTrack, SubGreenKernel,
-                      SubHeatKernel)
+from .kernels import GreenKernel, McfShrinkingSphereTrack, SubHeatKernel
 from .reduced import ReducedDistanceField
 from .suites import SUITES, SuiteReport, run_suite
 from .sweeps import sweep
@@ -224,10 +223,7 @@ def _sweep_quantity(args):
     if q in ("I", "J"):
         if is_track or not geom.is_static:
             raise ValueError(f"quantity {q} needs a static geometry")
-        if geom_name == "hyperbolic3":
-            kern = SubGreenKernel(geom, k=geom.k)
-        else:
-            kern = GreenKernel(geom)
+        kern = GreenKernel(geom)
         field = make_field(args.field, geom)
         fn = mve.i_quantity if q == "I" else mve.j_quantity
         return (lambda r: fn(kern, field, r)), mve.classical_direction(field)

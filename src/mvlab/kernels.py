@@ -20,9 +20,10 @@ a column of times with a matrix of radii, one row per slice (the batched
 quadrature of `regions`), or a 1-d array with one radius per slice.
 
 Kernels invert ``kernel = r^(-n)``: every parabolic kernel its profile
-(``profile_x``) and top time (``tau_max``) by closed forms, Lambert W or
-Newton, and elliptic kernels ``level_radius`` where they can, returning None
-where `regions` must solve (hyperbolic Green radii, n != 3).
+(``profile_x``) and top time (``tau_max``), every elliptic kernel its radius
+(``level_radius``), by closed forms, Lambert W or Newton; the reduced top time
+and the Green radii without a closed form share one bracketed Newton
+(`_newton`).
 """
 
 import math
@@ -34,11 +35,24 @@ from .errors import DomainError, NoRegionError, UnsupportedError
 from .geometry import HYPERBOLIC, SHRINKING_SPHERE, unit_sphere_area
 from .quad import integrate_1d  # noqa: F401  (perfbench/tracer.py QUAD_CONSUMERS patches it)
 
-_NEWTON_STEPS = 8  # Newton steps of the H3 profile and reduced top time; roundoff takes at most 5
+_NEWTON_STEPS = 8  # Newton steps of every kernel root; roundoff takes at most 5
 
 EXACT_GREEN = "exact-green"
 SUB_GREEN = "sub-green"
 SUP_GREEN = "sup-green"
+
+
+def _newton(newton_step, lo, hi, x, what):
+    """Root of a monotone function in [lo, hi] by Newton from x: ``newton_step(x)``
+    is (x is the root to roundoff, the Newton step), whose sign shrinks the
+    bracket; a step out of it bisects.  RuntimeError after `_NEWTON_STEPS`."""
+    for _ in range(_NEWTON_STEPS):
+        done, step = newton_step(x)
+        if done:
+            return x
+        lo, hi = (lo, x) if step < 0.0 else (x, hi)
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+    raise RuntimeError(f"Newton did not converge on {what}")
 
 
 def _lambertw0(z):
@@ -71,9 +85,7 @@ def _spaceform_green_value(n, k, d):
     if d <= 0:
         raise DomainError("distance must be positive")
     area = unit_sphere_area(n)
-    if k == 0.0:
-        if n < 3:
-            raise UnsupportedError("flat Green's function needs n >= 3")
+    if k == 0.0:  # n >= 3: every kernel with k = 0 refuses n < 3
         return d ** (2 - n) / ((n - 2) * area)
     if n == 3:
         return k * math.exp(-k * d) / (4.0 * math.pi * math.sinh(k * d))
@@ -101,8 +113,6 @@ def _spaceform_green_dvalue(n, k, d):
         raise DomainError("distance must be positive")
     area = unit_sphere_area(n)
     if k == 0.0:
-        if n < 3:
-            raise UnsupportedError("flat Green's function needs n >= 3")
         return -d ** (1 - n) / area
     return -(k / math.sinh(k * d)) ** (n - 1) / area
 
@@ -129,14 +139,53 @@ class EllipticKernel:
         return _spaceform_green_dvalue(self.n, self._k, rho)
 
     def level_radius(self, r):
-        """Radius where value = r^(-n) if k = 0 or n = 3; None otherwise."""
+        """Radius where value = r^(-n): closed forms for k = 0, n = 2 and n = 3,
+        else `_newton_radius`.  NoRegionError where the radius is 0 or not
+        finite, its sphere area overflows, or r^(-n) underflows on Newton's path."""
         n, k = self.n, self._k
-        if k == 0.0:
-            return (r ** n / ((n - 2) * unit_sphere_area(n))) ** (1.0 / (n - 2))
-        if n == 3:
-            # k / (2 pi (exp(2 k d) - 1)) = r^(-3)
-            return math.log1p(k * r ** 3 / (2.0 * math.pi)) / (2.0 * k)
-        return None
+        try:
+            if k == 0.0:
+                rho = (r ** n / ((n - 2) * unit_sphere_area(n))) ** (1.0 / (n - 2))
+            elif n == 2:  # I_1(u) = -log tanh(u/2) is its own inverse
+                rho = math.log1p(2.0 / math.expm1(2.0 * math.pi / r ** 2)) / k
+            elif n == 3:  # k / (2 pi (exp(2 k d) - 1)) = r^(-3)
+                rho = math.log1p(k * r ** 3 / (2.0 * math.pi)) / (2.0 * k)
+            else:
+                rho = self._newton_radius(r)
+            rho = float(rho)
+            area = unit_sphere_area(n) * self.geom.warp(rho) ** (n - 1)
+        except ArithmeticError:  # an overflow, or a division by an underflowed 0
+            rho = area = math.inf
+        if not (rho > 0.0 and area < math.inf):
+            raise NoRegionError(f"Green ball of r = {r}: radius or sphere area out of float range")
+        return rho
+
+    def _newton_radius(self, r):
+        """Root of log(value(rho) r^n), n >= 4, k > 0, by `_newton` in v = log(rho / lo)
+        from 0.  csch t <= 1/t puts value below the flat Green's function and the
+        root below its root ``flat``.  ``lo`` is the larger root of two lower bounds
+        of value, m = n - 1: k^(m-1) 2^m e^(-m k rho) / (m area) (csch t >= 2 e^-t),
+        and the flat one times e^(-a k rho), a = m (m-1)/(m-2), root flat W(b) / b,
+        b = a k flat / (n-2) (csch t >= e^-t / t bounds the slope of u^(1-m) e^(-a u)
+        / (m-1)); 1e-9 widens the bracket past rounding.  OverflowError unless value
+        and its series' power (2q)^m ~ m area value / k^(m-1) are normal floats."""
+        n, k, m, area = self.n, self._k, self.n - 1, unit_sphere_area(self.n)
+        rn = math.pow(r, n)
+        if rn * np.finfo(float).tiny * max(1.0, k ** (m - 1) / (m * area)) >= 1.0:
+            raise OverflowError("r^(-n) underflows")
+        flat = (rn / ((n - 2) * area)) ** (1.0 / (n - 2))
+        b = m * (m - 1) / (m - 2) * k * flat / (n - 2)
+        lo = max(flat * _lambertw0(b) / b, (n * math.log(r) - math.log(m * area)
+                                            + (m - 1) * math.log(k) + m * math.log(2.0)) / (m * k))
+
+        def newton_step(v):
+            rho = lo * math.exp(v)
+            g = self.value(rho)
+            step = -math.log(g * rn) * g / (rho * self.dvalue(rho))  # d log value/dv = rho G'/G
+            return abs(step) <= 4.0 * np.finfo(float).eps, step
+
+        v = _newton(newton_step, -1e-9, math.log(flat / lo) + 1e-9, 0.0, f"Green radius r = {r}")
+        return lo * math.exp(v)
 
     def grad_norm(self, rho):
         return -self.dvalue(rho)
@@ -155,7 +204,7 @@ class GreenKernel(EllipticKernel):
         super().__init__(geom)
         if geom.is_flat and geom.n < 3:
             raise UnsupportedError("flat space is not strongly non-parabolic for n < 3")
-        self._k = geom.k if geom.kind == HYPERBOLIC else 0.0
+        self._k = geom.k  # 0 off hyperbolic models
 
     def grad_norm(self, rho):
         # exact flux normalization: |grad G| * area(rho) = 1
@@ -175,12 +224,8 @@ class SubGreenKernel(EllipticKernel):
 
     def __init__(self, geom, k=1.0):
         super().__init__(geom)
-        if k < 0:
-            raise DomainError("comparison curvature k must be >= 0")
-        geom_k = geom.k if geom.kind == HYPERBOLIC else 0.0
-        if k < geom_k:
-            raise DomainError(
-                f"comparison requires Ric >= -(n-1)k^2: need k >= {geom_k}")
+        if k < geom.k:  # geom.k >= 0
+            raise DomainError(f"comparison needs k >= {geom.k}: k >= 0, Ric >= -(n-1)k^2")
         if k == 0.0 and geom.n < 3:
             raise UnsupportedError("k = 0 comparison needs n >= 3")
         self._k = k
@@ -193,10 +238,8 @@ class SupGreenKernel(EllipticKernel):
 
     def __init__(self, geom):
         super().__init__(geom)
-        if geom.n < 3:
+        if geom.n < 3:  # static models, the flat and hyperbolic ones, are Cartan-Hadamard
             raise UnsupportedError("sup-Green comparison needs n >= 3")
-        if not (geom.is_flat or geom.kind == HYPERBOLIC):
-            raise UnsupportedError("sup-Green needs a nonpositively curved model")
 
 
 class KernelSlice:
@@ -359,14 +402,11 @@ class HeatKernel(ParabolicKernel):
 
     def __init__(self, geom):
         super().__init__(geom)
-        if geom.kind == HYPERBOLIC:
-            if geom.n != 3:
-                raise UnsupportedError("hyperbolic heat kernel implemented for n = 3 only")
-            self._k = geom.k
-        elif geom.is_flat:
-            self._k = 0.0
-        else:
+        if not geom.is_static:
             raise UnsupportedError("exact heat kernels need a static model")
+        if geom.kind == HYPERBOLIC and geom.n != 3:
+            raise UnsupportedError("hyperbolic heat kernel implemented for n = 3 only")
+        self._k = geom.k  # 0 off hyperbolic models
 
     def tau_max(self, r):
         """Top time of {kernel >= r^(-n)}.  On center (4 pi tau)^(n/2) exp(k^2
@@ -467,25 +507,22 @@ class SubHeatKernel(ParabolicKernel):
         """Top time of {kernel >= r^(-n)}, the root of the on-center equation
         g(v) = (n/2) v + ell0(tau0 e^v) = 0 in v = log(tau / tau0), tau0 = r^2 /
         (4 pi) the flat root.  ell0 lies in [0, n/2), so g(-1) < 0 <= g(0):
-        Newton from v = 0 with the exact slope dg/dv = -tau dtau0, bisecting
-        when a step leaves the bracket, until |g| is at roundoff (RuntimeError
-        if the steps run out first).  NoRegionError if tau0 is past the last time."""
+        `_newton` from v = 0 with the exact slope dg/dv = -tau dtau0, until |g|
+        is at roundoff.  NoRegionError if tau0 is past the last time."""
         if not 0.0 < r < math.inf:
             raise DomainError(f"level parameter r must be positive and finite, got {r}")
         tau0, half_n = r * r / (4.0 * math.pi), 0.5 * self.n
         if not tau0 < -self.geom.time_interval[0]:  # else [tau0 / e, tau0] is inside
             raise NoRegionError("on-center level equation has no root inside the time domain")
-        lo, hi, v = -1.0, 0.0, 0.0
-        for _ in range(_NEWTON_STEPS):
-            tau = tau0 * math.exp(v)
-            sl = self.at(tau)
+
+        def newton_step(v):
+            sl = self.at(tau0 * math.exp(v))
             g = half_n * v + sl.ell0
-            if abs(g) <= 4.0 * np.finfo(float).eps * (half_n * (1.0 - v) + sl.ell0):
-                return tau
-            lo, hi = (lo, v) if g > 0.0 else (v, hi)
-            v += g / (tau * sl.dtau0)  # dg/dv = -tau dtau0 > 0
-            v = v if lo < v < hi else 0.5 * (lo + hi)
-        raise RuntimeError(f"Newton did not converge on the reduced top time (r = {r})")
+            done = abs(g) <= 4.0 * np.finfo(float).eps * (half_n * (1.0 - v) + sl.ell0)
+            return done, g / (sl.tau * sl.dtau0)  # dg/dv = -tau dtau0 > 0
+
+        v = _newton(newton_step, -1.0, 0.0, 0.0, f"the reduced top time (r = {r})")
+        return tau0 * math.exp(v)
 
     def profile_x(self, r, tau, sl=None):
         """Radius of {kernel >= r^(-n)} at tau (a float or an array of times),

@@ -116,12 +116,6 @@ def j_quantity(kernel, field, r):
     return _surface_term(kernel, green_ball(kernel, r), field)
 
 
-def lap_ball_integral(kernel, field, r):
-    """Integral of the field Laplacian over the Green ball."""
-    region = green_ball(kernel, r)
-    return ball_integrate(region, lambda rho: field.mean_laplacian(rho, 0.0))
-
-
 def j_derivative_residual(kernel, field, r):
     """Compare dJ_v/dr against (n / r^(n+1)) times the Laplacian ball integral.
 
@@ -133,7 +127,7 @@ def j_derivative_residual(kernel, field, r):
     jp, ep = j_quantity(kernel, field, r + delta)
     jm, em = j_quantity(kernel, field, r - delta)
     fd = (jp - jm) / (2.0 * delta)
-    lap, _ = lap_ball_integral(kernel, field, r)
+    lap, _ = ball_integrate(green_ball(kernel, r), lambda rho: field.mean_laplacian(rho, 0.0))
     rhs = kernel.n / r ** (kernel.n + 1) * lap
     return fd, rhs, fd - rhs
 

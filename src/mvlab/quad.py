@@ -1,7 +1,7 @@
 """Tanh-sinh quadrature for the level-set time integrals, the fixed 21-point
 Gauss-Kronrod rule for batches of time slices and scipy's adaptive
 Gauss-Kronrod for the rest; all return values with error estimates.  `brentq`
-is scipy's root finder.  Both scipy routines are imported on their first call.
+is scipy's root finder (uncalled); both are imported on their first call.
 
 The parabolic level-set integrals have integrable endpoint singularities at
 both ends of the time interval (a square root at the top, a ``sqrt(log)``
@@ -149,18 +149,14 @@ def integrate_1d(f, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL,
 
 
 def brentq(f, a, b, **kwargs):
-    """Brent's root of ``f`` in the bracket ``[a, b]`` (scipy.optimize.brentq)."""
-    return _brentq(f, a, b, **kwargs)
+    """Brent's root of ``f`` in ``[a, b]`` (scipy.optimize.brentq, imported by the
+    call); uncalled, `regions` binds it for the benchmark's tracer."""
+    from scipy.optimize import brentq as solve
+    return solve(f, a, b, **kwargs)
 
 
-# the first call of each stand-in imports scipy's routine in its place
+# the first call of the stand-in imports scipy's routine in its place
 def _quad(*args, **kwargs):
     global _quad
     from scipy.integrate import quad as _quad
     return _quad(*args, **kwargs)
-
-
-def _brentq(*args, **kwargs):
-    global _brentq
-    from scipy.optimize import brentq as _brentq
-    return _brentq(*args, **kwargs)

@@ -5,10 +5,9 @@ center, so level sets are radial graphs.  Elliptic regions are balls of
 radius ``rho_star(r)`` solving ``kernel = r^(-n)``.  Parabolic regions live in
 backward time: the top time ``tau_max`` solves the on-center equation and the
 profile ``x(tau)`` is the per-slice root.  Every parabolic kernel solves
-both itself (`kernels`), so no root finder runs on a heat ball.  Green radii
-are closed forms where the kernel has them; bracketed Brent iteration serves
-the one equation without one, hyperbolic Green radii (n != 3), whose kernel
-is itself a recurrence or a series.
+both itself (`kernels`), and so does every elliptic kernel its radius, so
+this module builds regions and integrates over them but solves no level
+equation.
 
 A parabolic region is foliated by time slices: every quadrature node,
 profile root and surface sample lives at one backward time tau, and a
@@ -51,7 +50,8 @@ import numpy as np
 
 from .errors import DomainError, NoRegionError
 from .geometry import unit_sphere_area
-from .quad import QK21_NODES, brentq, integrate_1d, integrate_de, qk21
+from .quad import QK21_NODES, integrate_1d, integrate_de, qk21
+from .quad import brentq  # noqa: F401  (perfbench/tracer.py patches it)
 
 # relative slivers next to tau = 0 and tau = tau_max excluded from
 # double-exponential nodes; `_time_integral` bounds what they drop
@@ -82,28 +82,9 @@ def _level(kernel, r):
 
 
 def level_radius(kernel, r):
-    """Radius of the elliptic level set kernel(rho) = r^(-n): the kernel's
-    closed form, or when it has none the Brent root to a relative tolerance
-    (xtol = 1e-300: radii can sit far below 1)."""
-    level = _level(kernel, r)
-    closed = kernel.level_radius(r)
-    if closed is not None:
-        return float(closed)
-
-    def f(rho):
-        return kernel.value(rho) - level
-
-    # elliptic models are static, so every radius lies in the domain
-    lo, hi = 0.5, 1.0
-    while f(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e12:
-            raise NoRegionError(f"level {level} not attained inside the domain")
-    while f(lo) < 0.0:
-        if lo < 1e-12:
-            raise NoRegionError(f"level {level} not resolved near the center")
-        lo, hi = 0.5 * lo, lo
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
+    """Radius of the ball kernel(rho) >= r^(-n), the kernel's own, once r^(-n) is checked."""
+    _level(kernel, r)
+    return kernel.level_radius(r)
 
 
 @dataclass(frozen=True)
@@ -112,10 +93,7 @@ class GreenBallRegion:
     kernel: object
     r: float
     rho_star: float
-
-    @property
-    def parabolic(self):
-        return False
+    parabolic = False  # a class attribute, not a field
 
     @property
     def level(self):
@@ -134,10 +112,7 @@ class HeatBallRegion:
     r: float
     tau_max: float
     levels: dict = field(default_factory=dict, compare=False, repr=False)  # see `_level_data`
-
-    @property
-    def parabolic(self):
-        return True
+    parabolic = True
 
     @property
     def level(self):

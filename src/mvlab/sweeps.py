@@ -31,8 +31,8 @@ class SweepReport:
     errors: list
     direction: str = "none"      # non-increasing | non-decreasing | constant | none
     tol: float = 1e-6
-    verdicts: list = field(default_factory=list)
-    worst_violation: float = 0.0
+    verdicts: list = field(init=False)
+    worst_violation: float = field(init=False)
 
     def __post_init__(self):
         check_grid(self.grid)

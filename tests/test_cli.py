@@ -420,6 +420,21 @@ def test_tiny_sweep_parameters_are_usage_errors(argv, named, capsys):
     assert named in err
 
 
+@pytest.mark.parametrize("geometry, rmax, steps", [
+    ("euclidean3", "1e60", "3"),  # the sphere area of a radius 4e178 overflows
+    ("euclidean3", "1e200", "2"),  # r^3 overflows: was the row 1e200,-0,0,false
+    ("hyperbolic3", "1e120", "2"),  # r^3 overflows in the H3 closed form
+])
+def test_huge_green_ball_is_exit_2(geometry, rmax, steps, capsys):
+    """A Green ball out of float range is refused with one error
+    line and nothing on stdout, never a traceback or a row of zeros."""
+    assert run_cli(["sweep", "--quantity", "I", "--geometry", geometry, "--rmin", "1",
+                    "--rmax", rmax, "--steps", steps]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: Green ball of r = ") and "out of float range" in err
+
+
 def test_reduced_ball_past_the_time_domain_is_exit_2(capsys):
     assert run_cli(["sweep", "--quantity", "jhat", "--geometry", "shrinking-s3",
                     "--rmax", "1e20"]) == 2

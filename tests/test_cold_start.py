@@ -1,9 +1,10 @@
 """Cold start: importing mvlab, the heat-ball path, the reduced-distance
 sweeps, the parabolic, mcf and ricci suites, the track sweeps, the J sweep of
-the Gaussian translate, hyperbolic Green's functions and ``mvlab report``
-load no scipy module; each case runs in a fresh interpreter.  Only the lazy
-stand-ins listed in ``SCIPY_STAND_INS`` import scipy at all, and only the
-functions listed in ``QUADPACK_CALLERS`` and ``BRENT_CALLERS`` call them."""
+the Gaussian translate, hyperbolic Green's functions and their radii and
+``mvlab report`` load no scipy module; each case runs in a fresh interpreter.
+Only the lazy stand-ins listed in ``SCIPY_STAND_INS`` import scipy at all,
+only the functions listed in ``QUADPACK_CALLERS`` call QUADPACK, and no
+function calls Brent's root finder (``BRENT_CALLERS`` is empty)."""
 
 import ast
 import json
@@ -20,14 +21,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # (module, function) of every scipy import in mvlab: each imports its routine
 # on first use, so scipy stays off every path that does not call one
-SCIPY_STAND_INS = {("quad", "_quad"), ("quad", "_brentq"), ("reduced", "_rk45")}
+SCIPY_STAND_INS = {("quad", "_quad"), ("quad", "brentq"), ("reduced", "_rk45")}
 # (module, function) of every call of the QUADPACK and Brent stand-ins:
-# no kernel, track, parabolic or Ricci-flow path solves with scipy
+# no kernel, track, parabolic or Ricci-flow path integrates with scipy, and
+# nothing solves with it (`regions.brentq` stays bound for the benchmark's tracer)
 QUADPACK_CALLERS = {("regions", "ball_integrate"),
                     ("mv_elliptic", "sphere_ball_relation_residual"),
                     ("mv_elliptic", "iterated_weight_identity"),
                     ("reduced", "reduced_volume"), ("reduced", "l_length")}
-BRENT_CALLERS = {("regions", "level_radius")}
+BRENT_CALLERS = set()
 
 
 def fresh_run(code):
@@ -85,6 +87,17 @@ def test_hyperbolic_green_loads_no_scipy():
     # below k d = 1 the H4 Green's function is a closed-form recurrence
     out, loaded = fresh_run("from mvlab import FlowGeometry, GreenKernel\n"
                             "print(GreenKernel(FlowGeometry.hyperbolic(4)).value(0.3))")
+    assert float(out) > 0.0 and loaded == []
+
+
+@pytest.mark.parametrize("kernel", [
+    "GreenKernel(FlowGeometry.hyperbolic(2))", "GreenKernel(FlowGeometry.hyperbolic(4))",
+    "SubGreenKernel(FlowGeometry.euclidean(5), k=1.0)"], ids=["h2", "h4", "sub_green_e5"])
+def test_green_radius_loads_no_scipy(kernel):
+    # a closed form on H2, the kernel's Newton on H4 and the sub-Green E5
+    out, loaded = fresh_run("from mvlab import FlowGeometry, GreenKernel, SubGreenKernel\n"
+                            "from mvlab.regions import level_radius\n"
+                            f"print(level_radius({kernel}, 0.7))")
     assert float(out) > 0.0 and loaded == []
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from mvlab.errors import DomainError, UnsupportedError
+from mvlab import kernels
+from mvlab.errors import DomainError, NoRegionError, UnsupportedError
 from mvlab.geometry import FlowGeometry, unit_sphere_area
 from mvlab.kernels import (GreenKernel, HeatKernel, McfShrinkingSphereTrack,
                            SubGreenKernel, SubHeatKernel, SupGreenKernel,
@@ -128,23 +129,99 @@ def test_green_profile_far_tail(n, k, d):
     assert abs(g / _hyperbolic_green_closed_form(n, k, d) - 1.0) <= 1e-12
 
 
+def _mp_green(mp, n, k, d):
+    """int_u^inf csch^m = 2^m z^m / m 2F1(m/2, m; m/2 + 1; z^2), z = e^(-u),
+    m = n - 1, u = k d, the Green's function of H^n_k in mpmath, with the
+    extra digits that resolve 1 - z^2 at small u; for m = 1, 2 atanh(z) =
+    -log tanh(u/2), as mpmath's 2F1 next to 1 takes seconds."""
+    m = n - 1
+    area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+    if m == 1:
+        return -mp.log(mp.tanh(k * mp.mpf(d) / 2)) / area
+    with mp.extradps(max(0, -int(mp.log10(k * d)))):
+        z = mp.exp(-k * mp.mpf(d))
+        green = (mp.mpf(k) ** (m - 1) * 2 ** m * z ** m / m / area
+                 * mp.hyp2f1(mp.mpf(m) / 2, m, mp.mpf(m) / 2 + 1, z * z))
+    return +green
+
+
 @pytest.mark.parametrize("n", [2, 4, 5, 6, 7])
 def test_green_against_mpmath(n):
-    # the recurrence below k d = 1 and the series from there on against
-    # int_u^inf csch^m = 2^m z^m / m 2F1(m/2, m; m/2 + 1; z^2), z = e^(-u),
-    # m = n - 1, at 30 digits; both cancel nowhere, so 2e-15 relative holds
+    # the recurrence below k d = 1 and the series from there on against the
+    # 2F1 form at 30 digits; both cancel nowhere, so 2e-15 relative holds
     mp = pytest.importorskip("mpmath")
-    m = n - 1
     with mp.workdps(30):
-        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
         for k in (0.5, 1.0, 2.0):
             kern = GreenKernel(FlowGeometry.hyperbolic(n, k=k))
             for u in (1e-8, 1e-3, 0.3, 0.9, 0.999, 1.0, 1.001, 1.5, 5.0):
                 d = u / k
-                z = mp.exp(-k * mp.mpf(d))
-                want = (mp.mpf(k) ** (m - 1) * 2 ** m * z ** m / m / area
-                        * mp.hyp2f1(mp.mpf(m) / 2, m, mp.mpf(m) / 2 + 1, z * z))
-                assert abs(kern.value(d) / want - 1) <= 2e-15, (k, d)
+                assert abs(kern.value(d) / _mp_green(mp, n, k, d) - 1) <= 2e-15, (k, d)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 6, 7])
+def test_green_radius_against_mpmath(n):
+    # GreenKernel on H^n_k and SubGreenKernel(E^n, k), the same function,
+    # against the 30-digit root of G = r^(-n) (Newton in log rho on the 2F1
+    # form from the float radius) and scipy's brentq on the float kernel,
+    # with r from 1e-3 to 1e3: within 4e-15 relative, in at most
+    # _NEWTON_STEPS kernel values.  The H2 closed form is held to its
+    # condition number c = n / |d log G / d log rho| (a relative change of r
+    # moves rho c times as much): 1,257 at r = 0.1, where 2 pi / r^2 carries
+    # its rounding into rho, 4.0e-14 off.  Below r = 0.1 the H2 radius
+    # underflows, and only there is the ball refused.
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mp.workdps(30):
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        for k in (0.5, 1.0, 2.0):
+            kerns = [GreenKernel(FlowGeometry.hyperbolic(n, k=k)),
+                     SubGreenKernel(FlowGeometry.euclidean(n), k=k)]
+            values = []
+            for kern in kerns:
+                value = kern.value
+                kern.value = lambda rho, value=value: values.append(rho) or value(rho)
+            for r in np.geomspace(1e-3, 1e3, 13).tolist():
+                if n == 2 and r < 0.1:
+                    for kern in kerns:
+                        with pytest.raises(NoRegionError):
+                            kern.level_radius(r)
+                    assert 2 * mp.exp(-2 * mp.pi / mp.mpf(r) ** 2) / k < 1e-308
+                    continue
+                rho = kerns[0].level_radius(r)
+                values.clear()
+                assert kerns[1].level_radius(r) == rho
+                assert len(values) <= kernels._NEWTON_STEPS, (k, r)
+                s = mp.log(rho)
+                for _ in range(2):  # quadratic from a float root
+                    d = mp.exp(s)
+                    green = _mp_green(mp, n, k, d)
+                    slope = -d * (k / mp.sinh(k * d)) ** (n - 1) / (area * green)
+                    s -= (mp.log(green) + n * mp.log(r)) / slope
+                tol = 4e-15 * max(1.0, float(n / abs(slope)) / 2)
+                assert abs(rho / mp.exp(s) - 1) <= tol, (k, r)
+                level = r ** -n
+                want = brentq(lambda x: kerns[0].value(x) - level, 0.5 * rho, 2.0 * rho,
+                              xtol=1e-300, rtol=4 * eps)
+                assert abs(rho / want - 1) <= 2 * tol, (k, r)
+
+
+def test_green_radius_newton_wide_grid():
+    # Newton's Green radius for n in 4..11, k from 0.1 to 10 and r from 1e-15
+    # to 1e6 (n = 9, k = 10, r = 1 among them): at its roundoff, |log(G r^n)|
+    # within a few eps of the slope d log G / d log rho, in at most
+    # _NEWTON_STEPS kernel values
+    eps = np.finfo(float).eps
+    for n in range(4, 12):
+        for k in (0.1, 1.0, 10.0):
+            kern = SubGreenKernel(FlowGeometry.euclidean(n), k=k)
+            values, value = [], kern.value
+            kern.value = lambda rho: values.append(rho) or value(rho)
+            for r in np.geomspace(1e-15, 1e6, 43).tolist():
+                values.clear()
+                rho = kern.level_radius(r)
+                assert len(values) <= kernels._NEWTON_STEPS, (n, k, r)
+                slope = rho * kern.dvalue(rho) / value(rho)
+                assert abs(math.log(value(rho) * r ** n)) <= 8 * eps * (1 - slope), (n, k, r)
 
 
 # --------------------------------------------------------------------------- #

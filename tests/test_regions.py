@@ -94,20 +94,48 @@ def test_green_radius_closed_form_matches_brent():
             assert level_radius(kern, r) == pytest.approx(root, rel=1e-13)
 
 
-def test_level_radius_brent_path():
-    # Green's functions of H2 and H4 have no inverse; the bracket search must
-    # enclose the root without evaluating the quadrature profile near 0,
-    # where it loses all accuracy
+def test_level_radius_kernel_solve():
+    # H2 and H4 radii are the kernel's own: a closed form on H2, Newton on H4
     for n in (2, 4):
         g = GreenKernel(FlowGeometry.hyperbolic(n))
         for r in (1.0, 2.0, 3.0):
             rho = level_radius(g, r)
             assert abs(g.value(rho) * r ** n - 1.0) <= 1e-12
-    # a radius far below 1 (rho ~ 5e-8) is still solved to relative accuracy
+    # radii far below 1 are solved to relative accuracy: rho ~ 5e-8 and ~ 9.58e-31
     g2 = GreenKernel(FlowGeometry.hyperbolic(2))
     assert abs(g2.value(level_radius(g2, 0.6)) * 0.6 ** 2 - 1.0) <= 1e-14
-    with pytest.raises(NoRegionError):
-        level_radius(GreenKernel(FlowGeometry.hyperbolic(2)), 0.3)  # rho ~ 2e-30
+    rho = level_radius(g2, 0.3)
+    assert rho == pytest.approx(9.58e-31, rel=1e-3)
+    assert abs(g2.value(rho) * 0.3 ** 2 - 1.0) <= 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=st.floats(1e-3, 1e3), b=st.floats(1e-3, 1e3))
+def test_h4_level_radius_monotone(a, b):
+    g = GreenKernel(FlowGeometry.hyperbolic(4))
+    lo, hi = sorted((a, b))
+    assert level_radius(g, lo) <= level_radius(g, hi)
+
+
+@pytest.mark.parametrize("n, k, r", [
+    (3, 0.0, 1e120), (3, 1.0, 1e120),  # r^3 overflows
+    (3, 0.0, 1e60),  # the radius 8e178 is a float, its sphere area is not
+    (4, 1.0, 1e100),  # r^(-4) underflows: Newton would solve for G = 0
+    (2, 1.0, 0.05),  # the radius underflows to 0
+    (9, 10.0, 1.26e34),  # r^(-9) ~ 1e-306 is normal, the power (2q)^8 of G's series is not
+])
+def test_unrepresentable_green_ball_is_no_region(n, k, r):
+    geom = FlowGeometry.hyperbolic(n, k) if k else FlowGeometry.euclidean(n)
+    with pytest.raises(NoRegionError, match="out of float range"):
+        level_radius(GreenKernel(geom), r)
+    with pytest.raises(NoRegionError, match="out of float range"):
+        green_ball(GreenKernel(geom), r)
+
+
+def test_unrepresentable_numpy_radius_is_no_region(e3):
+    # a numpy r overflows to inf rather than raising: refused all the same
+    with np.errstate(over="ignore"), pytest.raises(NoRegionError):
+        level_radius(GreenKernel(e3), np.float64(1e200))
 
 
 def test_ball_integrals_euclid3(e3):
@@ -250,10 +278,10 @@ def test_closed_forms_solve_no_roots(brent_calls, h3, rd_s3):
         reg.profile_x(reg.tau_max * np.array([1e-15, 0.5, 1.0 - 1e-12]))
         mvp.jhat_quantity(khat_s3, r)
         mvp.ihat_quantity(khat_s3, 0.0, r)
-    assert brent_calls == []
-    # Green's functions of H4 have no inverse: Brent still serves them
+    # Green radii without a closed form are the kernel's Newton, on H4
     green_ball(GreenKernel(FlowGeometry.hyperbolic(4)), 1.0)
-    assert len(brent_calls) == 1
+    green_ball(GreenKernel(FlowGeometry.hyperbolic(2)), 1.0)
+    assert brent_calls == []
 
 
 # H3 heat profiles on a grid of curvatures, level radii and times from
@@ -300,7 +328,7 @@ def test_h3_newton_short_of_roundoff_raises(h3, monkeypatch):
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_level_parameter_must_be_finite_positive(r, e2, e3, h3, khat_s3):
-    # closed-form and Brent paths, elliptic and parabolic
+    # closed-form and Newton paths, elliptic and parabolic
     for kern in (GreenKernel(e3), GreenKernel(FlowGeometry.hyperbolic(4))):
         with pytest.raises(DomainError):
             level_radius(kern, r)
